@@ -27,6 +27,7 @@ use baat_workload::{DemandClass, EnergyDemand, PowerDemand, VmId, WorkloadKind};
 use crate::policy::baat_s::SlowdownThresholds;
 use crate::policy::common::{
     best_migration_target, classify_workload, heaviest_movable_vm, rank_by_weighted_aging,
+    ClassRanks,
 };
 
 /// Planned-aging configuration (§IV.D).
@@ -146,14 +147,17 @@ impl Baat {
     /// battery energy *rationed over the rest of the operating day*, so
     /// the battery neither trips the cutoff nor strands reserve (paper's
     /// 2-minute reserve rule [42] becomes a 5 % SoC margin).
+    ///
+    /// `total_demand` is `view.total_demand()`, summed once per control
+    /// call by the caller.
     fn fit_dvfs_level(
         &self,
         view: &SystemView,
+        total_demand: f64,
         node: &NodeView,
         defend_line: Option<Soc>,
     ) -> baat_server::DvfsLevel {
         use baat_server::DvfsLevel;
-        let total_demand = view.total_demand().as_f64();
         let solar_share = if total_demand > 0.0 {
             view.solar.as_f64() * node.server_power.as_f64() / total_demand
         } else {
@@ -240,6 +244,10 @@ impl Policy for Baat {
         // move would fail identically, so fall through to DVFS this round
         // and re-evaluate next interval.
         let blocked: Vec<VmId> = ctx.rejected_migrations().collect();
+        // The view is immutable for the whole call: rank each demand class
+        // at most once and sum the fleet demand once.
+        let mut ranks = ClassRanks::new(view);
+        let total_demand = view.total_demand().as_f64();
 
         // Slowdown pass (Fig 9), migration-first.
         for node in &view.nodes {
@@ -260,9 +268,9 @@ impl Policy for Baat {
                     let class = classify_workload(vm.kind, &self.config.server_power);
                     best_migration_target(
                         view,
+                        ranks.get(class).nodes(),
                         node.node,
                         vm.kind,
-                        class,
                         self.config.min_target_soc,
                     )
                     .map(|target| (vm.id, target))
@@ -280,7 +288,7 @@ impl Policy for Baat {
             // release as soon as supply returns. Below the deep line the
             // battery reserve is defended aggressively.
             let defend = (node.soc < deep_soc).then_some(deep_soc);
-            let level = self.fit_dvfs_level(view, node, defend);
+            let level = self.fit_dvfs_level(view, total_demand, node, defend);
             if level != node.dvfs {
                 self.counters.dvfs_adjustments.inc();
                 actions.push(Action::SetDvfs {
@@ -294,14 +302,10 @@ impl Policy for Baat {
         if self.cooldown > 0 {
             self.cooldown -= 1;
         } else if view.nodes.len() >= 2 {
-            let ranked = rank_by_weighted_aging(view, BALANCE_CLASS);
-            let (Some(&first), Some(&last)) = (ranked.first(), ranked.last()) else {
+            let Some(((_, best_w), (last, worst_w))) = ranks.get(BALANCE_CLASS).ends() else {
                 return actions;
             };
-            let best = &view.nodes[first];
             let worst = &view.nodes[last];
-            let worst_w = crate::policy::common::node_weighted_aging(worst, BALANCE_CLASS);
-            let best_w = crate::policy::common::node_weighted_aging(best, BALANCE_CLASS);
             let gap = if best_w > 1e-6 {
                 worst_w / best_w - 1.0
             } else if worst_w > 0.02 {
@@ -319,9 +323,9 @@ impl Policy for Baat {
                         let class = classify_workload(vm.kind, &self.config.server_power);
                         if let Some(target) = best_migration_target(
                             view,
+                            ranks.get(class).nodes(),
                             worst.node,
                             vm.kind,
-                            class,
                             self.config.min_target_soc,
                         ) {
                             self.counters.balance_migrations.inc();
@@ -446,13 +450,18 @@ mod tests {
         let mut rich = stressed_loaded_node(0);
         rich.battery_available = baat_units::Watts::new(400.0);
         let v_rich = view_of(vec![rich.clone(), plain_node(1, 0.9)]);
-        let fast = p.fit_dvfs_level(&v_rich, &rich, None);
+        let fast = p.fit_dvfs_level(&v_rich, v_rich.total_demand().as_f64(), &rich, None);
 
         let mut poor = rich;
         poor.battery_available = baat_units::Watts::new(10.0);
         let mut v_poor = view_of(vec![poor.clone(), plain_node(1, 0.9)]);
         v_poor.solar = baat_units::Watts::ZERO;
-        let slow = p.fit_dvfs_level(&v_poor, &poor, Some(Soc::DEEP_DISCHARGE_THRESHOLD));
+        let slow = p.fit_dvfs_level(
+            &v_poor,
+            v_poor.total_demand().as_f64(),
+            &poor,
+            Some(Soc::DEEP_DISCHARGE_THRESHOLD),
+        );
         assert!(
             fast < slow,
             "fast {fast} should be a higher P-state than {slow}"

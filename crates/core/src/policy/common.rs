@@ -1,6 +1,6 @@
 //! Shared decision helpers for the Table-4 policies.
 
-use baat_metrics::weighted_aging;
+use baat_metrics::{class_index, weighted_aging};
 use baat_server::ServerPowerModel;
 use baat_sim::{NodeView, SystemView, VmView};
 use baat_workload::{DemandClass, VmState, WorkloadKind};
@@ -17,47 +17,99 @@ pub fn node_weighted_aging(node: &NodeView, class: DemandClass) -> f64 {
     weighted_aging(&node.lifetime_metrics, class)
 }
 
-/// Orders all nodes by ascending Eq-6 weighted aging (the Fig 8 placement
-/// rank): least-aged battery first. Degraded nodes (stale telemetry —
-/// their metrics are last-known-good, not current) sort after every
-/// healthy node regardless of apparent aging.
-pub fn rank_by_weighted_aging(view: &SystemView, class: DemandClass) -> Vec<usize> {
-    let mut order: Vec<usize> = view.nodes.iter().map(|n| n.node).collect();
-    order.sort_by(|&a, &b| {
-        let (na, nb) = (&view.nodes[a], &view.nodes[b]);
-        na.degraded
-            .cmp(&nb.degraded)
-            .then(node_weighted_aging(na, class).total_cmp(&node_weighted_aging(nb, class)))
-    });
-    order
+/// One demand class's Fig 8 ranking of a view: `(node, Eq-6 score)` by
+/// ascending weighted aging, degraded nodes last, ties by node index.
+#[derive(Debug)]
+pub(crate) struct AgingRank(Vec<(usize, f64)>);
+
+impl AgingRank {
+    /// Scores every node once, then sorts stably by `(degraded, score)`.
+    /// Degraded nodes (stale telemetry — their metrics are
+    /// last-known-good, not current) sort after every healthy node
+    /// regardless of apparent aging.
+    pub(crate) fn of(view: &SystemView, class: DemandClass) -> Self {
+        let mut ranked: Vec<(usize, f64)> = view
+            .nodes
+            .iter()
+            .map(|n| (n.node, node_weighted_aging(n, class)))
+            .collect();
+        ranked.sort_by(|&(a, wa), &(b, wb)| {
+            view.nodes[a]
+                .degraded
+                .cmp(&view.nodes[b].degraded)
+                .then(wa.total_cmp(&wb))
+        });
+        Self(ranked)
+    }
+
+    /// The ranked nodes, best placement target first.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|&(node, _)| node)
+    }
+
+    /// The first- and last-ranked `(node, score)`; `None` for no nodes.
+    pub(crate) fn ends(&self) -> Option<((usize, f64), (usize, f64))> {
+        Some((*self.0.first()?, *self.0.last()?))
+    }
 }
 
-/// Picks the best migration target for a VM currently on `source`:
-/// the lowest-weighted-aging node that is online, not degraded, has the
-/// resources, and has a comfortably charged battery. Returns `None` when no node
+/// Orders all nodes by ascending Eq-6 weighted aging (the Fig 8 placement
+/// rank): least-aged battery first, degraded nodes last.
+pub fn rank_by_weighted_aging(view: &SystemView, class: DemandClass) -> Vec<usize> {
+    AgingRank::of(view, class).nodes().collect()
+}
+
+/// The Fig 8 rankings of one immutable [`SystemView`], built lazily and
+/// at most once per demand class. A control call holds one of these so
+/// every migration-target search and the balance pass share one sort per
+/// class instead of re-sorting the fleet per triggered node.
+#[derive(Debug)]
+pub(crate) struct ClassRanks<'v> {
+    view: &'v SystemView,
+    ranks: [Option<AgingRank>; 4],
+}
+
+impl<'v> ClassRanks<'v> {
+    /// An empty cache over `view`.
+    pub(crate) fn new(view: &'v SystemView) -> Self {
+        Self {
+            view,
+            ranks: Default::default(),
+        }
+    }
+
+    /// The ranking for `class`, computed on first use.
+    pub(crate) fn get(&mut self, class: DemandClass) -> &AgingRank {
+        let view = self.view;
+        self.ranks[class_index(class)].get_or_insert_with(|| AgingRank::of(view, class))
+    }
+}
+
+/// Picks the best migration target for a VM currently on `source`: the
+/// first node in `ranked` (a [`rank_by_weighted_aging`] order for the
+/// VM's demand class) that is online, not degraded, has the resources,
+/// and has a comfortably charged battery. Returns `None` when no node
 /// qualifies (the Fig 9 "VM cannot be migrated due to resource
 /// constraints" branch).
 pub fn best_migration_target(
     view: &SystemView,
+    ranked: impl IntoIterator<Item = usize>,
     source: usize,
     kind: WorkloadKind,
-    class: DemandClass,
     min_target_soc: f64,
 ) -> Option<usize> {
     let request = kind.resource_request();
-    rank_by_weighted_aging(view, class)
-        .into_iter()
-        .find(|&candidate| {
-            if candidate == source {
-                return false;
-            }
-            let node = &view.nodes[candidate];
-            node.online
-                && !node.degraded
-                && node.soc.value() >= min_target_soc
-                && node.free_resources.0 >= request.0
-                && node.free_resources.1 >= request.1
-        })
+    ranked.into_iter().find(|&candidate| {
+        if candidate == source {
+            return false;
+        }
+        let node = &view.nodes[candidate];
+        node.online
+            && !node.degraded
+            && node.soc.value() >= min_target_soc
+            && node.free_resources.0 >= request.0
+            && node.free_resources.1 >= request.1
+    })
 }
 
 /// Selects the most demanding movable (running, non-service) VM on a
@@ -201,7 +253,8 @@ mod tests {
             node(1, metrics(5.0, 0.9), 0.9, (1, 2)),    // best battery, no room
             node(2, metrics(50.0, 0.8), 0.8, (8, 16)),  // viable
         ]);
-        let target = best_migration_target(&v, 0, WorkloadKind::KMeans, class(), 0.6).unwrap();
+        let ranked = rank_by_weighted_aging(&v, class());
+        let target = best_migration_target(&v, ranked, 0, WorkloadKind::KMeans, 0.6).unwrap();
         assert_eq!(target, 2);
     }
 
@@ -211,8 +264,9 @@ mod tests {
             node(0, metrics(200.0, 0.2), 0.2, (8, 16)),
             node(1, metrics(5.0, 0.9), 0.3, (8, 16)), // too discharged
         ]);
+        let ranked = rank_by_weighted_aging(&v, class());
         assert_eq!(
-            best_migration_target(&v, 0, WorkloadKind::KMeans, class(), 0.6),
+            best_migration_target(&v, ranked, 0, WorkloadKind::KMeans, 0.6),
             None
         );
     }

@@ -195,12 +195,12 @@ pub fn weighted_aging_all(metrics: &AgingMetrics) -> [f64; 4] {
 /// Ranks battery nodes by weighted aging, least-aged first — the Fig 8
 /// placement order.
 ///
-/// Returns the node indices sorted ascending by weighted aging.
+/// Returns the node indices sorted ascending by weighted aging, ties by
+/// index. Each node is scored once, before the stable sort.
 pub fn rank_nodes(metrics: &[AgingMetrics], class: DemandClass) -> Vec<usize> {
+    let scores: Vec<f64> = metrics.iter().map(|m| weighted_aging(m, class)).collect();
     let mut order: Vec<usize> = (0..metrics.len()).collect();
-    order.sort_by(|&a, &b| {
-        weighted_aging(&metrics[a], class).total_cmp(&weighted_aging(&metrics[b], class))
-    });
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     order
 }
 
@@ -296,6 +296,31 @@ mod tests {
         ];
         let order = rank_nodes(&nodes, class(PowerDemand::Large, EnergyDemand::More));
         assert_eq!(order, vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn ranking_matches_per_comparison_scoring_and_breaks_ties_by_index() {
+        let nodes = vec![
+            metrics_with(0.5, Some(0.9), 0.5),
+            metrics_with(0.1, Some(1.2), 0.1),
+            metrics_with(0.5, Some(0.9), 0.5),
+            metrics_with(0.9, None, 0.9),
+            metrics_with(0.1, Some(1.2), 0.1),
+            metrics_with(0.3, Some(0.7), 0.0),
+        ];
+        for class in DEMAND_CLASSES {
+            let mut reference: Vec<usize> = (0..nodes.len()).collect();
+            reference.sort_by(|&a, &b| {
+                weighted_aging(&nodes[a], class).total_cmp(&weighted_aging(&nodes[b], class))
+            });
+            assert_eq!(rank_nodes(&nodes, class), reference, "{class:?}");
+        }
+        let order = rank_nodes(&nodes, class(PowerDemand::Large, EnergyDemand::More));
+        let pos = |i: usize| order.iter().position(|&n| n == i).unwrap();
+        assert!(
+            pos(1) < pos(4) && pos(0) < pos(2),
+            "equal scores keep index order"
+        );
     }
 
     #[test]

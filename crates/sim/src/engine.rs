@@ -107,6 +107,39 @@ fn shard_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
+/// The resource requests one fast-path placement pass (an arrivals
+/// batch, or one retry of the pending queue) found no host for.
+///
+/// Within a pass hosts only lose free resources: admissions charge them,
+/// and nothing releases resources or powers a host on or off between
+/// two attempts. So once request `r` walked every host and failed, any
+/// request at least `r` in both cores and memory cannot fit either until
+/// the pass ends, and its O(n) walk can be skipped with the same result.
+/// Recorded requests are pairwise distinct workload requests (an equal
+/// one is skipped, not recorded), so a slot per workload kind suffices.
+#[derive(Debug, Default)]
+struct PlacementPass {
+    failed: [(u32, u32); WorkloadKind::ALL.len()],
+    len: usize,
+}
+
+impl PlacementPass {
+    /// `true` if `request` dominates a request that already failed.
+    fn known_unplaceable(&self, request: (u32, u32)) -> bool {
+        self.failed[..self.len]
+            .iter()
+            .any(|&(cores, memory)| request.0 >= cores && request.1 >= memory)
+    }
+
+    /// Remembers that `request` fit on no host.
+    fn record_failure(&mut self, request: (u32, u32)) {
+        if let Some(slot) = self.failed.get_mut(self.len) {
+            *slot = request;
+            self.len += 1;
+        }
+    }
+}
+
 /// Engine-level metric handles, all inert when observation is disabled.
 #[derive(Debug, Clone)]
 struct EngineCounters {
@@ -1156,6 +1189,7 @@ impl Simulation {
                 }
                 spec => {
                     let mut refreshed = false;
+                    let mut pass = PlacementPass::default();
                     while let Some(arrival) = self.arrivals_today.front().copied() {
                         if arrival.at > tod {
                             break;
@@ -1167,7 +1201,7 @@ impl Simulation {
                             self.refresh_fleet()?;
                             refreshed = true;
                         }
-                        if let Some(vm) = self.place_vm_fast(vm, arrival.kind, spec)? {
+                        if let Some(vm) = self.place_vm_fast(vm, arrival.kind, spec, &mut pass)? {
                             self.pending.push_back(vm);
                         }
                     }
@@ -1639,11 +1673,16 @@ impl Simulation {
     /// [`SystemView`] is built. The admission walk consults the live
     /// cluster (`is_online` + `fits`), so only the *ranking* is cached;
     /// any admission since the last refresh is still observed.
+    ///
+    /// A request `pass` already knows to be unplaceable skips the walk,
+    /// after the round-robin cursor and ranking mode advance exactly as
+    /// they would for a walk.
     fn place_vm_fast(
         &mut self,
         vm: Vm,
         kind: WorkloadKind,
         spec: PlacementSpec,
+        pass: &mut PlacementPass,
     ) -> Result<Option<Vm>, SimError> {
         let n = self.config.nodes;
         let (start, mode) = match spec {
@@ -1664,6 +1703,9 @@ impl Simulation {
             }
         };
         let request = kind.resource_request();
+        if pass.known_unplaceable(request) {
+            return Ok(Some(vm));
+        }
         for r in 0..n {
             let node = match mode {
                 None => (start + r) % n,
@@ -1675,6 +1717,7 @@ impl Simulation {
                 return Ok(None);
             }
         }
+        pass.record_failure(request);
         Ok(Some(vm))
     }
 
@@ -1825,9 +1868,10 @@ impl Simulation {
         }
         let _t = obs.time(Stage::Placement);
         let mut still_pending = VecDeque::with_capacity(self.pending.len());
+        let mut pass = PlacementPass::default();
         while let Some(vm) = self.pending.pop_front() {
             let kind = vm.kind();
-            if let Some(vm) = self.place_vm_fast(vm, kind, spec)? {
+            if let Some(vm) = self.place_vm_fast(vm, kind, spec, &mut pass)? {
                 still_pending.push_back(vm);
             }
         }

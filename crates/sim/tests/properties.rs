@@ -1,12 +1,16 @@
 //! Property-based tests for engine-level invariants, run on coarse
 //! timesteps to keep the case count affordable.
 
+use baat_metrics::weighted_aging;
+use baat_obs::Obs;
 use baat_sim::{
-    run_simulation, FaultMix, FaultPlan, RoundRobinPolicy, ScratchPlacement, SimConfig, Simulation,
+    run_simulation, Action, ControlCtx, FaultMix, FaultPlan, PlacementSpec, Policy,
+    RoundRobinPolicy, ScratchPlacement, SimConfig, SimReport, Simulation, SystemView,
 };
 use baat_solar::Weather;
 use baat_testkit::prelude::*;
 use baat_units::SimDuration;
+use baat_workload::WorkloadKind;
 
 fn weather_strategy() -> impl Strategy<Value = Weather> {
     prop_oneof![
@@ -263,5 +267,127 @@ fn faulted_event_logs_are_thread_invariant() {
     for handle in handles {
         let jsonl = handle.join().expect("thread completes");
         assert_eq!(jsonl, reference, "event log must not depend on threading");
+    }
+}
+
+/// A control-free policy whose `placement_order` is exactly what its
+/// declarative spec describes, so `ScratchPlacement` can replay the spec
+/// from a fresh view: ascending index, Eq-6 weighted aging (degraded
+/// last, ties by index) or lifetime NAT (ties by index).
+#[derive(Debug, Clone)]
+struct SpecPolicy(PlacementSpec);
+
+impl Policy for SpecPolicy {
+    fn name(&self) -> &'static str {
+        "spec"
+    }
+
+    fn control(&mut self, _view: &SystemView, _ctx: &ControlCtx<'_>) -> Vec<Action> {
+        Vec::new()
+    }
+
+    fn placement_order(&mut self, kind: WorkloadKind, view: &SystemView) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..view.nodes.len()).collect();
+        match self.0 {
+            PlacementSpec::WeightedAging { server_power } => {
+                let class = kind
+                    .profile()
+                    .classify(server_power.idle(), server_power.peak());
+                let score = |i: usize| weighted_aging(&view.nodes[i].lifetime_metrics, class);
+                order.sort_by(|&a, &b| {
+                    view.nodes[a]
+                        .degraded
+                        .cmp(&view.nodes[b].degraded)
+                        .then(score(a).total_cmp(&score(b)))
+                });
+            }
+            PlacementSpec::LifetimeNat => order.sort_by(|&a, &b| {
+                let nat = |i: usize| view.nodes[i].lifetime_metrics.nat;
+                nat(a).total_cmp(&nat(b))
+            }),
+            _ => {}
+        }
+        order
+    }
+
+    fn placement_spec(&self) -> PlacementSpec {
+        self.0
+    }
+}
+
+/// Four hosts under two rainy days with far more service VMs and batch
+/// jobs than they can hold: batteries drain, hosts shut down, and most
+/// arrivals and pending retries find no host.
+fn oversubscribed_config(seed: u64) -> SimConfig {
+    let mut b = SimConfig::builder();
+    b.weather_plan(vec![Weather::Rainy, Weather::Rainy])
+        .nodes(4)
+        .workload_mix(12, 160)
+        .dt(SimDuration::from_secs(300))
+        .control_interval(SimDuration::from_secs(300))
+        .sample_every(2)
+        .seed(seed);
+    b.build().expect("oversubscribed config is valid")
+}
+
+/// Runs `policy` on the fast path and behind [`ScratchPlacement`], each
+/// observed; returns both reports and the fast run's carried-over
+/// placement failures.
+fn fast_and_scratch<P: Policy + Clone>(
+    policy: P,
+    config: &SimConfig,
+) -> (SimReport, SimReport, u64) {
+    let obs = Obs::enabled();
+    let fast = Simulation::with_obs(config.clone(), obs.clone())
+        .expect("sim builds")
+        .run(&mut policy.clone())
+        .expect("fast run");
+    let scratch = Simulation::with_obs(config.clone(), Obs::enabled())
+        .expect("sim builds")
+        .run(&mut ScratchPlacement(policy))
+        .expect("scratch run");
+    (fast, scratch, obs.counter("sim.placement.failures").get())
+}
+
+/// The per-pass failed-request memo skips host walks for requests no
+/// host can take. On a fleet where most walks fail, every declarative
+/// spec must still produce the report the scratch path produces, which
+/// walks every host for every VM.
+#[test]
+fn placement_memo_matches_scratch_on_an_oversubscribed_fleet() {
+    for seed in [3, 17] {
+        let config = oversubscribed_config(seed);
+        let server_power = config.server_power;
+        let cells: [(&str, (SimReport, SimReport, u64)); 4] = [
+            (
+                "first-fit",
+                fast_and_scratch(SpecPolicy(PlacementSpec::FirstFit), &config),
+            ),
+            (
+                "round-robin",
+                fast_and_scratch(RoundRobinPolicy::new(), &config),
+            ),
+            (
+                "weighted-aging",
+                fast_and_scratch(
+                    SpecPolicy(PlacementSpec::WeightedAging { server_power }),
+                    &config,
+                ),
+            ),
+            (
+                "lifetime-nat",
+                fast_and_scratch(SpecPolicy(PlacementSpec::LifetimeNat), &config),
+            ),
+        ];
+        for (name, (fast, scratch, failures)) in cells {
+            assert_eq!(
+                fast, scratch,
+                "{name}/seed {seed}: memo diverged from scratch"
+            );
+            assert!(
+                failures > 20,
+                "{name}/seed {seed}: only {failures} jobs carried over; not over-subscribed"
+            );
+        }
     }
 }
