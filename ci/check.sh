@@ -60,9 +60,9 @@ run_lint() {
     cargo fmt --all -- --check
 
     echo "==> cargo clippy (deny warnings + deprecated)"
-    # -D deprecated keeps callers off soft-removed APIs (e.g. the old
-    # VariationParams::from_spreads constructor) even where the
-    # deprecation warning would otherwise be allowed.
+    # -D deprecated keeps callers off any API marked #[deprecated] for
+    # removal, even where the deprecation warning would otherwise be
+    # allowed.
     cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
     echo "==> cargo doc (deny warnings)"
@@ -75,6 +75,11 @@ run_test() {
 
     echo "==> cargo test"
     cargo test --workspace -q
+
+    echo "==> allocation budgets (counting allocator)"
+    # The inline routing path must not allocate: a faulted day stays
+    # under its per-step budget at 1 and at 4 engine threads.
+    cargo test --release -p baat-bench --features count-allocs --test alloc_counts -- --nocapture
 }
 
 run_smoke() {

@@ -65,23 +65,6 @@ impl VariationParams {
         Ok(params)
     }
 
-    /// Builds spread parameters from raw `f64` values without
-    /// validation (they are checked at
-    /// [`BatteryPack::manufacture`] time, as the old public fields
-    /// were).
-    #[deprecated(note = "use VariationParams::new with Fraction spreads")]
-    pub fn from_spreads(
-        capacity_spread: f64,
-        resistance_spread: f64,
-        aging_rate_spread: f64,
-    ) -> Self {
-        Self {
-            capacity_spread,
-            resistance_spread,
-            aging_rate_spread,
-        }
-    }
-
     /// Half-width of the uniform capacity spread.
     pub fn capacity_spread(&self) -> f64 {
         self.capacity_spread

@@ -374,9 +374,10 @@ fn run_diff(a: &str, b: &str) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(banner) = diff::chemistry_banner(Path::new(a), Path::new(b)) {
         println!("{banner}");
     }
-    // Perf reports compare through the schema-normalized row shape, so
-    // a v1 baseline diffs cleanly against a v2 one (same rows, same
-    // order) instead of diverging on the envelope rewrite.
+    // Perf reports compare through the normalized row shape, so two
+    // reports diff row by row instead of on their pretty-printed
+    // envelopes. Anything else, older perf schemas included, diffs as
+    // plain documents.
     if let (Some(na), Some(nb)) = (
         baat_bench::perf::normalized_lines(&doc_a),
         baat_bench::perf::normalized_lines(&doc_b),

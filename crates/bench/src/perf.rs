@@ -13,15 +13,13 @@
 //! [`OBS_OVERHEAD_LIMIT_NS_PER_STEP`] of absolute per-step cost.
 //!
 //! Schema v2 records the engine thread count **per benchmark row** and
-//! **per stage row** (v1 kept one global `engine_threads` and split the
-//! stage profile into `stages`/`stages_parallel` twins, which duplicated
-//! every stage name and hid which cell ran where). Parallel cells also
-//! carry `parallel_efficiency` — speedup over the sequential twin
-//! divided by the thread count — so a sharded cell running *slower*
-//! than sequential reads as efficiency < 1/threads instead of hiding
-//! inside a wall-clock number. [`normalized_lines`] reads both schema
-//! versions into one canonical shape, so `console diff` and the run
-//! registry keep working across the bump.
+//! **per stage row**. Parallel cells also carry `parallel_efficiency` —
+//! speedup over the sequential twin divided by the thread count — so a
+//! sharded cell running *slower* than sequential reads as efficiency
+//! < 1/threads instead of hiding inside a wall-clock number.
+//! [`normalized_lines`] reads a v2 document into the canonical row
+//! shape `console diff` and the run registry consume; any other schema
+//! is not a perf document to them.
 //!
 //! The file format is the in-tree [`baat_obs::json`] line style: one JSON
 //! object per benchmark inside a plain JSON document, parseable with the
@@ -35,6 +33,10 @@ use crate::jsonq::{extract_f64, extract_str, extract_u64};
 
 /// Allowed steps/sec shortfall (percent) before `--check` fails.
 pub const TOLERANCE_PCT: f64 = 20.0;
+
+/// The schema [`PerfReport::to_json`] writes and [`normalized_lines`]
+/// reads.
+pub const SCHEMA: &str = "baat-perf-v2";
 
 /// Allowed wall-clock overhead of a fully observed faulted day —
 /// metrics, tracing and health active — over the disabled run, in
@@ -184,7 +186,7 @@ pub struct PerfReport {
 impl PerfReport {
     /// Serializes the report as the `BENCH_10.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n\"schema\": \"baat-perf-v2\",\n\"issue\": 10,\n");
+        let mut out = format!("{{\n\"schema\": \"{SCHEMA}\",\n\"issue\": 10,\n");
         out.push_str(&format!("\"tolerance_pct\": {TOLERANCE_PCT},\n"));
         out.push_str("\"benchmarks\": [\n");
         for (i, b) in self.benchmarks.iter().enumerate() {
@@ -293,8 +295,8 @@ impl PerfReport {
 /// Extracts `(name, steps_per_sec)` pairs from a committed baseline
 /// document.
 ///
-/// Minimal scanner for the format [`PerfReport::to_json`] emits (v1 or
-/// v2): each benchmark is one line carrying both a `"name"` and a
+/// Minimal scanner for the format [`PerfReport::to_json`] emits: each
+/// benchmark is one line carrying both a `"name"` and a
 /// `"steps_per_sec"` field.
 pub fn committed_steps_per_sec(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -320,25 +322,20 @@ fn field_tail<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
     Some(doc[start..].trim_start())
 }
 
-/// The schema version of a perf report document (`1` for
-/// `baat-perf-v1`, `2` for `baat-perf-v2`). `None` when the document is
-/// not a perf report.
+/// The document's top-level `"schema"` string, if it has one.
+fn schema_name(doc: &str) -> Option<&str> {
+    let tail = field_tail(doc, "schema")?.strip_prefix('"')?;
+    Some(&tail[..tail.find('"')?])
+}
+
+/// The schema version of a perf report document (`2` for
+/// `baat-perf-v2`). `None` when the document names no perf schema.
 pub fn schema_version(json: &str) -> Option<u32> {
-    let tail = field_tail(json, "schema")?.strip_prefix('"')?;
-    let end = tail.find('"')?;
-    tail[..end].strip_prefix("baat-perf-v")?.parse().ok()
+    schema_name(json)?.strip_prefix("baat-perf-v")?.parse().ok()
 }
 
-/// Leading unsigned integer of a top-level (pretty-printed) field.
-fn field_u64(doc: &str, key: &str) -> Option<u64> {
-    let tail = field_tail(doc, key)?;
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Reads a v1 **or** v2 perf report into one canonical line-per-row
-/// shape, so documents across the schema bump stay comparable
-/// (`console diff`) and machine-readable (the run registry):
+/// Reads a [`SCHEMA`] perf report into one canonical line-per-row
+/// shape, the form `console diff` compares and the run registry parses:
 ///
 /// ```text
 /// {"kind":"bench","name":...,"engine_threads":N,"steps_per_sec":...}
@@ -347,38 +344,25 @@ fn field_u64(doc: &str, key: &str) -> Option<u64> {
 /// {"kind":"obs_overhead","obs_overhead_ns_per_step":...}
 /// ```
 ///
-/// v1 documents carried one global `engine_threads` and split stage
-/// rows into `stages` (sequential) and `stages_parallel` sections; the
-/// normalizer folds that back into per-row thread counts (benchmarks:
-/// the global count for the one `-sharded` cell v1 ever had, 1
-/// otherwise). Returns `None` for non-perf documents.
+/// Returns `None` for anything else, other perf schema generations
+/// included.
 pub fn normalized_lines(json: &str) -> Option<Vec<String>> {
-    let version = schema_version(json)?;
-    let global_threads = field_u64(json, "engine_threads").unwrap_or(1);
-    let mut section_threads = 1u64;
+    if schema_name(json)? != SCHEMA {
+        return None;
+    }
     let mut out = Vec::new();
     for line in json.lines() {
-        if version < 2 {
-            if line.contains("\"stages\":") {
-                section_threads = 1;
-            } else if line.contains("\"stages_parallel\":") {
-                section_threads = global_threads;
-            }
-        }
         if let (Some(name), Some(sps)) = (
             extract_str(line, "name"),
             extract_f64(line, "steps_per_sec"),
         ) {
-            let threads =
-                extract_u64(line, "engine_threads").unwrap_or(if name.contains("sharded") {
-                    global_threads
-                } else {
-                    1
-                });
             let mut l = JsonLine::new();
             l.str_field("kind", "bench")
                 .str_field("name", &name)
-                .u64_field("engine_threads", threads)
+                .u64_field(
+                    "engine_threads",
+                    extract_u64(line, "engine_threads").unwrap_or(1),
+                )
                 .f64_field("steps_per_sec", sps);
             if let Some(best) = extract_f64(line, "best_steps_per_sec") {
                 l.f64_field("best_steps_per_sec", best);
@@ -388,11 +372,13 @@ pub fn normalized_lines(json: &str) -> Option<Vec<String>> {
             }
             out.push(l.finish());
         } else if let Some(stage) = extract_str(line, "stage") {
-            let threads = extract_u64(line, "engine_threads").unwrap_or(section_threads);
             let mut l = JsonLine::new();
             l.str_field("kind", "stage")
                 .str_field("stage", &stage)
-                .u64_field("engine_threads", threads)
+                .u64_field(
+                    "engine_threads",
+                    extract_u64(line, "engine_threads").unwrap_or(1),
+                )
                 .u64_field("calls", extract_u64(line, "calls").unwrap_or(0))
                 .u64_field("total_ns", extract_u64(line, "total_ns").unwrap_or(0))
                 .u64_field("mean_ns", extract_u64(line, "mean_ns").unwrap_or(0));
@@ -574,56 +560,35 @@ mod tests {
         assert!(failures[0].contains("missing"));
     }
 
-    /// A hand-written v1 document shaped like the committed BENCH_9.json.
-    fn v1_doc() -> String {
-        "{\n\"schema\": \"baat-perf-v1\",\n\"issue\": 9,\n\"tolerance_pct\": 20,\n\
+    /// A first-generation document: one global `engine_threads` and
+    /// split `stages`/`stages_parallel` tables.
+    const V1_DOC: &str = "{\n\"schema\": \"baat-perf-v1\",\n\"issue\": 9,\n\
          \"benchmarks\": [\n\
-         {\"name\":\"simulated_day/BAAT\",\"steps_per_iter\":2880,\"seed_mean_ns\":176660000,\"mean_ns\":68480000,\"min_ns\":61290000,\"steps_per_sec\":42056.08,\"best_steps_per_sec\":46989.72,\"speedup_vs_seed\":2.58},\n\
-         {\"name\":\"simulated_day/BAAT-sharded\",\"steps_per_iter\":2880,\"seed_mean_ns\":176660000,\"mean_ns\":32575708,\"min_ns\":31000000,\"steps_per_sec\":88409.0,\"best_steps_per_sec\":92903.2,\"speedup_vs_seed\":5.42}\n\
+         {\"name\":\"simulated_day/BAAT\",\"steps_per_iter\":2880,\"mean_ns\":68480000,\"steps_per_sec\":42056.08}\n\
          ],\n\"stages\": [\n\
          {\"stage\":\"solar\",\"calls\":72,\"total_ns\":23487,\"mean_ns\":326}\n\
-         ],\n\"engine_threads\": 4,\n\"stages_parallel\": [\n\
-         {\"stage\":\"solar\",\"calls\":72,\"total_ns\":31002,\"mean_ns\":430}\n\
-         ],\n\"obs_overhead\": {\"obs_overhead_ns_per_step\":502.12,\"limit_ns_per_step\":1000}\n}\n"
-            .to_owned()
-    }
+         ],\n\"engine_threads\": 4,\n\"stages_parallel\": []\n}\n";
 
     #[test]
-    fn schema_version_reads_both_generations() {
-        assert_eq!(schema_version(&v1_doc()), Some(1));
+    fn schema_version_reads_the_schema_field() {
+        assert_eq!(schema_version(V1_DOC), Some(1));
         assert_eq!(schema_version(&report().to_json()), Some(2));
         assert_eq!(schema_version("{\"at_s\":0}"), None);
     }
 
     #[test]
-    fn v1_documents_normalize_with_inferred_thread_counts() {
-        let lines = normalized_lines(&v1_doc()).expect("perf doc");
-        let benches: Vec<&String> = lines
-            .iter()
-            .filter(|l| l.contains("\"kind\":\"bench\""))
-            .collect();
-        assert_eq!(benches.len(), 2);
-        assert!(
-            benches[0].contains("\"engine_threads\":1"),
-            "sequential cell: {}",
-            benches[0]
-        );
-        assert!(
-            benches[1].contains("\"name\":\"simulated_day/BAAT-sharded\"")
-                && benches[1].contains("\"engine_threads\":4"),
-            "the sharded cell inherits the global count: {}",
-            benches[1]
-        );
-        let stages: Vec<&String> = lines
-            .iter()
-            .filter(|l| l.contains("\"kind\":\"stage\""))
-            .collect();
-        assert_eq!(stages.len(), 2);
-        assert!(stages[0].contains("\"engine_threads\":1") && stages[0].contains("23487"));
-        assert!(stages[1].contains("\"engine_threads\":4") && stages[1].contains("31002"));
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"kind\":\"obs_overhead\"") && l.contains("502.12")));
+    fn other_schema_generations_are_not_perf_documents() {
+        assert!(normalized_lines(V1_DOC).is_none(), "v1");
+        let v3 = report().to_json().replace(SCHEMA, "baat-perf-v20");
+        assert!(normalized_lines(&v3).is_none(), "a longer version number");
+        for malformed in [
+            "",
+            "{\"schema\":",
+            "{\"schema\": 2}",
+            "{\"schema\": \"baat-perf-v2",
+        ] {
+            assert!(normalized_lines(malformed).is_none(), "{malformed:?}");
+        }
     }
 
     #[test]

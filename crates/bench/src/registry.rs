@@ -17,8 +17,9 @@
 //! `console perf-trend` fails exactly when `cargo bench -- --check`
 //! would, but with the history for context instead of a bare verdict.
 //!
-//! Reports from either schema generation feed the registry: parsing
-//! goes through [`crate::perf::normalized_lines`].
+//! Parsing goes through [`crate::perf::normalized_lines`], so only
+//! [`crate::perf::SCHEMA`] reports feed the registry; anything else
+//! reads as "not a perf report".
 
 use baat_obs::json::JsonLine;
 
@@ -73,9 +74,8 @@ pub struct RunRecord {
     pub benchmarks: Vec<BenchRecord>,
 }
 
-/// Extracts the benchmark rows of a perf report document (either schema
-/// generation) as registry records. Empty when the document is not a
-/// perf report.
+/// Extracts the benchmark rows of a perf report document as registry
+/// records. Empty when the document is not a perf report.
 pub fn report_benchmarks(report_json: &str) -> Vec<BenchRecord> {
     let Some(lines) = perf::normalized_lines(report_json) else {
         return Vec::new();
@@ -164,7 +164,7 @@ pub fn append_run(history: &str, report_json: &str, label: &str) -> Option<(Stri
         .str_field("record", "run")
         .u64_field("run", next)
         .str_field("label", label)
-        .str_field("schema", schema_label(report_json));
+        .str_field("schema", perf::SCHEMA);
     out.push_str(&header.finish());
     out.push('\n');
     for b in &benchmarks {
@@ -172,13 +172,6 @@ pub fn append_run(history: &str, report_json: &str, label: &str) -> Option<(Stri
         out.push('\n');
     }
     Some((out, next))
-}
-
-fn schema_label(report_json: &str) -> &'static str {
-    match perf::schema_version(report_json) {
-        Some(1) => "baat-perf-v1",
-        _ => "baat-perf-v2",
-    }
 }
 
 /// One benchmark's row in the trend report.
@@ -258,18 +251,18 @@ impl TrendReport {
 }
 
 /// Joins the committed baseline document, the run history, and the
-/// latest measurement into the trend report. The baseline may be
-/// either schema generation.
+/// latest measurement into the trend report. A baseline that is not a
+/// perf report has no rows, so every benchmark reads as missing.
 pub fn trend(baseline_json: &str, history: &str, latest: &[BenchRecord]) -> TrendReport {
-    let baseline = perf::committed_steps_per_sec(baseline_json);
+    let baseline = report_benchmarks(baseline_json);
     let runs = parse_history(history);
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for bench in latest {
         let reference = baseline
             .iter()
-            .find(|(name, _)| *name == bench.name)
-            .map(|(_, v)| *v);
+            .find(|b| b.name == bench.name)
+            .map(|b| b.steps_per_sec);
         let delta_pct = reference.map(|r| {
             if r == 0.0 {
                 0.0
@@ -420,14 +413,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_feed_the_trend() {
+    fn v1_documents_are_not_perf_reports() {
         let v1 = "{\n\"schema\": \"baat-perf-v1\",\n\"benchmarks\": [\n\
                   {\"name\":\"simulated_day/BAAT\",\"steps_per_sec\":48000.0,\"best_steps_per_sec\":50000.0}\n\
                   ]\n}\n";
-        let records = report_benchmarks(v1);
-        assert_eq!(records.len(), 1);
+        assert!(report_benchmarks(v1).is_empty());
+        assert!(append_run("", v1, "old").is_none());
         let latest = report_benchmarks(&report(60_000_000).to_json());
         let t = trend(v1, "", &latest[..1]);
-        assert_eq!(t.rows[0].baseline_steps_per_sec, Some(48000.0));
+        assert_eq!(t.rows[0].baseline_steps_per_sec, None);
+        assert!(t.failures[0].contains("missing from the committed baseline"));
     }
 }

@@ -350,45 +350,11 @@ pub fn run_scenarios_forked_with_threads(
     scenarios: Vec<Scenario>,
     threads: usize,
 ) -> Vec<SimReport> {
-    // Group by (config with faults stripped, pre-age): the members of a
-    // group differ only in scheme and fault plan, which is exactly what
-    // the policy-free prefix is independent of.
-    let mut groups: Vec<(SimConfig, Option<u64>, Vec<usize>)> = Vec::new();
-    for (index, scenario) in scenarios.iter().enumerate() {
-        let mut config = scenario.config.clone();
-        config.faults = FaultPlan::new();
-        let pre_age = scenario.pre_age.map(f64::to_bits);
-        match groups
-            .iter_mut()
-            .find(|(c, p, _)| *p == pre_age && *c == config)
-        {
-            Some((_, _, members)) => members.push(index),
-            None => groups.push((config, pre_age, vec![index])),
-        }
-    }
-
-    // Phase 1: one warm prefix per group, in parallel. The fork point
-    // stops before the operating window opens *and* before the earliest
-    // fault of any member arms.
-    let prefixes: Vec<(Simulation, Vec<usize>)> = parallel_map(groups, threads, |group| {
-        let (config, pre_age, members) = group;
-        let dt_secs = config.dt.as_secs();
-        let mut sim = Simulation::new(config).expect("config validated by builder");
-        if let Some(bits) = pre_age {
-            sim.pre_age_batteries(f64::from_bits(bits));
-        }
-        let earliest_fault_step = members
-            .iter()
-            .flat_map(|&i| scenarios[i].config.faults.faults())
-            .map(|s| s.start.as_secs() / dt_secs)
-            .min()
-            .unwrap_or(u64::MAX);
-        let fork = sim.policy_free_prefix_steps().min(earliest_fault_step);
-        // Any policy works here — the prefix never consults it.
-        sim.run_steps(&mut baat_sim::RoundRobinPolicy::new(), fork)
-            .expect("experiment scenarios uphold engine invariants");
-        (sim, members)
-    });
+    // Phase 1: one warm prefix per group, in parallel.
+    let prefixes: Vec<(Simulation, Vec<usize>)> =
+        parallel_map(warm_groups(&scenarios), threads, |group| {
+            (warm_prefix(&group, &scenarios), group.members)
+        });
     let prefix_of: Vec<&Simulation> = {
         let mut slots: Vec<Option<&Simulation>> = vec![None; scenarios.len()];
         for (sim, members) in &prefixes {
@@ -405,15 +371,78 @@ pub fn run_scenarios_forked_with_threads(
     // Phase 2: fork and finish every scenario tail, in parallel.
     let jobs: Vec<(Scenario, &Simulation)> = scenarios.iter().cloned().zip(prefix_of).collect();
     parallel_map(jobs, threads, |(scenario, prefix)| {
-        let mut sim = prefix.clone();
-        if !scenario.config.faults.is_empty() {
-            sim.install_fault_plan(scenario.config.faults)
-                .expect("fork point precedes the earliest fault onset");
-        }
-        let mut policy = scenario.scheme.build_observed(&Obs::disabled());
-        sim.run_remaining(&mut policy)
+        finish_from_prefix(prefix.clone(), scenario)
             .expect("experiment scenarios uphold engine invariants")
     })
+}
+
+/// Scenarios that differ only in scheme and fault plan — exactly what
+/// the policy-free prefix is independent of — so they share one warm
+/// prefix.
+struct WarmGroup {
+    /// The members' common config, faults stripped.
+    config: SimConfig,
+    /// The members' common pre-aging, as bits so it compares exactly.
+    pre_age: Option<u64>,
+    /// Member scenario indices, ascending.
+    members: Vec<usize>,
+}
+
+/// Groups `scenarios` by (config minus faults, pre-age), in first-seen
+/// order.
+fn warm_groups(scenarios: &[Scenario]) -> Vec<WarmGroup> {
+    let mut groups: Vec<WarmGroup> = Vec::new();
+    for (index, scenario) in scenarios.iter().enumerate() {
+        let mut config = scenario.config.clone();
+        config.faults = FaultPlan::new();
+        let pre_age = scenario.pre_age.map(f64::to_bits);
+        match groups
+            .iter_mut()
+            .find(|g| g.pre_age == pre_age && g.config == config)
+        {
+            Some(group) => group.members.push(index),
+            None => groups.push(WarmGroup {
+                config,
+                pre_age,
+                members: vec![index],
+            }),
+        }
+    }
+    groups
+}
+
+/// Simulates `group`'s policy-free prefix. The fork point stops before
+/// the operating window opens *and* before the earliest fault of any
+/// member arms.
+fn warm_prefix(group: &WarmGroup, scenarios: &[Scenario]) -> Simulation {
+    let dt_secs = group.config.dt.as_secs();
+    let mut sim = Simulation::new(group.config.clone()).expect("config validated by builder");
+    if let Some(bits) = group.pre_age {
+        sim.pre_age_batteries(f64::from_bits(bits));
+    }
+    let earliest_fault_step = group
+        .members
+        .iter()
+        .flat_map(|&i| scenarios[i].config.faults.faults())
+        .map(|s| s.start.as_secs() / dt_secs)
+        .min()
+        .unwrap_or(u64::MAX);
+    let fork = sim.policy_free_prefix_steps().min(earliest_fault_step);
+    // Any policy works here — the prefix never consults it.
+    sim.run_steps(&mut baat_sim::RoundRobinPolicy::new(), fork)
+        .expect("experiment scenarios uphold engine invariants");
+    sim
+}
+
+/// Arms `scenario`'s fault plan on its group's warm prefix and runs the
+/// scenario's own tail.
+fn finish_from_prefix(mut sim: Simulation, scenario: Scenario) -> Result<SimReport, SimError> {
+    if !scenario.config.faults.is_empty() {
+        sim.install_fault_plan(scenario.config.faults)
+            .expect("fork point precedes the earliest fault onset");
+    }
+    let mut policy = scenario.scheme.build_observed(&Obs::disabled());
+    sim.run_remaining(&mut policy)
 }
 
 /// [`run_scenarios_forked`] with the warm prefix **materialized to
@@ -455,48 +484,17 @@ pub fn run_scenarios_warmstart_with_threads(
     std::fs::create_dir_all(dir)
         .map_err(|e| SnapshotError::Io(format!("create {}: {e}", dir.display())))?;
 
-    // Group exactly as `run_scenarios_forked` does: members differ only
-    // in scheme and fault plan.
-    let mut groups: Vec<(SimConfig, Option<u64>, Vec<usize>)> = Vec::new();
-    for (index, scenario) in scenarios.iter().enumerate() {
-        let mut config = scenario.config.clone();
-        config.faults = FaultPlan::new();
-        let pre_age = scenario.pre_age.map(f64::to_bits);
-        match groups
-            .iter_mut()
-            .find(|(c, p, _)| *p == pre_age && *c == config)
-        {
-            Some((_, _, members)) => members.push(index),
-            None => groups.push((config, pre_age, vec![index])),
-        }
-    }
-
     // Phase 1: simulate each group's prefix once and write it to disk.
     // The file carries the group's config hash, so a stale file from a
     // different sweep cannot be restored by mistake.
-    let jobs: Vec<(usize, SimConfig, Option<u64>, Vec<usize>)> = groups
-        .into_iter()
-        .enumerate()
-        .map(|(g, (config, pre_age, members))| (g, config, pre_age, members))
-        .collect();
-    let written = parallel_map(jobs, threads, |(group, config, pre_age, members)| {
-        let dt_secs = config.dt.as_secs();
-        let mut sim = Simulation::new(config.clone()).expect("config validated by builder");
-        if let Some(bits) = pre_age {
-            sim.pre_age_batteries(f64::from_bits(bits));
-        }
-        let earliest_fault_step = members
-            .iter()
-            .flat_map(|&i| scenarios[i].config.faults.faults())
-            .map(|s| s.start.as_secs() / dt_secs)
-            .min()
-            .unwrap_or(u64::MAX);
-        let fork = sim.policy_free_prefix_steps().min(earliest_fault_step);
-        sim.run_steps(&mut baat_sim::RoundRobinPolicy::new(), fork)
-            .expect("experiment scenarios uphold engine invariants");
-        let path = dir.join(format!("warm-{group}.snap"));
-        let result = sim.snapshot().write_file(&path).map(|()| path);
-        (result, config, members)
+    let jobs: Vec<(usize, WarmGroup)> = warm_groups(&scenarios).into_iter().enumerate().collect();
+    let written = parallel_map(jobs, threads, |(g, group)| {
+        let path = dir.join(format!("warm-{g}.snap"));
+        let result = warm_prefix(&group, &scenarios)
+            .snapshot()
+            .write_file(&path)
+            .map(|()| path);
+        (result, group.config, group.members)
     });
     let mut prefix_of: Vec<Option<(PathBuf, SimConfig)>> = vec![None; scenarios.len()];
     for (result, config, members) in written {
@@ -515,13 +513,7 @@ pub fn run_scenarios_warmstart_with_threads(
         .collect();
     let reports = parallel_map(jobs, threads, |(scenario, (path, config))| {
         let snapshot = SimSnapshot::read_file(&path)?;
-        let mut sim = Simulation::restore(config, &snapshot)?;
-        if !scenario.config.faults.is_empty() {
-            sim.install_fault_plan(scenario.config.faults)
-                .expect("fork point precedes the earliest fault onset");
-        }
-        let mut policy = scenario.scheme.build_observed(&Obs::disabled());
-        sim.run_remaining(&mut policy)
+        finish_from_prefix(Simulation::restore(config, &snapshot)?, scenario)
     });
     reports.into_iter().collect()
 }

@@ -21,6 +21,7 @@
 //! on or off.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -35,18 +36,20 @@ use baat_obs::{
     SpanId, Stage, StageClock, Tracer,
 };
 use baat_power::{
-    BatterySensor, Charger, PowerSwitcher, PowerTable, Routing, ServerPowerRecord, StageTracker,
+    BatterySensor, Charger, PowerSwitcher, PowerTable, ServerPowerRecord, StageTracker,
 };
 use baat_server::{Cluster, ServerId};
 use baat_solar::{ClearSky, CloudProcess, PvArray, Weather};
-use baat_units::{Fraction, SimDuration, SimInstant, Soc, TimeOfDay, Volts, WattHours, Watts};
+use baat_units::{
+    Amperes, Celsius, Fraction, SimDuration, SimInstant, Soc, TimeOfDay, Volts, WattHours, Watts,
+};
 use baat_workload::{Arrival, Vm, WorkloadGenerator, WorkloadKind};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog, TimedEvent};
 use crate::fallback::{FallbackInput, FallbackScheme};
-use crate::fleet::{demand_class, DirtyReason, FleetView, PlacementSpec, NAT_MODE};
+use crate::fleet::{demand_class, BankScore, DirtyReason, FleetView, PlacementSpec, NAT_MODE};
 use crate::policy::{Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason};
 use crate::recorder::{Recorder, TraceRow};
 use crate::report::{NodeReport, SimReport};
@@ -90,7 +93,7 @@ const PAR_REFRESH_MIN_NODES: usize = 64;
 /// (sizes differ by at most one; empty input yields no ranges). Shard
 /// results are merged back in range order, which is why determinism
 /// never depends on which worker ran which range.
-fn shard_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+fn shard_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, total.max(1));
     let base = total / parts;
     let extra = total % parts;
@@ -332,28 +335,29 @@ impl ExecObs {
     }
 }
 
-/// Reusable hot-loop buffers for [`Simulation::route_power`].
+/// Reusable hot-loop buffers for [`Simulation::route_power`] and
+/// [`Simulation::refresh_fleet`].
 ///
 /// The step loop runs tens of thousands of times per simulated day; these
-/// buffers are cleared and refilled in place so the steady-state loop
-/// performs no heap allocation. They carry no state across steps — every
-/// pass starts with `clear()` — so they are deliberately excluded from
+/// buffers are refilled in place so the steady-state loop performs no
+/// heap allocation. They carry no state across steps — every pass
+/// overwrites what it reads — so they are deliberately excluded from
 /// snapshot comparisons and reset to empty on clone.
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Night-path charge decisions, one per bank.
-    ops: Vec<BatteryOp>,
+    /// Charger pre-pass, one per bank: pre-step SoC and the grid-charge
+    /// power (night) or effective charger acceptance (day).
+    charge: Vec<(Soc, Watts)>,
     /// Per-node server demand snapshot.
     demands: Vec<Watts>,
-    /// Per-bank pre-step SoC and effective charger acceptance.
-    socs_acceptances: Vec<(Soc, Watts)>,
-    /// Per-bank aggregate member demand (summed once, reused).
-    bank_demands: Vec<Watts>,
+    /// Per-bank routing results, written in place by the shards and
+    /// read back by the bank-order merge.
+    outcomes: Vec<BankOutcome>,
     /// Per-shard busy ns of the latest sharded routing pass (exec
     /// observability; all zeros on unsampled steps).
     shard_ns: Vec<u64>,
-    /// Per-bank switcher decisions.
-    routings: Vec<Routing>,
+    /// Banks re-scored by the current fleet refresh, first-seen order.
+    dirty_banks: Vec<usize>,
 }
 
 impl Clone for StepScratch {
@@ -362,6 +366,234 @@ impl Clone for StepScratch {
         // with fresh (empty) buffers.
         Self::default()
     }
+}
+
+/// One bank's result of a routing pass, carried from [`route_banks`]
+/// to the bank-order merge in [`Simulation::route_power`].
+#[derive(Debug, Clone, Copy)]
+struct BankOutcome {
+    /// Energy the battery accepted (the night merge's grid charge).
+    accepted: WattHours,
+    cutoff: bool,
+    unserved: WattHours,
+    curtailed: WattHours,
+    /// The sensor's reading, before the fault injector sees it.
+    fresh: SensorSample,
+    /// Member node to shed after a sustained unserved streak.
+    victim: Option<usize>,
+}
+
+impl BankOutcome {
+    /// Filler for a slot the next routing pass overwrites unread.
+    const EMPTY: Self = Self {
+        accepted: WattHours::ZERO,
+        cutoff: false,
+        unserved: WattHours::ZERO,
+        curtailed: WattHours::ZERO,
+        fresh: SensorSample {
+            at: SimInstant::START,
+            voltage: Volts::ZERO,
+            current: Amperes::ZERO,
+            temperature: Celsius::ZERO,
+            soc: Soc::EMPTY,
+        },
+        victim: None,
+    };
+}
+
+/// Read-only inputs shared by every shard of one routing pass.
+struct RouteCtx<'a> {
+    /// Outside the operating window: grid-charge every bank, no load.
+    night: bool,
+    solar_total: Watts,
+    tod: TimeOfDay,
+    now: SimInstant,
+    dt: SimDuration,
+    ambient: Celsius,
+    /// Lap the switcher and battery halves of each bank (sampled steps).
+    profile: bool,
+    members: &'a [Vec<usize>],
+    /// The charger pre-pass ([`StepScratch::charge`]).
+    charge: &'a [(Soc, Watts)],
+    solar_shares: &'a [f64],
+    soc_floors: &'a [Soc],
+    chargers: &'a [Charger],
+    switcher: &'a PowerSwitcher,
+    injector: &'a FaultInjector,
+    cluster: &'a Cluster,
+}
+
+/// The mutable per-bank state of the contiguous bank range `banks`,
+/// plus the demand slots of its member nodes (members of consecutive
+/// banks are consecutive nodes, so they form one range from `node0`).
+struct BankShard<'a> {
+    banks: Range<usize>,
+    node0: usize,
+    units: &'a mut [AnyBattery],
+    sensors: &'a mut [BatterySensor],
+    currents: &'a mut [f64],
+    voltages: &'a mut [f64],
+    streaks: &'a mut [u32],
+    demands: &'a mut [Watts],
+    outcomes: &'a mut [BankOutcome],
+}
+
+impl<'a> BankShard<'a> {
+    /// Splits off the first `banks` banks and their `nodes` member nodes.
+    fn split_front(&mut self, banks: usize, nodes: usize) -> BankShard<'a> {
+        fn take<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+            let (head, tail) = std::mem::take(slice).split_at_mut(len);
+            *slice = tail;
+            head
+        }
+        let front = BankShard {
+            banks: self.banks.start..self.banks.start + banks,
+            node0: self.node0,
+            units: take(&mut self.units, banks),
+            sensors: take(&mut self.sensors, banks),
+            currents: take(&mut self.currents, banks),
+            voltages: take(&mut self.voltages, banks),
+            streaks: take(&mut self.streaks, banks),
+            demands: take(&mut self.demands, nodes),
+            outcomes: take(&mut self.outcomes, banks),
+        };
+        self.banks.start += banks;
+        self.node0 += nodes;
+        front
+    }
+}
+
+/// Battery terminal power available without crossing `floor` within one
+/// `dt` step: the discharge limit, capped by the energy stored above the
+/// floor. An open-circuit string delivers nothing.
+fn floored_power(battery: &AnyBattery, floor: Soc, open_circuit: bool, dt: SimDuration) -> Watts {
+    if open_circuit {
+        return Watts::ZERO;
+    }
+    let headroom = battery.soc().value() - floor.value();
+    if headroom <= 0.0 {
+        return Watts::ZERO;
+    }
+    let energy_wh =
+        headroom * battery.effective_capacity().as_f64() * battery.open_circuit_voltage().as_f64();
+    let cap = Watts::new(energy_wh / dt.as_hours());
+    battery.available_discharge_power().min(cap)
+}
+
+/// A charge of `power`, or idle when there is none to give.
+fn charge_op(power: Watts) -> BatteryOp {
+    if power.as_f64() > 0.0 {
+        BatteryOp::Charge(power)
+    } else {
+        BatteryOp::Idle
+    }
+}
+
+/// Adds the time since `mark` to `acc` and moves `mark` to now; a no-op
+/// when not profiling (`mark` is `None`).
+fn lap(acc: &mut u64, mark: &mut Option<Instant>) {
+    if let Some(prev) = *mark {
+        let at = Instant::now();
+        *acc += at.duration_since(prev).as_nanos() as u64;
+        *mark = Some(at);
+    }
+}
+
+/// The routing kernel: one step of power through the banks of `shard`.
+/// By day it snapshots the members' demand, routes each bank's PV share
+/// and floored battery power through the switcher, charges or
+/// discharges the battery, samples its sensor and decides shedding; by
+/// night it applies the pre-pass grid charge and samples the sensor.
+///
+/// It touches only the shard's own banks and member nodes (the cluster
+/// reads are its members' hosts, which only this bank's merge powers
+/// off), so shards run on any thread in any order. Everything
+/// order-sensitive is left in `shard.outcomes` for the bank-order
+/// merge. Returns the switcher and battery nanoseconds when
+/// `ctx.profile` is set, zeros otherwise.
+fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u64), SimError> {
+    let mut mark = ctx.profile.then(Instant::now);
+    let (mut switcher_ns, mut battery_ns) = (0u64, 0u64);
+    let node0 = shard.node0;
+    if !ctx.night {
+        for (j, demand) in shard.demands.iter_mut().enumerate() {
+            *demand = ctx.cluster.host(node0 + j)?.power(ctx.tod);
+        }
+    }
+    for (k, b) in shard.banks.clone().enumerate() {
+        let (soc, charge) = ctx.charge[b];
+        let (op, routed) = if ctx.night {
+            (charge_op(charge), None)
+        } else {
+            let open_circuit = ctx.injector.bank(b).open_circuit;
+            let demand: Watts = ctx.members[b]
+                .iter()
+                .map(|&m| shard.demands[m - node0])
+                .sum();
+            let solar = ctx.solar_total * ctx.solar_shares[b];
+            let available = floored_power(&shard.units[k], ctx.soc_floors[b], open_circuit, ctx.dt);
+            let routing = ctx.switcher.route(demand, solar, available, charge);
+            lap(&mut switcher_ns, &mut mark);
+            // An open-circuit string can neither charge nor discharge
+            // (the switcher already saw zero availability and zero
+            // acceptance).
+            let op = if open_circuit {
+                BatteryOp::Idle
+            } else if routing.battery_to_load.as_f64() > 0.0 {
+                BatteryOp::Discharge(routing.battery_to_load)
+            } else {
+                charge_op(ctx.chargers[b].charge_power(soc, routing.surplus_to_charger))
+            };
+            (op, Some((demand, routing)))
+        };
+        let result = shard.units[k].try_step(op, ctx.ambient, ctx.now, ctx.dt)?;
+        shard.currents[k] = result.current.as_f64();
+        shard.voltages[k] = result.terminal_voltage.as_f64();
+        let fresh = shard.sensors[k].sample(
+            &shard.units[k],
+            Volts::new(shard.voltages[k]),
+            result.current,
+            ctx.now,
+        );
+        let mut outcome = BankOutcome {
+            accepted: result.accepted * ctx.dt,
+            cutoff: result.cutoff,
+            fresh,
+            ..BankOutcome::EMPTY
+        };
+        // Emergency shedding on sustained unserved demand: shut down the
+        // hungriest online member first (a shared pool browns out one
+        // server at a time, not the whole rack at once).
+        if let Some((demand, routing)) = routed {
+            outcome.unserved = routing.unserved * ctx.dt;
+            outcome.curtailed = routing.curtailed * ctx.dt;
+            if demand.as_f64() > 0.0 {
+                if routing.unserved.as_f64() > 0.05 * demand.as_f64() {
+                    shard.streaks[k] += 1;
+                    if shard.streaks[k] >= SHUTDOWN_STREAK {
+                        for &m in &ctx.members[b] {
+                            if !ctx.cluster.host(m)?.is_online() {
+                                continue;
+                            }
+                            let hungrier = outcome.victim.is_none_or(|v| {
+                                shard.demands[m - node0].as_f64()
+                                    > shard.demands[v - node0].as_f64()
+                            });
+                            if hungrier {
+                                outcome.victim = Some(m);
+                            }
+                        }
+                        shard.streaks[k] = 0;
+                    }
+                } else {
+                    shard.streaks[k] = 0;
+                }
+            }
+        }
+        lap(&mut battery_ns, &mut mark);
+        shard.outcomes[k] = outcome;
+    }
+    Ok((switcher_ns, battery_ns))
 }
 
 /// One green-datacenter simulation instance.
@@ -1282,17 +1514,11 @@ impl Simulation {
             clock.skip();
         }
 
-        // Per-node power routing: sharded across the worker pool when one
-        // is configured and there is more than one bank to shard (banks
-        // are the independence boundary), the plain sequential pass
-        // otherwise. Both paths produce bit-identical state; threads=1 is
-        // the reference.
-        match self.pool.clone() {
-            Some(pool) if self.banks > 1 => {
-                self.route_power_sharded(&pool, solar_total, tod, dt, &mut clock)?;
-            }
-            _ => self.route_power(solar_total, tod, dt, &mut clock)?,
-        }
+        // Per-bank power routing: one kernel, sharded across the worker
+        // pool when one is configured, inline otherwise. The state is
+        // bit-identical at every thread count.
+        let pool = self.pool.clone();
+        self.route_power(pool.as_deref(), solar_total, tod, dt, &mut clock)?;
 
         // Node restart checks.
         if in_window {
@@ -1723,124 +1949,70 @@ impl Simulation {
 
     /// Re-scores exactly the dirty nodes and folds their keys back into
     /// the ranked orders. Bank-level quantities (aging metrics, SoC,
-    /// headroom) are computed once per dirty bank per pass, then
-    /// scattered to member nodes.
+    /// headroom) are scored once per dirty bank per pass — fanned out
+    /// over the pool when one is configured and at least
+    /// [`PAR_REFRESH_MIN_NODES`] nodes are dirty — then scattered to
+    /// member nodes.
     fn refresh_fleet(&mut self) -> Result<(), SimError> {
         if self.fleet.is_clean() {
             return Ok(());
         }
         let dirty = self.fleet.take_dirty();
-        if let Some(pool) = self.pool.clone() {
-            if dirty.len() >= PAR_REFRESH_MIN_NODES {
-                return self.refresh_fleet_sharded(&pool, dirty);
+        let mut banks = std::mem::take(&mut self.scratch.dirty_banks);
+        banks.clear();
+        for &node in &dirty {
+            let bank = self.bank_of[node as usize];
+            if self.fleet.bank_needs_refresh(bank) {
+                banks.push(bank);
+            }
+        }
+        match &self.pool {
+            Some(pool) if dirty.len() >= PAR_REFRESH_MIN_NODES => {
+                let ranges = shard_ranges(banks.len(), pool.threads());
+                let chunks: Vec<Result<Vec<BankScore>, SimError>> = pool.run(ranges.len(), |s| {
+                    banks[ranges[s].clone()]
+                        .iter()
+                        .map(|&bank| self.score_bank(bank))
+                        .collect()
+                });
+                if let Some(exec) = &self.exec_obs {
+                    exec.merge_wait_fleet_refresh
+                        .add(pool.last_caller_wait_ns());
+                }
+                for (chunk, range) in chunks.into_iter().zip(ranges) {
+                    for (score, &bank) in chunk?.iter().zip(&banks[range]) {
+                        self.fleet.update_bank(bank, score);
+                    }
+                }
+            }
+            _ => {
+                for &bank in &banks {
+                    let score = self.score_bank(bank)?;
+                    self.fleet.update_bank(bank, &score);
+                }
             }
         }
         for &node in &dirty {
             let i = node as usize;
-            let bank = self.bank_of[i];
-            if self.fleet.bank_needs_refresh(bank) {
-                let ratings = self.ratings(i)?;
-                let headroom = self.floored_available(bank, self.config.dt)?;
-                let battery = self.batteries.unit(bank)?;
-                let metrics =
-                    AgingMetrics::from_accumulator(battery.telemetry().lifetime(), &ratings);
-                self.fleet.update_bank(
-                    bank,
-                    &metrics,
-                    battery.soc().value(),
-                    headroom.as_f64(),
-                    battery.total_damage(),
-                );
-            }
             let online = self.cluster.host(i)?.is_online();
-            let degraded = self.degraded[i];
-            self.fleet.update_node(i, degraded, online);
+            self.fleet.update_node(i, self.degraded[i], online);
         }
         self.fleet.commit_refresh(dirty);
+        self.scratch.dirty_banks = banks;
         Ok(())
     }
 
-    /// The sharded refresh pass: the bank-level scoring (ratings, floored
-    /// availability, aging metrics — the expensive half) fans out over
-    /// the pool; the scatter into [`FleetView`] stays sequential and
-    /// identical to [`Simulation::refresh_fleet`].
-    ///
-    /// The dedup below reproduces [`FleetView::bank_needs_refresh`]'s
-    /// first-seen-per-pass semantics exactly, so the precomputed scores
-    /// arrive in the same order the scatter loop asks for them.
-    fn refresh_fleet_sharded(&mut self, pool: &ExecPool, dirty: Vec<u32>) -> Result<(), SimError> {
-        struct BankScore {
-            bank: usize,
-            metrics: AgingMetrics,
-            soc: f64,
-            headroom: f64,
-            damage: f64,
-        }
-        let mut seen = vec![false; self.banks];
-        let mut dirty_banks: Vec<usize> = Vec::new();
-        for &node in &dirty {
-            let bank = self.bank_of[node as usize];
-            if !seen[bank] {
-                seen[bank] = true;
-                dirty_banks.push(bank);
-            }
-        }
-        let ranges = shard_ranges(dirty_banks.len(), pool.threads());
-        let dt = self.config.dt;
-        let dirty_banks_ref = &dirty_banks;
-        let chunks: Vec<Result<Vec<BankScore>, SimError>> = pool.run(ranges.len(), |s| {
-            ranges[s]
-                .clone()
-                .map(|idx| {
-                    let bank = dirty_banks_ref[idx];
-                    let node = self.members[bank][0];
-                    let ratings = self.ratings(node)?;
-                    let headroom = self.floored_available(bank, dt)?;
-                    let battery = self.batteries.unit(bank)?;
-                    Ok(BankScore {
-                        bank,
-                        metrics: AgingMetrics::from_accumulator(
-                            battery.telemetry().lifetime(),
-                            &ratings,
-                        ),
-                        soc: battery.soc().value(),
-                        headroom: headroom.as_f64(),
-                        damage: battery.total_damage(),
-                    })
-                })
-                .collect()
-        });
-        if let Some(exec) = &self.exec_obs {
-            exec.merge_wait_fleet_refresh
-                .add(pool.last_caller_wait_ns());
-        }
-        let mut scores = Vec::with_capacity(dirty_banks.len());
-        for chunk in chunks {
-            scores.extend(chunk?);
-        }
-        let mut next = scores.into_iter();
-        for &node in &dirty {
-            let i = node as usize;
-            let bank = self.bank_of[i];
-            if self.fleet.bank_needs_refresh(bank) {
-                let score = next
-                    .next()
-                    .filter(|s| s.bank == bank)
-                    .ok_or_else(|| SimError::invalid_config("threads", "shard score order"))?;
-                self.fleet.update_bank(
-                    bank,
-                    &score.metrics,
-                    score.soc,
-                    score.headroom,
-                    score.damage,
-                );
-            }
-            let online = self.cluster.host(i)?.is_online();
-            let degraded = self.degraded[i];
-            self.fleet.update_node(i, degraded, online);
-        }
-        self.fleet.commit_refresh(dirty);
-        Ok(())
+    /// One bank's placement scores, from its pre-step battery state.
+    fn score_bank(&self, bank: usize) -> Result<BankScore, SimError> {
+        let ratings = self.ratings(self.members[bank][0])?;
+        let headroom = self.floored_available(bank, self.config.dt)?;
+        let battery = self.batteries.unit(bank)?;
+        Ok(BankScore {
+            metrics: AgingMetrics::from_accumulator(battery.telemetry().lifetime(), &ratings),
+            soc: battery.soc().value(),
+            headroom: headroom.as_f64(),
+            damage: battery.total_damage(),
+        })
     }
 
     /// Retries queued jobs in arrival order.
@@ -1969,20 +2141,12 @@ impl Simulation {
     /// Battery terminal power available without crossing the bank's SoC
     /// floor within one step.
     fn floored_available(&self, bank: usize, dt: SimDuration) -> Result<Watts, SimError> {
-        if self.injector.bank(bank).open_circuit {
-            return Ok(Watts::ZERO);
-        }
-        let battery = self.batteries.unit(bank)?;
-        let floor = self.soc_floors[bank];
-        let headroom = battery.soc().value() - floor.value();
-        if headroom <= 0.0 {
-            return Ok(Watts::ZERO);
-        }
-        let energy_wh = headroom
-            * battery.effective_capacity().as_f64()
-            * battery.open_circuit_voltage().as_f64();
-        let cap = Watts::new(energy_wh / dt.as_hours());
-        Ok(battery.available_discharge_power().min(cap))
+        Ok(floored_power(
+            self.batteries.unit(bank)?,
+            self.soc_floors[bank],
+            self.injector.bank(bank).open_circuit,
+            dt,
+        ))
     }
 
     /// Observes bank `b`'s charge stage, counting mode switches (input
@@ -2039,611 +2203,144 @@ impl Simulation {
         Ok(())
     }
 
+    /// Routes one step of power through every bank: each bank's PV
+    /// share, switcher, charger and battery (paper Fig 11), or the
+    /// utility-line grid charge outside the operating window.
+    ///
+    /// Banks are independent within a step (demands are snapshotted,
+    /// acceptance and availability read only the bank's own pre-step
+    /// state), so the pass runs in three phases:
+    ///
+    /// 1. **Sequential charger pre-pass**, bank order: stage observation
+    ///    (tracer spans, mode-switch counters and fleet marks are
+    ///    order-sensitive cross-bank seams) and one charger figure per
+    ///    bank — the grid-charge power by night, the effective acceptance
+    ///    by day.
+    /// 2. **[`route_banks`]** over contiguous bank-range shards: inline
+    ///    as one shard over every bank without a pool (or with a single
+    ///    bank), one shard per pool thread otherwise.
+    /// 3. **Sequential merge**, bank order: energy folds (float sums keep
+    ///    one association order), fault-injector sample observation
+    ///    (shared RNG), power-table rows, `BatteryCutoff` and
+    ///    `ServerShutdown` events, and applying the shedding decisions.
+    ///
+    /// Stage timing: the pre-pass is charged to `Charger`; the kernel's
+    /// per-bank laps to `Switcher` and `BatteryStep`, summed over shards
+    /// (CPU time, not wall time, with a pool); the merge to
+    /// `BatteryStep`. Inline, the three rows together cover the pass's
+    /// wall time.
     fn route_power(
         &mut self,
+        pool: Option<&ExecPool>,
         solar_total: Watts,
         tod: TimeOfDay,
         dt: SimDuration,
         clock: &mut StageClock<'_>,
     ) -> Result<(), SimError> {
-        let n = self.config.nodes;
         // Outside the operating window the prototype's power switcher
         // recharges batteries from the utility line ("switch the utility
         // or renewable power to charge batteries", §V.A), so every day
         // starts from full charge and batteries never sulphate at low
         // SoC overnight.
-        // Stage timers wrap whole per-stage passes (not per-bank work):
-        // two clock reads per stage per step keeps profiler overhead
-        // well under the 1 µs/step budget even on the fastest schemes.
-        if !self.in_window {
-            self.scratch.ops.clear();
-            for b in 0..self.banks {
-                let soc = self.batteries.unit(b)?.soc();
-                self.observe_charge_stage(b, soc);
-                let faults = self.injector.bank(b);
-                let op = if faults.charger_failed || faults.open_circuit {
-                    BatteryOp::Idle
-                } else {
-                    // A mode-stuck charger is latched in float trickle:
-                    // its budget is the float-stage acceptance.
-                    let budget = if faults.charger_stuck {
-                        self.chargers[b].acceptance(Soc::FULL)
-                    } else {
-                        self.chargers[b].max_power()
-                    };
-                    let p = self.chargers[b].charge_power(soc, budget);
-                    if p.as_f64() > 0.0 {
-                        BatteryOp::Charge(p)
-                    } else {
-                        BatteryOp::Idle
-                    }
-                };
-                self.scratch.ops.push(op);
-            }
-            clock.lap(Stage::Charger);
-            for b in 0..self.banks {
-                let op = self.scratch.ops[b];
-                let result =
-                    self.batteries
-                        .unit_mut(b)?
-                        .try_step(op, self.config.ambient, self.now, dt)?;
-                self.grid_charge_energy += result.accepted * dt;
-                self.last_currents[b] = result.current.as_f64();
-                self.last_voltages[b] = result.terminal_voltage.as_f64();
-                let battery = self.batteries.unit(b)?;
-                let fresh = self.sensors[b].sample(
-                    battery,
-                    Volts::new(self.last_voltages[b]),
-                    result.current,
-                    self.now,
-                );
-                // The injector's clean path is the identity and draws no
-                // randomness; under sensor faults the row is perturbed
-                // or (dropout) withheld entirely.
-                if let Some(sample) = self.injector.observe_sample(b, fresh, self.now) {
-                    for &node in &self.members[b] {
-                        self.power_table.record_battery(node, sample);
-                    }
-                }
-            }
-            // Every bank stepped: SoC, headroom, and aging metrics all
-            // moved, so the whole fleet re-scores before the next
-            // placement.
-            self.fleet.mark_all(DirtyReason::Battery);
-            clock.lap(Stage::BatteryStep);
-            return Ok(());
-        }
-        self.scratch.demands.clear();
-        for i in 0..n {
-            let p = self.cluster.host(i)?.power(tod);
-            self.scratch.demands.push(p);
-        }
-
-        // Every bank hangs off its share of the PV feed proportional to
-        // the servers it backs (per-server integration: one node, one
-        // bank; shared pools: a rack's worth). The bank's surplus charges
-        // its own battery, so load placement really decides which battery
-        // suffers — the usage imbalance BAAT-h and BAAT exist to hide.
-        // Banks are independent within a step (demands are snapshotted
-        // above; acceptance and availability read only that bank's
-        // pre-step state), so the pipeline runs as stage-major passes.
-        self.scratch.socs_acceptances.clear();
+        let night = !self.in_window;
+        self.scratch.charge.clear();
         for b in 0..self.banks {
             let soc = self.batteries.unit(b)?.soc();
             self.observe_charge_stage(b, soc);
             let faults = self.injector.bank(b);
-            // The switcher sees the *effective* acceptance, so a
-            // failed charger's surplus is curtailed, not lost to an
-            // inconsistent charge pass below.
-            let acceptance = if faults.charger_failed || faults.open_circuit {
+            let charger = &self.chargers[b];
+            // The switcher sees the *effective* acceptance, so a failed
+            // charger's surplus is curtailed, not lost to an inconsistent
+            // charge pass. A mode-stuck charger is latched in float
+            // trickle: its budget is the float-stage acceptance.
+            let power = if faults.charger_failed || faults.open_circuit {
                 Watts::ZERO
+            } else if night {
+                let budget = if faults.charger_stuck {
+                    charger.acceptance(Soc::FULL)
+                } else {
+                    charger.max_power()
+                };
+                charger.charge_power(soc, budget)
             } else if faults.charger_stuck {
-                self.chargers[b].acceptance(Soc::FULL)
+                charger.acceptance(Soc::FULL)
             } else {
-                self.chargers[b].acceptance(soc)
+                charger.acceptance(soc)
             };
-            self.scratch.socs_acceptances.push((soc, acceptance));
+            self.scratch.charge.push((soc, power));
         }
         clock.lap(Stage::Charger);
-        self.scratch.routings.clear();
-        self.scratch.bank_demands.clear();
-        for b in 0..self.banks {
-            let demand: Watts = self.members[b]
-                .iter()
-                .map(|&m| self.scratch.demands[m])
-                .sum();
-            let solar_i = solar_total * self.solar_shares[b];
-            let available = self.floored_available(b, dt)?;
-            let routing = self.switcher.route(
-                demand,
-                solar_i,
-                available,
-                self.scratch.socs_acceptances[b].1,
-            );
-            self.scratch.bank_demands.push(demand);
-            self.scratch.routings.push(routing);
-        }
-        clock.lap(Stage::Switcher);
 
-        for b in 0..self.banks {
-            let member_nodes = &self.members[b];
-            let demand = self.scratch.bank_demands[b];
-            let soc = self.scratch.socs_acceptances[b].0;
-            let routing = self.scratch.routings[b];
-
-            // Apply the battery operation. An open-circuit string can
-            // neither charge nor discharge (the switcher already saw
-            // zero availability and zero acceptance).
-            let op = if self.injector.bank(b).open_circuit {
-                BatteryOp::Idle
-            } else if routing.battery_to_load.as_f64() > 0.0 {
-                BatteryOp::Discharge(routing.battery_to_load)
-            } else {
-                let p = self.chargers[b].charge_power(soc, routing.surplus_to_charger);
-                if p.as_f64() > 0.0 {
-                    BatteryOp::Charge(p)
-                } else {
-                    BatteryOp::Idle
-                }
-            };
-            let result =
-                self.batteries
-                    .unit_mut(b)?
-                    .try_step(op, self.config.ambient, self.now, dt)?;
-            if result.cutoff {
-                self.counters.battery_cutoffs.inc();
-                Self::log_event(
-                    &mut self.events,
-                    &mut self.flight,
-                    self.now,
-                    Event::BatteryCutoff {
-                        node: member_nodes[0],
-                    },
-                );
-            }
-            self.last_currents[b] = result.current.as_f64();
-            self.last_voltages[b] = result.terminal_voltage.as_f64();
-
-            // Accounting.
-            self.unserved_energy += routing.unserved * dt;
-            self.curtailed_energy += routing.curtailed * dt;
-
-            // Sensor row into the power table (every member node sees its
-            // bank's telemetry, like rack members sharing a UPS monitor).
-            let battery = self.batteries.unit(b)?;
-            let fresh = self.sensors[b].sample(
-                battery,
-                Volts::new(self.last_voltages[b]),
-                result.current,
-                self.now,
-            );
-            // Sensor faults intercept only the battery row; the server
-            // power meter is a separate instrument and keeps flowing.
-            let sample = self.injector.observe_sample(b, fresh, self.now);
-            for &node in member_nodes {
-                if let Some(sample) = sample {
-                    self.power_table.record_battery(node, sample);
-                }
-                self.power_table.record_server(
-                    node,
-                    ServerPowerRecord {
-                        at: self.now,
-                        power: self.scratch.demands[node],
-                    },
-                );
-            }
-
-            // Emergency shedding on sustained unserved demand: shut down
-            // the hungriest online member first (a shared pool browns out
-            // one server at a time, not the whole rack at once).
-            if demand.as_f64() > 0.0 {
-                if routing.unserved.as_f64() > 0.05 * demand.as_f64() {
-                    self.unserved_streak[b] += 1;
-                    if self.unserved_streak[b] >= SHUTDOWN_STREAK {
-                        let mut victim: Option<usize> = None;
-                        for &m in member_nodes {
-                            if !self.cluster.host(m)?.is_online() {
-                                continue;
-                            }
-                            let better = match victim {
-                                None => true,
-                                Some(v) => {
-                                    self.scratch.demands[m].as_f64()
-                                        > self.scratch.demands[v].as_f64()
-                                }
-                            };
-                            if better {
-                                victim = Some(m);
-                            }
-                        }
-                        if let Some(victim) = victim {
-                            self.cluster.host_mut(victim)?.power_off();
-                            self.offline_since[victim] = Some(self.now);
-                            self.fleet.mark(victim, DirtyReason::Power);
-                            self.counters.shutdowns.inc();
-                            Self::log_event(
-                                &mut self.events,
-                                &mut self.flight,
-                                self.now,
-                                Event::ServerShutdown { node: victim },
-                            );
-                        }
-                        self.unserved_streak[b] = 0;
-                    }
-                } else {
-                    self.unserved_streak[b] = 0;
-                }
-            }
-        }
-        self.fleet.mark_all(DirtyReason::Battery);
-        clock.lap(Stage::BatteryStep);
-        Ok(())
-    }
-
-    /// The sharded counterpart of [`Simulation::route_power`]: same
-    /// physics, same state transitions, bit-identical results.
-    ///
-    /// Banks are independent within a step (demands are snapshotted,
-    /// acceptance and availability read only the bank's own pre-step
-    /// state), so the hot per-bank work fans out over contiguous bank
-    /// ranges — one shard per pool thread — in three phases:
-    ///
-    /// 1. **Sequential pre-pass**: charger stage observation. Its tracer
-    ///    spans, mode-switch counters and fleet marks are order-sensitive
-    ///    cross-bank seams, so it stays on one thread, bank order.
-    /// 2. **Parallel fused pass**: per shard, the switcher routing,
-    ///    battery integration, sensor sampling and shedding *decisions*
-    ///    run over disjoint `&mut` range views of the per-bank state
-    ///    (battery units, sensors, last currents/voltages, unserved
-    ///    streaks). Day shards also fill their slice of the per-node
-    ///    demand snapshot — members are contiguous node ranges, so the
-    ///    snapshot shards with the banks.
-    /// 3. **Sequential merge, shard-index (= bank) order**: energy folds
-    ///    (float sums keep the sequential association order), event-log
-    ///    appends, fault-injector sample observation (shared RNG — the
-    ///    draw order matches the sequential pass exactly), power-table
-    ///    rows, and shedding application (`power_off` + events).
-    ///
-    /// Shard stage timings are measured per worker and recorded as the
-    /// shard-index-ordered sum via [`StageClock::add`] — CPU time across
-    /// shards, not wall time.
-    fn route_power_sharded(
-        &mut self,
-        pool: &ExecPool,
-        solar_total: Watts,
-        tod: TimeOfDay,
-        dt: SimDuration,
-        clock: &mut StageClock<'_>,
-    ) -> Result<(), SimError> {
-        let profile = clock.is_active();
-        let ranges = shard_ranges(self.banks, pool.threads());
-        let ambient = self.config.ambient;
-        let now = self.now;
-        if !self.in_window {
-            // Night: grid-charge every bank (identical pre-pass to the
-            // sequential path).
-            self.scratch.ops.clear();
-            for b in 0..self.banks {
-                let soc = self.batteries.unit(b)?.soc();
-                self.observe_charge_stage(b, soc);
-                let faults = self.injector.bank(b);
-                let op = if faults.charger_failed || faults.open_circuit {
-                    BatteryOp::Idle
-                } else {
-                    let budget = if faults.charger_stuck {
-                        self.chargers[b].acceptance(Soc::FULL)
-                    } else {
-                        self.chargers[b].max_power()
-                    };
-                    let p = self.chargers[b].charge_power(soc, budget);
-                    if p.as_f64() > 0.0 {
-                        BatteryOp::Charge(p)
-                    } else {
-                        BatteryOp::Idle
-                    }
-                };
-                self.scratch.ops.push(op);
-            }
-            clock.lap(Stage::Charger);
-
-            struct NightShard<'a> {
-                units: &'a mut [AnyBattery],
-                sensors: &'a mut [BatterySensor],
-                currents: &'a mut [f64],
-                voltages: &'a mut [f64],
-            }
-            let mut tasks: Vec<Mutex<Option<NightShard<'_>>>> = Vec::with_capacity(ranges.len());
-            {
-                let mut units = self.batteries.units_mut();
-                let mut sensors = &mut self.sensors[..];
-                let mut currents = &mut self.last_currents[..];
-                let mut voltages = &mut self.last_voltages[..];
-                for r in &ranges {
-                    let len = r.len();
-                    let (u, rest) = units.split_at_mut(len);
-                    units = rest;
-                    let (s, rest) = sensors.split_at_mut(len);
-                    sensors = rest;
-                    let (c, rest) = currents.split_at_mut(len);
-                    currents = rest;
-                    let (v, rest) = voltages.split_at_mut(len);
-                    voltages = rest;
-                    tasks.push(Mutex::new(Some(NightShard {
-                        units: u,
-                        sensors: s,
-                        currents: c,
-                        voltages: v,
-                    })));
-                }
-            }
-            let ops = &self.scratch.ops;
-            type NightOut = (WattHours, SensorSample);
-            let shard_out: Vec<(Result<Vec<NightOut>, SimError>, u64)> =
-                pool.run(ranges.len(), |s| {
-                    let started = profile.then(Instant::now);
-                    let shard = tasks[s]
+        self.scratch.demands.resize(self.config.nodes, Watts::ZERO);
+        self.scratch.outcomes.resize(self.banks, BankOutcome::EMPTY);
+        let ctx = RouteCtx {
+            night,
+            solar_total,
+            tod,
+            now: self.now,
+            dt,
+            ambient: self.config.ambient,
+            profile: clock.is_active(),
+            members: &self.members,
+            charge: &self.scratch.charge,
+            solar_shares: &self.solar_shares,
+            soc_floors: &self.soc_floors,
+            chargers: &self.chargers,
+            switcher: &self.switcher,
+            injector: &self.injector,
+            cluster: &self.cluster,
+        };
+        let mut all = BankShard {
+            banks: 0..self.banks,
+            node0: 0,
+            units: self.batteries.units_mut(),
+            sensors: &mut self.sensors,
+            currents: &mut self.last_currents,
+            voltages: &mut self.last_voltages,
+            streaks: &mut self.unserved_streak,
+            demands: &mut self.scratch.demands,
+            outcomes: &mut self.scratch.outcomes,
+        };
+        let (mut switcher_ns, mut battery_ns) = (0u64, 0u64);
+        match pool {
+            Some(pool) if self.banks > 1 => {
+                let tasks: Vec<Mutex<Option<BankShard<'_>>>> =
+                    shard_ranges(self.banks, pool.threads())
+                        .into_iter()
+                        .map(|r| {
+                            let nodes = ctx.members[r.clone()].iter().map(Vec::len).sum();
+                            Mutex::new(Some(all.split_front(r.len(), nodes)))
+                        })
+                        .collect();
+                let results = pool.run(tasks.len(), |s| {
+                    let mut shard = tasks[s]
                         .lock()
-                        .expect("night shard state")
+                        .expect("shard state")
                         .take()
                         .expect("each shard is taken exactly once");
-                    let range = ranges[s].clone();
-                    let mut out = Vec::with_capacity(range.len());
-                    let result = (|| {
-                        for (k, b) in range.enumerate() {
-                            let result = shard.units[k].try_step(ops[b], ambient, now, dt)?;
-                            shard.currents[k] = result.current.as_f64();
-                            shard.voltages[k] = result.terminal_voltage.as_f64();
-                            let fresh = shard.sensors[k].sample(
-                                &shard.units[k],
-                                Volts::new(shard.voltages[k]),
-                                result.current,
-                                now,
-                            );
-                            out.push((result.accepted * dt, fresh));
-                        }
-                        Ok(out)
-                    })();
-                    let ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (result, ns)
+                    route_banks(&ctx, &mut shard)
                 });
-            drop(tasks);
-            let mut battery_ns = 0u64;
-            let mut b = 0usize;
-            self.scratch.shard_ns.clear();
-            for (result, ns) in shard_out {
-                battery_ns += ns;
-                self.scratch.shard_ns.push(ns);
-                for (accepted_energy, fresh) in result? {
-                    self.grid_charge_energy += accepted_energy;
-                    if let Some(sample) = self.injector.observe_sample(b, fresh, self.now) {
-                        for &node in &self.members[b] {
-                            self.power_table.record_battery(node, sample);
-                        }
-                    }
-                    b += 1;
+                self.scratch.shard_ns.clear();
+                for result in results {
+                    let (sw, bat) = result?;
+                    switcher_ns += sw;
+                    battery_ns += bat;
+                    self.scratch.shard_ns.push(sw + bat);
+                }
+                if let Some(exec) = &self.exec_obs {
+                    exec.record_shards(&self.scratch.shard_ns);
+                    exec.merge_wait_battery_step.add(pool.last_caller_wait_ns());
                 }
             }
-            self.fleet.mark_all(DirtyReason::Battery);
-            clock.skip();
-            clock.add(Stage::BatteryStep, battery_ns);
-            if let Some(exec) = &self.exec_obs {
-                exec.record_shards(&self.scratch.shard_ns);
-                exec.merge_wait_battery_step.add(pool.last_caller_wait_ns());
-            }
-            return Ok(());
+            _ => (switcher_ns, battery_ns) = route_banks(&ctx, &mut all)?,
         }
 
-        // Day. The demand snapshot is filled inside the shards (each
-        // bank's members form a contiguous node range), so size it first.
-        let n = self.config.nodes;
-        self.scratch.demands.clear();
-        self.scratch.demands.resize(n, Watts::ZERO);
-
-        // Charger pre-pass (identical to the sequential path).
-        self.scratch.socs_acceptances.clear();
+        let merge_started = clock.is_active().then(Instant::now);
         for b in 0..self.banks {
-            let soc = self.batteries.unit(b)?.soc();
-            self.observe_charge_stage(b, soc);
-            let faults = self.injector.bank(b);
-            let acceptance = if faults.charger_failed || faults.open_circuit {
-                Watts::ZERO
-            } else if faults.charger_stuck {
-                self.chargers[b].acceptance(Soc::FULL)
+            let o = self.scratch.outcomes[b];
+            if night {
+                self.grid_charge_energy += o.accepted;
             } else {
-                self.chargers[b].acceptance(soc)
-            };
-            self.scratch.socs_acceptances.push((soc, acceptance));
-        }
-        clock.lap(Stage::Charger);
-
-        struct DayShard<'a> {
-            /// First node of the shard's contiguous node range — maps a
-            /// global node index into the `demands` chunk.
-            node0: usize,
-            units: &'a mut [AnyBattery],
-            sensors: &'a mut [BatterySensor],
-            currents: &'a mut [f64],
-            voltages: &'a mut [f64],
-            streaks: &'a mut [u32],
-            demands: &'a mut [Watts],
-        }
-        /// Per-bank result carried from the parallel pass to the merge.
-        struct BankOutcome {
-            cutoff: bool,
-            unserved: WattHours,
-            curtailed: WattHours,
-            fresh: SensorSample,
-            victim: Option<usize>,
-        }
-        let mut tasks: Vec<Mutex<Option<DayShard<'_>>>> = Vec::with_capacity(ranges.len());
-        {
-            let mut units = self.batteries.units_mut();
-            let mut sensors = &mut self.sensors[..];
-            let mut currents = &mut self.last_currents[..];
-            let mut voltages = &mut self.last_voltages[..];
-            let mut streaks = &mut self.unserved_streak[..];
-            let mut demands = &mut self.scratch.demands[..];
-            let mut node0 = 0usize;
-            for r in &ranges {
-                let len = r.len();
-                let node_len: usize = self.members[r.clone()].iter().map(Vec::len).sum();
-                let (u, rest) = units.split_at_mut(len);
-                units = rest;
-                let (s, rest) = sensors.split_at_mut(len);
-                sensors = rest;
-                let (c, rest) = currents.split_at_mut(len);
-                currents = rest;
-                let (v, rest) = voltages.split_at_mut(len);
-                voltages = rest;
-                let (st, rest) = streaks.split_at_mut(len);
-                streaks = rest;
-                let (d, rest) = demands.split_at_mut(node_len);
-                demands = rest;
-                tasks.push(Mutex::new(Some(DayShard {
-                    node0,
-                    units: u,
-                    sensors: s,
-                    currents: c,
-                    voltages: v,
-                    streaks: st,
-                    demands: d,
-                })));
-                node0 += node_len;
-            }
-        }
-        let members = &self.members;
-        let socs_acceptances = &self.scratch.socs_acceptances;
-        let solar_shares = &self.solar_shares;
-        let soc_floors = &self.soc_floors;
-        let chargers = &self.chargers;
-        let switcher = &self.switcher;
-        let injector = &self.injector;
-        let cluster = &self.cluster;
-        let shard_out: Vec<(Result<Vec<BankOutcome>, SimError>, u64, u64)> =
-            pool.run(ranges.len(), |s| {
-                let mut mark = profile.then(Instant::now);
-                let mut sw_ns = 0u64;
-                let mut bat_ns = 0u64;
-                let lap = |acc: &mut u64, mark: &mut Option<Instant>| {
-                    if let Some(prev) = *mark {
-                        let at = Instant::now();
-                        *acc += at.duration_since(prev).as_nanos() as u64;
-                        *mark = Some(at);
-                    }
-                };
-                let shard = tasks[s]
-                    .lock()
-                    .expect("day shard state")
-                    .take()
-                    .expect("each shard is taken exactly once");
-                let range = ranges[s].clone();
-                let node0 = shard.node0;
-                let mut out = Vec::with_capacity(range.len());
-                let result = (|| {
-                    // Demand snapshot for this shard's node range.
-                    for (j, i) in (node0..node0 + shard.demands.len()).enumerate() {
-                        shard.demands[j] = cluster.host(i)?.power(tod);
-                    }
-                    for (k, b) in range.enumerate() {
-                        let (soc, acceptance) = socs_acceptances[b];
-                        let faults = injector.bank(b);
-                        let demand: Watts =
-                            members[b].iter().map(|&m| shard.demands[m - node0]).sum();
-                        let solar_i = solar_total * solar_shares[b];
-                        // `floored_available`, computed from the shard's
-                        // own unit — the identical expression, inlined
-                        // because the `&self` helper cannot be called
-                        // while the pack is mutably chunked.
-                        let available = if faults.open_circuit {
-                            Watts::ZERO
-                        } else {
-                            let battery = &shard.units[k];
-                            let headroom = battery.soc().value() - soc_floors[b].value();
-                            if headroom <= 0.0 {
-                                Watts::ZERO
-                            } else {
-                                let energy_wh = headroom
-                                    * battery.effective_capacity().as_f64()
-                                    * battery.open_circuit_voltage().as_f64();
-                                let cap = Watts::new(energy_wh / dt.as_hours());
-                                battery.available_discharge_power().min(cap)
-                            }
-                        };
-                        let routing = switcher.route(demand, solar_i, available, acceptance);
-                        lap(&mut sw_ns, &mut mark);
-                        let op = if faults.open_circuit {
-                            BatteryOp::Idle
-                        } else if routing.battery_to_load.as_f64() > 0.0 {
-                            BatteryOp::Discharge(routing.battery_to_load)
-                        } else {
-                            let p = chargers[b].charge_power(soc, routing.surplus_to_charger);
-                            if p.as_f64() > 0.0 {
-                                BatteryOp::Charge(p)
-                            } else {
-                                BatteryOp::Idle
-                            }
-                        };
-                        let result = shard.units[k].try_step(op, ambient, now, dt)?;
-                        shard.currents[k] = result.current.as_f64();
-                        shard.voltages[k] = result.terminal_voltage.as_f64();
-                        let fresh = shard.sensors[k].sample(
-                            &shard.units[k],
-                            Volts::new(shard.voltages[k]),
-                            result.current,
-                            now,
-                        );
-                        // Shedding *decision* (per-bank streak state; the
-                        // cluster reads touch only this bank's members,
-                        // which no other shard's merge can power off).
-                        let mut victim: Option<usize> = None;
-                        if demand.as_f64() > 0.0 {
-                            if routing.unserved.as_f64() > 0.05 * demand.as_f64() {
-                                shard.streaks[k] += 1;
-                                if shard.streaks[k] >= SHUTDOWN_STREAK {
-                                    for &m in &members[b] {
-                                        if !cluster.host(m)?.is_online() {
-                                            continue;
-                                        }
-                                        let better = match victim {
-                                            None => true,
-                                            Some(v) => {
-                                                shard.demands[m - node0].as_f64()
-                                                    > shard.demands[v - node0].as_f64()
-                                            }
-                                        };
-                                        if better {
-                                            victim = Some(m);
-                                        }
-                                    }
-                                    shard.streaks[k] = 0;
-                                }
-                            } else {
-                                shard.streaks[k] = 0;
-                            }
-                        }
-                        lap(&mut bat_ns, &mut mark);
-                        out.push(BankOutcome {
-                            cutoff: result.cutoff,
-                            unserved: routing.unserved * dt,
-                            curtailed: routing.curtailed * dt,
-                            fresh,
-                            victim,
-                        });
-                    }
-                    Ok(out)
-                })();
-                (result, sw_ns, bat_ns)
-            });
-        drop(tasks);
-        let mut sw_total = 0u64;
-        let mut bat_total = 0u64;
-        let mut b = 0usize;
-        self.scratch.shard_ns.clear();
-        for (result, sw_ns, bat_ns) in shard_out {
-            sw_total += sw_ns;
-            bat_total += bat_ns;
-            self.scratch.shard_ns.push(sw_ns + bat_ns);
-            for o in result? {
                 if o.cutoff {
                     self.counters.battery_cutoffs.inc();
                     Self::log_event(
@@ -2657,11 +2354,19 @@ impl Simulation {
                 }
                 self.unserved_energy += o.unserved;
                 self.curtailed_energy += o.curtailed;
-                let sample = self.injector.observe_sample(b, o.fresh, self.now);
-                for &node in &self.members[b] {
-                    if let Some(sample) = sample {
-                        self.power_table.record_battery(node, sample);
-                    }
+            }
+            // Every member node sees its bank's telemetry, like rack
+            // members sharing a UPS monitor. The injector's clean path is
+            // the identity and draws no randomness; under sensor faults
+            // the battery row is perturbed or (dropout) withheld. The
+            // server power meter is a separate instrument and keeps
+            // flowing; at night there is no load to meter.
+            let sample = self.injector.observe_sample(b, o.fresh, self.now);
+            for &node in &self.members[b] {
+                if let Some(sample) = sample {
+                    self.power_table.record_battery(node, sample);
+                }
+                if !night {
                     self.power_table.record_server(
                         node,
                         ServerPowerRecord {
@@ -2670,29 +2375,29 @@ impl Simulation {
                         },
                     );
                 }
-                if let Some(victim) = o.victim {
-                    self.cluster.host_mut(victim)?.power_off();
-                    self.offline_since[victim] = Some(self.now);
-                    self.fleet.mark(victim, DirtyReason::Power);
-                    self.counters.shutdowns.inc();
-                    Self::log_event(
-                        &mut self.events,
-                        &mut self.flight,
-                        self.now,
-                        Event::ServerShutdown { node: victim },
-                    );
-                }
-                b += 1;
+            }
+            if let Some(victim) = o.victim {
+                self.cluster.host_mut(victim)?.power_off();
+                self.offline_since[victim] = Some(self.now);
+                self.fleet.mark(victim, DirtyReason::Power);
+                self.counters.shutdowns.inc();
+                Self::log_event(
+                    &mut self.events,
+                    &mut self.flight,
+                    self.now,
+                    Event::ServerShutdown { node: victim },
+                );
             }
         }
+        // Every bank stepped: SoC, headroom, and aging metrics all moved,
+        // so the whole fleet re-scores before the next placement.
         self.fleet.mark_all(DirtyReason::Battery);
+        let merge_ns = merge_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         clock.skip();
-        clock.add(Stage::Switcher, sw_total);
-        clock.add(Stage::BatteryStep, bat_total);
-        if let Some(exec) = &self.exec_obs {
-            exec.record_shards(&self.scratch.shard_ns);
-            exec.merge_wait_battery_step.add(pool.last_caller_wait_ns());
+        if !night {
+            clock.add(Stage::Switcher, switcher_ns);
         }
+        clock.add(Stage::BatteryStep, battery_ns + merge_ns);
         Ok(())
     }
 

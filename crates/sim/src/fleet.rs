@@ -162,6 +162,18 @@ fn mode_key(
     }
 }
 
+/// One bank's placement inputs, scored once per dirty bank per refresh
+/// and scattered to the bank's member nodes.
+#[derive(Debug, Clone)]
+pub(crate) struct BankScore {
+    /// Lifetime aging metrics (weighted-aging and NAT keys).
+    pub(crate) metrics: AgingMetrics,
+    pub(crate) soc: f64,
+    /// Floored battery headroom in watts, for the whole bank.
+    pub(crate) headroom: f64,
+    pub(crate) damage: f64,
+}
+
 /// One ranking mode's order, maintained incrementally: `order[r]` is the
 /// node at rank `r`, `pos[node]` its rank, `node_key[node]` its packed
 /// sort key. Small dirty sets are repaired by binary-searched
@@ -348,19 +360,12 @@ impl FleetView {
     /// Stores bank-level scores from the bank's lifetime metrics. The
     /// weighted values come from [`weighted_aging_all`] — the same
     /// `weighted_aging` calls the scratch path makes per comparison.
-    pub(crate) fn update_bank(
-        &mut self,
-        bank: usize,
-        metrics: &AgingMetrics,
-        soc: f64,
-        headroom_w: f64,
-        damage: f64,
-    ) {
-        self.bank_weighted[bank] = weighted_aging_all(metrics);
-        self.bank_nat[bank] = metrics.nat;
-        self.bank_soc[bank] = soc;
-        self.bank_headroom[bank] = headroom_w;
-        self.bank_damage[bank] = damage;
+    pub(crate) fn update_bank(&mut self, bank: usize, score: &BankScore) {
+        self.bank_weighted[bank] = weighted_aging_all(&score.metrics);
+        self.bank_nat[bank] = score.metrics.nat;
+        self.bank_soc[bank] = score.soc;
+        self.bank_headroom[bank] = score.headroom;
+        self.bank_damage[bank] = score.damage;
     }
 
     /// Scatters the node's bank scores plus node-local flags into the
