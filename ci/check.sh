@@ -8,7 +8,8 @@
 #   smoke  — faulted-determinism + OpenMetrics-golden console smokes
 #   replay — checkpoint/kill/resume gate: an interrupted checkpointing
 #            run resumed in a fresh process must byte-match the
-#            uninterrupted run's artifacts
+#            uninterrupted run's artifacts, and a snapshot's checksum
+#            must match xz's CRC-64 of its body (needs `xz`)
 #   fleet  — fleet-scale smoke (release): 1k-host wall-clock budget +
 #            thread-invariance, 8-thread sharding speedup gate, 10k-host
 #            smoke. `fleet --threads N` runs the wall-clock gates with N
@@ -232,6 +233,29 @@ run_replay() {
     cmp "$REPLAY_DIR/full/events.jsonl" "$REPLAY_DIR/cut/events.jsonl"
     cmp "$REPLAY_DIR/full/trace.jsonl" "$REPLAY_DIR/cut/trace.jsonl"
     cmp "$REPLAY_DIR/full/result.jsonl" "$REPLAY_DIR/cut/result.jsonl"
+
+    # The snapshot trailer must be the CRC-64/XZ of the body, as an
+    # independent implementation computes it: cut the body out by the
+    # header's length field (bytes 21..29), let xz checksum it as a
+    # single block, and compare `xz -lvv`'s CheckVal with the trailer
+    # read as a little-endian u64.
+    if ! command -v xz >/dev/null; then
+        echo "error: xz not found; the replay gate needs it to cross-check snapshot checksums" >&2
+        exit 1
+    fi
+    BODY_LEN="$(od -An --endian=little -t u8 -j 21 -N 8 "$LAST" | tr -d ' ')"
+    if [ "$((29 + BODY_LEN + 8))" != "$(stat -c %s "$LAST")" ]; then
+        echo "error: $LAST: header body length $BODY_LEN does not match the file size" >&2
+        exit 1
+    fi
+    TRAILER="$(od -An --endian=little -t x8 -j "$((29 + BODY_LEN))" -N 8 "$LAST" | tr -d ' ')"
+    tail -c "+30" "$LAST" | head -c "$BODY_LEN" |
+        xz --check=crc64 -T1 -0 >"$REPLAY_DIR/body.xz"
+    CHECKVALS="$(xz --robot -lvv "$REPLAY_DIR/body.xz" | awk -F'\t' '$1 == "block" { print $11 }')"
+    if [ "$CHECKVALS" != "$TRAILER" ]; then
+        echo "error: snapshot trailer $TRAILER != xz CRC-64 '$CHECKVALS' of $LAST's body" >&2
+        exit 1
+    fi
 
     # Replaying to one step from two different checkpoints — the full
     # run's snapshot at the target (zero re-steps) vs the cut run's

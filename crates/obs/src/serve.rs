@@ -16,14 +16,16 @@
 //! client is a scraper polling every few seconds, and the workspace is
 //! hermetic (no HTTP crate). Responses are honest HTTP/1.0 with a
 //! `Content-Length`, so `curl`, Prometheus, or a bash `/dev/tcp` probe
-//! all parse them.
+//! all parse them. Requests are bounded: a request line over 8 KiB is
+//! answered `400`, and a longer header line or more than 100 headers
+//! `431`, before the connection closes.
 //!
 //! The registry side is lock-free for writers: a scrape snapshots the
 //! shared [`Obs`] atomics, so the stepping thread is never blocked by
 //! a slow client.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -34,6 +36,16 @@ use crate::registry::Obs;
 /// Per-connection socket timeout: a stalled client cannot wedge the
 /// accept loop for longer than this.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest request or header line accepted, terminator included.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Most header lines accepted after the request line.
+const MAX_HEADERS: usize = 100;
+
+/// Most unread request bytes discarded after refusing an oversized
+/// request, so the client reads the refusal instead of a reset.
+const MAX_DRAIN_BYTES: u64 = 64 * 1024;
 
 /// OpenMetrics content type, per the OpenMetrics 1.0 spec.
 pub const OPENMETRICS_CONTENT_TYPE: &str =
@@ -172,23 +184,52 @@ fn accept_loop(listener: &TcpListener, shared: &ServerShared) {
     }
 }
 
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`; `false`
+/// when the line is longer.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
+    line.clear();
+    let n = reader.by_ref().take(MAX_LINE_BYTES).read_line(line)?;
+    Ok(n < MAX_LINE_BYTES as usize || line.ends_with('\n'))
+}
+
+/// Reads the request line and drains the headers, within
+/// [`MAX_LINE_BYTES`] per line and [`MAX_HEADERS`] lines. `Err` holds
+/// the refusal status of an oversized request.
+fn read_request(reader: &mut impl BufRead) -> std::io::Result<Result<String, &'static str>> {
+    let mut request_line = String::new();
+    if !read_bounded_line(reader, &mut request_line)? {
+        return Ok(Err("400 Bad Request"));
+    }
+    let mut header = String::new();
+    for _ in 0..=MAX_HEADERS {
+        if !read_bounded_line(reader, &mut header)? {
+            return Ok(Err("431 Request Header Fields Too Large"));
+        }
+        if header.is_empty() || header == "\r\n" || header == "\n" {
+            return Ok(Ok(request_line));
+        }
+    }
+    Ok(Err("431 Request Header Fields Too Large"))
+}
+
 /// Reads one request, writes one response, closes. Returns `Err` only
 /// on socket-level failures — the caller ignores it either way.
 fn handle_client(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so well-behaved clients see the full exchange.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header == "\r\n" || header == "\n" {
-            break;
+    let request_line = match read_request(&mut reader)? {
+        Ok(line) => line,
+        Err(status) => {
+            respond(reader.get_mut(), status, "text/plain; charset=utf-8", "")?;
+            // Half-close, then discard a bounded amount of what the
+            // client is still sending: closing with unread input would
+            // reset the connection before the client reads the status.
+            reader.get_ref().shutdown(Shutdown::Write)?;
+            std::io::copy(&mut reader.take(MAX_DRAIN_BYTES), &mut std::io::sink())?;
+            return Ok(());
         }
-    }
+    };
     let target = request_line.split_whitespace().nth(1).unwrap_or("");
     let path = target.split('?').next().unwrap_or("");
     let (status, content_type, body) = match path {
@@ -216,7 +257,15 @@ fn handle_client(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()
             "not found\n".to_owned(),
         ),
     };
-    let mut stream = reader.into_inner();
+    respond(reader.get_mut(), status, content_type, &body)
+}
+
+fn respond(
+    stream: &mut TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -228,7 +277,6 @@ fn handle_client(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     /// One full HTTP exchange against the server; returns the raw
     /// response text.
@@ -288,6 +336,44 @@ mod tests {
         assert!(server.quit_requested());
         // Does not block: the flag is already set.
         server.wait_for_quit();
+        server.shutdown();
+    }
+
+    /// Sends `request` raw and returns the whole response.
+    fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request).expect("write request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        response
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_and_the_server_keeps_serving() {
+        let server = MetricsServer::start(0, Obs::disabled(), String::new()).expect("starts");
+        let long_target = "a".repeat(2 * MAX_LINE_BYTES as usize);
+        let long_line = format!("GET /{long_target} HTTP/1.0\r\n\r\n");
+        let response = exchange(server.addr(), long_line.as_bytes());
+        assert!(response.starts_with("HTTP/1.0 400 "), "{response}");
+
+        let long_header = format!("GET /healthz HTTP/1.0\r\nX-Big: {long_target}\r\n\r\n");
+        let response = exchange(server.addr(), long_header.as_bytes());
+        assert!(response.starts_with("HTTP/1.0 431 "), "{response}");
+
+        let many = "X-A: b\r\n".repeat(MAX_HEADERS + 1);
+        let response = exchange(
+            server.addr(),
+            format!("GET /healthz HTTP/1.0\r\n{many}\r\n").as_bytes(),
+        );
+        assert!(response.starts_with("HTTP/1.0 431 "), "{response}");
+
+        // The limits are inclusive: a full header budget still parses.
+        let most = "X-A: b\r\n".repeat(MAX_HEADERS);
+        let response = exchange(
+            server.addr(),
+            format!("GET /healthz HTTP/1.0\r\n{most}\r\n").as_bytes(),
+        );
+        assert_eq!(body(&response), "ok\n");
         server.shutdown();
     }
 

@@ -64,7 +64,7 @@ pub use policy::{
 pub use recorder::{Recorder, TraceRow};
 pub use report::{NodeReport, SimReport};
 pub use snapshot::{
-    config_hash, fnv1a, PolicyState, SimSnapshot, SimState, SnapshotError, SNAPSHOT_MAGIC,
+    config_hash, crc64, fnv1a, PolicyState, SimSnapshot, SimState, SnapshotError, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
 pub use view::{NodeView, SystemView, VmView};

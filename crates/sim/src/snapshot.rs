@@ -18,14 +18,22 @@
 //! config   u64 LE   FNV-1a hash of the canonical config rendering
 //! len      u64 LE   body length in bytes
 //! body     len      field-ordered little-endian state encoding
-//! check    u64 LE   FNV-1a hash of the body
+//! check    u64 LE   CRC-64/XZ of the body
 //! ```
 //!
 //! Integers are little-endian; `f64`s travel as raw IEEE-754 bits (so
 //! round-tripping is bit-exact, NaN payloads included); enums are
 //! single-byte tags. Loading rejects wrong magic, unknown versions,
 //! chemistry or config mismatches, truncation and corruption with typed
-//! [`SnapshotError`]s — it never panics on malformed input.
+//! [`SnapshotError`]s — it never panics on malformed input, and no
+//! length prefix can make it reserve more memory than the remaining
+//! input could fill.
+//!
+//! One field-ordered walk of the state feeds every consumer through a
+//! byte [`Sink`]: a counting pass sizes the output, a second pass writes
+//! header, body and trailer into one exact-size buffer, and
+//! [`SimSnapshot::state_hash`] streams FNV-1a over the same bytes
+//! without materializing them.
 //!
 //! [`Simulation`]: crate::Simulation
 
@@ -54,7 +62,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BAATSNAP";
 
 /// Current snapshot format version. Bumped on any encoding change;
 /// loaders reject other versions rather than misread them.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 2 kept version 1's header and body byte for byte and replaced
+/// the trailer's FNV-1a with CRC-64/XZ.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Header bytes before the body: magic, version, chemistry, config hash
+/// and body length.
+const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 8;
+/// Trailer bytes after the body: the CRC-64/XZ checksum.
+const TRAILER_LEN: usize = 8;
 
 /// Why a snapshot could not be encoded, decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,12 +276,68 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the workspace's dependency-free hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.put(bytes);
+    h.0
+}
+
+/// CRC-64/XZ reflected polynomial (ECMA-182, bit-reversed).
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// Slicing-by-16 lookup tables: `CRC64_TABLES[0]` is the classic
+/// byte-at-a-time table, and `CRC64_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so 16 input bytes fold in with 16
+/// independent lookups.
+static CRC64_TABLES: [[u64; 256]; 16] = crc64_tables();
+
+const fn crc64_tables() -> [[u64; 256]; 16] {
+    let mut t = [[0u64; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC64_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
     }
-    h
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-64/XZ over a byte slice (reflected polynomial
+/// `0xC96C5795D7870F42`, init and xorout all ones) — the check `xz
+/// --check=crc64` computes, and the snapshot trailer.
+pub fn crc64(bytes: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
+    let mut crc = !0u64;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        // The reflected CRC lines up with the block's first 8 bytes.
+        let x = u128::from_le_bytes(block.try_into().expect("16 bytes")) ^ u128::from(crc);
+        crc = (0..16).fold(0, |acc, k| {
+            acc ^ t[15 - k][((x >> (8 * k)) & 0xff) as usize]
+        });
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ u64::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// Canonical hash of a [`SimConfig`], used to pin a snapshot to the
@@ -284,20 +357,58 @@ pub fn config_hash(config: &SimConfig) -> u64 {
 // ---------------------------------------------------------------------
 // Byte-level encoder/decoder.
 
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+/// Destination of encoded bytes. The format is walked once per
+/// consumer: [`ByteCount`] sizes it, `Vec<u8>` writes it and [`Fnv1a`]
+/// hashes it, so all three see exactly the same bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Enc {
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts encoded bytes without storing them.
+#[derive(Default)]
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// Streaming FNV-1a state.
+struct Fnv1a(u64);
+
+impl Sink for Fnv1a {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+#[derive(Default)]
+struct Enc<S> {
+    out: S,
+}
+
+impl<S: Sink> Enc<S> {
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.out.put(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -324,7 +435,7 @@ impl Enc {
     }
     fn str(&mut self, s: &str) {
         self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.out.put(s.as_bytes());
     }
 }
 
@@ -369,12 +480,14 @@ impl<'a> Dec<'a> {
         usize::try_from(self.u64(context)?).map_err(|_| SnapshotError::Corrupt { context })
     }
 
-    /// A length prefix for a sequence of elements each at least one byte
-    /// wide — bounded by the remaining input, so a corrupt length fails
-    /// fast instead of attempting a huge allocation.
-    fn len(&mut self, context: &'static str) -> DecResult<usize> {
+    /// A length prefix for a sequence of elements each encoded in at
+    /// least `width` bytes — bounded by how many such elements the
+    /// remaining input can hold, so a corrupt length fails fast and a
+    /// `Vec::with_capacity(n)` never reserves more elements than the
+    /// input could fill.
+    fn len(&mut self, width: usize, context: &'static str) -> DecResult<usize> {
         let n = self.usize(context)?;
-        if n > self.buf.len() - self.pos {
+        if n > (self.buf.len() - self.pos) / width {
             return Err(SnapshotError::Corrupt { context });
         }
         Ok(n)
@@ -408,6 +521,49 @@ impl<'a> Dec<'a> {
             self.u64(context)?,
         ])
     }
+}
+
+/// Smallest encoded width, in bytes, of one element of each
+/// length-prefixed sequence — the divisor [`Dec::len`] bounds a length
+/// prefix by. Each is an exact minimum, pinned against the encoder by
+/// `min_widths_match_the_encoder`.
+mod width {
+    /// A `u64` or `f64`.
+    pub const WORD: usize = 8;
+    /// A `u32`.
+    pub const U32: usize = 4;
+    /// A one-byte value: `bool`, enum tag, option tag or string byte.
+    pub const TAG: usize = 1;
+    /// An RNG stream position.
+    pub const RNG: usize = 4 * WORD;
+    /// An arrival: `u32` time of day plus a kind tag.
+    pub const ARRIVAL: usize = U32 + TAG;
+    /// A VM: id, kind, state, progress, work, migrations.
+    pub const VM: usize = WORD + 2 * TAG + 2 * WORD + U32;
+    /// An action; `SetDvfs` is the shortest (tag, node, level).
+    pub const ACTION: usize = TAG + WORD + TAG;
+    /// An action outcome: action plus result tag.
+    pub const OUTCOME: usize = ACTION + TAG;
+    /// A timed event; the shortest is a fault event whose fault carries
+    /// no payload (timestamp, event tag, fault tag).
+    pub const EVENT: usize = WORD + 2 * TAG;
+    /// A sensor sample: timestamp and four `f64`s.
+    pub const SAMPLE: usize = 5 * WORD;
+    /// A server power row: timestamp and power.
+    pub const SERVER_ROW: usize = 2 * WORD;
+    /// One node's power table: two length prefixes.
+    pub const POWER_TABLE_NODE: usize = 2 * WORD;
+    /// A recorder row with empty series: at, solar, three lengths, work.
+    pub const TRACE_ROW: usize = 6 * WORD;
+    /// A host with no VMs: dvfs, online, boot, work, jobs, VM count.
+    pub const HOST: usize = 2 * TAG + 4 * WORD;
+    /// An in-flight migration: VM, target, completion time.
+    pub const IN_FLIGHT: usize = VM + 2 * WORD;
+    /// A usage accumulator: 21 words.
+    pub const ACCUMULATOR: usize = 21 * WORD;
+    /// A battery with no aging mechanisms and no samples: four scalars,
+    /// breakdown length, capacity, sample count, two accumulators.
+    pub const BATTERY: usize = 7 * WORD + 2 * ACCUMULATOR;
 }
 
 // ---------------------------------------------------------------------
@@ -552,7 +708,7 @@ fn reject_from(tag: u8) -> DecResult<RejectReason> {
 // ---------------------------------------------------------------------
 // Composite encoders/decoders, one pair per carried type.
 
-fn enc_action(e: &mut Enc, a: &Action) {
+fn enc_action<S: Sink>(e: &mut Enc<S>, a: &Action) {
     match a {
         Action::SetDvfs { node, level } => {
             e.u8(0);
@@ -594,7 +750,7 @@ fn dec_action(d: &mut Dec<'_>) -> DecResult<Action> {
     })
 }
 
-fn enc_outcome(e: &mut Enc, o: &ActionOutcome) {
+fn enc_outcome<S: Sink>(e: &mut Enc<S>, o: &ActionOutcome) {
     enc_action(e, &o.action);
     match o.result {
         ActionResult::Applied => e.u8(0),
@@ -619,7 +775,7 @@ fn dec_outcome(d: &mut Dec<'_>) -> DecResult<ActionOutcome> {
     Ok(ActionOutcome { action, result })
 }
 
-fn enc_fault(e: &mut Enc, f: &FaultKind) {
+fn enc_fault<S: Sink>(e: &mut Enc<S>, f: &FaultKind) {
     match f {
         FaultKind::SensorDropout { bank } => {
             e.u8(0);
@@ -715,7 +871,7 @@ fn dec_fault(d: &mut Dec<'_>) -> DecResult<FaultKind> {
     })
 }
 
-fn enc_event(e: &mut Enc, ev: &Event) {
+fn enc_event<S: Sink>(e: &mut Enc<S>, ev: &Event) {
     match ev {
         Event::ServerShutdown { node } => {
             e.u8(0);
@@ -817,7 +973,7 @@ fn dec_event(d: &mut Dec<'_>) -> DecResult<Event> {
     })
 }
 
-fn enc_vm(e: &mut Enc, v: &VmSnapshot) {
+fn enc_vm<S: Sink>(e: &mut Enc<S>, v: &VmSnapshot) {
     e.u64(v.id.0);
     e.u8(kind_tag(v.kind));
     e.u8(vm_state_tag(v.state));
@@ -837,7 +993,7 @@ fn dec_vm(d: &mut Dec<'_>) -> DecResult<VmSnapshot> {
     })
 }
 
-fn enc_sample(e: &mut Enc, s: &SensorSample) {
+fn enc_sample<S: Sink>(e: &mut Enc<S>, s: &SensorSample) {
     e.u64(s.at.as_secs());
     e.f64(s.voltage.as_f64());
     e.f64(s.current.as_f64());
@@ -855,7 +1011,7 @@ fn dec_sample(d: &mut Dec<'_>) -> DecResult<SensorSample> {
     })
 }
 
-fn enc_accumulator(e: &mut Enc, u: &UsageAccumulator) {
+fn enc_accumulator<S: Sink>(e: &mut Enc<S>, u: &UsageAccumulator) {
     e.f64(u.ah_discharged.as_f64());
     e.f64(u.ah_charged.as_f64());
     for r in &u.ah_discharged_by_range {
@@ -897,7 +1053,7 @@ fn dec_accumulator(d: &mut Dec<'_>) -> DecResult<UsageAccumulator> {
     Ok(u)
 }
 
-fn enc_breakdown(e: &mut Enc, b: &AgingBreakdown) {
+fn enc_breakdown<S: Sink>(e: &mut Enc<S>, b: &AgingBreakdown) {
     e.usize(b.len());
     for (_, value) in b.iter() {
         e.f64(value);
@@ -908,7 +1064,7 @@ fn enc_breakdown(e: &mut Enc, b: &AgingBreakdown) {
 /// format stores values only, in chemistry breakdown order, and decoding
 /// re-attaches the labels from the header's chemistry tag.
 fn dec_breakdown(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<AgingBreakdown> {
-    let n = d.len("breakdown len")?;
+    let n = d.len(width::WORD, "breakdown len")?;
     if n == 0 {
         return Ok(AgingBreakdown::default());
     }
@@ -925,7 +1081,7 @@ fn dec_breakdown(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<AgingBreakd
     Ok(AgingBreakdown::from_pairs(&pairs))
 }
 
-fn enc_battery(e: &mut Enc, b: &BatteryUnitState) {
+fn enc_battery<S: Sink>(e: &mut Enc<S>, b: &BatteryUnitState) {
     e.f64(b.soc.value());
     e.f64(b.hours_since_full);
     e.u64(b.cutoff_events);
@@ -947,7 +1103,7 @@ fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitSt
     let temperature = Celsius::new(d.f64("battery temperature")?);
     let aging = dec_breakdown(d, chemistry)?;
     let max_samples = d.usize("telemetry capacity")?;
-    let n = d.len("telemetry samples len")?;
+    let n = d.len(width::SAMPLE, "telemetry samples len")?;
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         samples.push(dec_sample(d)?);
@@ -969,7 +1125,7 @@ fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitSt
     })
 }
 
-fn enc_host(e: &mut Enc, h: &HostState) {
+fn enc_host<S: Sink>(e: &mut Enc<S>, h: &HostState) {
     e.u8(dvfs_tag(h.dvfs));
     e.bool(h.online);
     e.u64(h.boot_remaining.as_secs());
@@ -987,7 +1143,7 @@ fn dec_host(d: &mut Dec<'_>) -> DecResult<HostState> {
     let boot_remaining = SimDuration::from_secs(d.u64("host boot")?);
     let work_done = d.f64("host work")?;
     let completed_jobs = d.u64("host jobs")?;
-    let n = d.len("host vm count")?;
+    let n = d.len(width::VM, "host vm count")?;
     let mut vms = Vec::with_capacity(n);
     for _ in 0..n {
         vms.push(dec_vm(d)?);
@@ -1002,7 +1158,7 @@ fn dec_host(d: &mut Dec<'_>) -> DecResult<HostState> {
     })
 }
 
-fn enc_cluster(e: &mut Enc, c: &ClusterState) {
+fn enc_cluster<S: Sink>(e: &mut Enc<S>, c: &ClusterState) {
     e.usize(c.hosts.len());
     for h in &c.hosts {
         enc_host(e, h);
@@ -1017,12 +1173,12 @@ fn enc_cluster(e: &mut Enc, c: &ClusterState) {
 }
 
 fn dec_cluster(d: &mut Dec<'_>) -> DecResult<ClusterState> {
-    let n = d.len("cluster host count")?;
+    let n = d.len(width::HOST, "cluster host count")?;
     let mut hosts = Vec::with_capacity(n);
     for _ in 0..n {
         hosts.push(dec_host(d)?);
     }
-    let m = d.len("cluster in-flight count")?;
+    let m = d.len(width::IN_FLIGHT, "cluster in-flight count")?;
     let mut in_flight = Vec::with_capacity(m);
     for _ in 0..m {
         in_flight.push(InFlightState {
@@ -1038,7 +1194,7 @@ fn dec_cluster(d: &mut Dec<'_>) -> DecResult<ClusterState> {
     })
 }
 
-fn enc_trace_row(e: &mut Enc, r: &TraceRow) {
+fn enc_trace_row<S: Sink>(e: &mut Enc<S>, r: &TraceRow) {
     e.u64(r.at.as_secs());
     e.f64(r.solar.as_f64());
     e.usize(r.soc.len());
@@ -1059,17 +1215,17 @@ fn enc_trace_row(e: &mut Enc, r: &TraceRow) {
 fn dec_trace_row(d: &mut Dec<'_>) -> DecResult<TraceRow> {
     let at = SimInstant::from_secs(d.u64("row at")?);
     let solar = Watts::new(d.f64("row solar")?);
-    let n = d.len("row soc len")?;
+    let n = d.len(width::WORD, "row soc len")?;
     let mut soc = Vec::with_capacity(n);
     for _ in 0..n {
         soc.push(d.f64("row soc")?);
     }
-    let n = d.len("row power len")?;
+    let n = d.len(width::WORD, "row power len")?;
     let mut server_power = Vec::with_capacity(n);
     for _ in 0..n {
         server_power.push(Watts::new(d.f64("row power")?));
     }
-    let n = d.len("row current len")?;
+    let n = d.len(width::WORD, "row current len")?;
     let mut battery_current = Vec::with_capacity(n);
     for _ in 0..n {
         battery_current.push(d.f64("row current")?);
@@ -1084,7 +1240,7 @@ fn dec_trace_row(d: &mut Dec<'_>) -> DecResult<TraceRow> {
     })
 }
 
-fn enc_injector(e: &mut Enc, i: &InjectorState) {
+fn enc_injector<S: Sink>(e: &mut Enc<S>, i: &InjectorState) {
     e.usize(i.active.len());
     for &a in &i.active {
         e.bool(a);
@@ -1113,12 +1269,12 @@ fn enc_injector(e: &mut Enc, i: &InjectorState) {
 }
 
 fn dec_injector(d: &mut Dec<'_>) -> DecResult<InjectorState> {
-    let n = d.len("injector active len")?;
+    let n = d.len(width::TAG, "injector active len")?;
     let mut active = Vec::with_capacity(n);
     for _ in 0..n {
         active.push(d.bool("injector active")?);
     }
-    let n = d.len("injector held len")?;
+    let n = d.len(width::TAG, "injector held len")?;
     let mut held = Vec::with_capacity(n);
     for _ in 0..n {
         held.push(match d.u8("injector held tag")? {
@@ -1131,7 +1287,7 @@ fn dec_injector(d: &mut Dec<'_>) -> DecResult<InjectorState> {
             }
         });
     }
-    let n = d.len("injector held temp len")?;
+    let n = d.len(width::TAG, "injector held temp len")?;
     let mut held_temp = Vec::with_capacity(n);
     for _ in 0..n {
         held_temp.push(match d.u8("injector temp tag")? {
@@ -1152,8 +1308,7 @@ fn dec_injector(d: &mut Dec<'_>) -> DecResult<InjectorState> {
     })
 }
 
-fn encode_state(s: &SimState) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_state<S: Sink>(e: &mut Enc<S>, s: &SimState) {
     e.u64(s.step_index);
     e.u64(s.now.as_secs());
     e.u8(weather_tag(s.weather_today));
@@ -1185,7 +1340,7 @@ fn encode_state(s: &SimState) -> Vec<u8> {
     }
     e.usize(s.pending.len());
     for v in &s.pending {
-        enc_vm(&mut e, v);
+        enc_vm(e, v);
     }
     e.rng(&s.clouds_rng);
     e.f64(s.clouds_ar);
@@ -1200,7 +1355,7 @@ fn encode_state(s: &SimState) -> Vec<u8> {
     e.f64(s.last_solar.as_f64());
     e.usize(s.last_outcomes.len());
     for o in &s.last_outcomes {
-        enc_outcome(&mut e, o);
+        enc_outcome(e, o);
     }
     e.usize(s.mode_switches.len());
     for &m in &s.mode_switches {
@@ -1219,7 +1374,7 @@ fn encode_state(s: &SimState) -> Vec<u8> {
     }
     e.usize(s.fallback_rejected.len());
     for a in &s.fallback_rejected {
-        enc_action(&mut e, a);
+        enc_action(e, a);
     }
     e.u64(s.rr_cursor);
     e.rng(&s.generator_rng);
@@ -1228,24 +1383,24 @@ fn encode_state(s: &SimState) -> Vec<u8> {
     for r in &s.sensor_rngs {
         e.rng(r);
     }
-    enc_injector(&mut e, &s.injector);
+    enc_injector(e, &s.injector);
     e.usize(s.events.len());
     for ev in &s.events {
         e.u64(ev.at.as_secs());
-        enc_event(&mut e, &ev.event);
+        enc_event(e, &ev.event);
     }
     e.u64(s.recorder_keep_every);
     e.u64(s.recorder_pushes);
     e.usize(s.recorder_rows.len());
     for r in &s.recorder_rows {
-        enc_trace_row(&mut e, r);
+        enc_trace_row(e, r);
     }
-    enc_cluster(&mut e, &s.cluster);
+    enc_cluster(e, &s.cluster);
     e.usize(s.power_table.len());
     for (battery, server) in &s.power_table {
         e.usize(battery.len());
         for row in battery {
-            enc_sample(&mut e, row);
+            enc_sample(e, row);
         }
         e.usize(server.len());
         for row in server {
@@ -1255,7 +1410,7 @@ fn encode_state(s: &SimState) -> Vec<u8> {
     }
     e.usize(s.batteries.len());
     for b in &s.batteries {
-        enc_battery(&mut e, b);
+        enc_battery(e, b);
     }
     match &s.policy {
         None => e.u8(0),
@@ -1268,7 +1423,6 @@ fn encode_state(s: &SimState) -> Vec<u8> {
             }
         }
     }
-    e.buf
 }
 
 fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, SnapshotError> {
@@ -1278,22 +1432,22 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     let weather_today = weather_from(d.u8("weather")?)?;
     let started_day = d.opt_u64("started day")?;
     let in_window = d.bool("in window")?;
-    let n = d.len("soc floors len")?;
+    let n = d.len(width::WORD, "soc floors len")?;
     let mut soc_floors = Vec::with_capacity(n);
     for _ in 0..n {
         soc_floors.push(d.f64("soc floor")?);
     }
-    let n = d.len("unserved streak len")?;
+    let n = d.len(width::U32, "unserved streak len")?;
     let mut unserved_streak = Vec::with_capacity(n);
     for _ in 0..n {
         unserved_streak.push(d.u32("unserved streak")?);
     }
-    let n = d.len("offline len")?;
+    let n = d.len(width::TAG, "offline len")?;
     let mut offline_since = Vec::with_capacity(n);
     for _ in 0..n {
         offline_since.push(d.opt_u64("offline since")?.map(SimInstant::from_secs));
     }
-    let n = d.len("downtime len")?;
+    let n = d.len(width::WORD, "downtime len")?;
     let mut downtime = Vec::with_capacity(n);
     for _ in 0..n {
         downtime.push(SimDuration::from_secs(d.u64("downtime")?));
@@ -1301,43 +1455,49 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     let unserved_energy = WattHours::new(d.f64("unserved energy")?);
     let curtailed_energy = WattHours::new(d.f64("curtailed energy")?);
     let grid_charge_energy = WattHours::new(d.f64("grid energy")?);
-    let n = d.len("arrivals len")?;
+    let n = d.len(width::ARRIVAL, "arrivals len")?;
     let mut arrivals_today = Vec::with_capacity(n);
     for _ in 0..n {
+        let at = d.u32("arrival at")?;
+        if at >= 86_400 {
+            return Err(SnapshotError::Corrupt {
+                context: "arrival at",
+            });
+        }
         arrivals_today.push(Arrival {
-            at: TimeOfDay::from_secs(d.u32("arrival at")?),
+            at: TimeOfDay::from_secs(at),
             kind: kind_from(d.u8("arrival kind")?)?,
         });
     }
-    let n = d.len("pending len")?;
+    let n = d.len(width::VM, "pending len")?;
     let mut pending = Vec::with_capacity(n);
     for _ in 0..n {
         pending.push(dec_vm(d)?);
     }
     let clouds_rng = d.rng("clouds rng")?;
     let clouds_ar = d.f64("clouds ar")?;
-    let n = d.len("currents len")?;
+    let n = d.len(width::WORD, "currents len")?;
     let mut last_currents = Vec::with_capacity(n);
     for _ in 0..n {
         last_currents.push(d.f64("current")?);
     }
-    let n = d.len("voltages len")?;
+    let n = d.len(width::WORD, "voltages len")?;
     let mut last_voltages = Vec::with_capacity(n);
     for _ in 0..n {
         last_voltages.push(d.f64("voltage")?);
     }
     let last_solar = Watts::new(d.f64("last solar")?);
-    let n = d.len("outcomes len")?;
+    let n = d.len(width::OUTCOME, "outcomes len")?;
     let mut last_outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         last_outcomes.push(dec_outcome(d)?);
     }
-    let n = d.len("mode switches len")?;
+    let n = d.len(width::WORD, "mode switches len")?;
     let mut mode_switches = Vec::with_capacity(n);
     for _ in 0..n {
         mode_switches.push(d.u64("mode switch")?);
     }
-    let n = d.len("stage last len")?;
+    let n = d.len(width::TAG, "stage last len")?;
     let mut stage_last = Vec::with_capacity(n);
     for _ in 0..n {
         stage_last.push(match d.u8("stage tag")? {
@@ -1345,12 +1505,12 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
             tag => Some(stage_from(tag)?),
         });
     }
-    let n = d.len("degraded len")?;
+    let n = d.len(width::TAG, "degraded len")?;
     let mut degraded = Vec::with_capacity(n);
     for _ in 0..n {
         degraded.push(d.bool("degraded")?);
     }
-    let n = d.len("fallback len")?;
+    let n = d.len(width::ACTION, "fallback len")?;
     let mut fallback_rejected = Vec::with_capacity(n);
     for _ in 0..n {
         fallback_rejected.push(dec_action(d)?);
@@ -1358,13 +1518,13 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     let rr_cursor = d.u64("rr cursor")?;
     let generator_rng = d.rng("generator rng")?;
     let generator_next_id = d.u64("generator next id")?;
-    let n = d.len("sensor rng len")?;
+    let n = d.len(width::RNG, "sensor rng len")?;
     let mut sensor_rngs = Vec::with_capacity(n);
     for _ in 0..n {
         sensor_rngs.push(d.rng("sensor rng")?);
     }
     let injector = dec_injector(d)?;
-    let n = d.len("events len")?;
+    let n = d.len(width::EVENT, "events len")?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         let at = SimInstant::from_secs(d.u64("event at")?);
@@ -1375,21 +1535,21 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     }
     let recorder_keep_every = d.u64("recorder stride")?;
     let recorder_pushes = d.u64("recorder pushes")?;
-    let n = d.len("recorder rows len")?;
+    let n = d.len(width::TRACE_ROW, "recorder rows len")?;
     let mut recorder_rows = Vec::with_capacity(n);
     for _ in 0..n {
         recorder_rows.push(dec_trace_row(d)?);
     }
     let cluster = dec_cluster(d)?;
-    let n = d.len("power table len")?;
+    let n = d.len(width::POWER_TABLE_NODE, "power table len")?;
     let mut power_table = Vec::with_capacity(n);
     for _ in 0..n {
-        let m = d.len("power table battery len")?;
+        let m = d.len(width::SAMPLE, "power table battery len")?;
         let mut battery = Vec::with_capacity(m);
         for _ in 0..m {
             battery.push(dec_sample(d)?);
         }
-        let m = d.len("power table server len")?;
+        let m = d.len(width::SERVER_ROW, "power table server len")?;
         let mut server = Vec::with_capacity(m);
         for _ in 0..m {
             server.push(ServerPowerRecord {
@@ -1399,7 +1559,7 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
         }
         power_table.push((battery, server));
     }
-    let n = d.len("batteries len")?;
+    let n = d.len(width::BATTERY, "batteries len")?;
     let mut batteries = Vec::with_capacity(n);
     for _ in 0..n {
         batteries.push(dec_battery(d, chemistry)?);
@@ -1407,13 +1567,13 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     let policy = match d.u8("policy tag")? {
         0 => None,
         1 => {
-            let len = d.len("policy name len")?;
+            let len = d.len(width::TAG, "policy name len")?;
             let name = String::from_utf8(d.take(len, "policy name")?.to_vec()).map_err(|_| {
                 SnapshotError::Corrupt {
                     context: "policy name",
                 }
             })?;
-            let n = d.len("policy data len")?;
+            let n = d.len(width::WORD, "policy data len")?;
             let mut data = Vec::with_capacity(n);
             for _ in 0..n {
                 data.push(d.u64("policy word")?);
@@ -1474,22 +1634,32 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
 
 impl SimSnapshot {
     /// Serializes the snapshot to the versioned byte format.
+    ///
+    /// A counting pass sizes the body first, so header, body and trailer
+    /// are written once into a single exact-size buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body = encode_state(&self.state);
-        let mut out = Vec::with_capacity(body.len() + 37);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.push(chemistry_tag(self.chemistry));
-        out.extend_from_slice(&self.config_hash.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        let check = fnv1a(&body);
-        out.extend_from_slice(&body);
+        let mut count = Enc::<ByteCount>::default();
+        encode_state(&mut count, &self.state);
+        let body_len = count.out.0;
+        let mut e = Enc {
+            out: Vec::with_capacity(HEADER_LEN + body_len + TRAILER_LEN),
+        };
+        e.out.put(&SNAPSHOT_MAGIC);
+        e.u32(self.version);
+        e.u8(chemistry_tag(self.chemistry));
+        e.u64(self.config_hash);
+        e.usize(body_len);
+        encode_state(&mut e, &self.state);
+        let mut out = e.out;
+        assert_eq!(out.len(), HEADER_LEN + body_len, "sizing pass disagrees");
+        let check = crc64(&out[HEADER_LEN..]);
         out.extend_from_slice(&check.to_le_bytes());
         out
     }
 
     /// Parses a snapshot from bytes, validating magic, version, body
-    /// length and checksum.
+    /// length and checksum. The checksum is verified before the body is
+    /// decoded.
     ///
     /// # Errors
     ///
@@ -1513,7 +1683,7 @@ impl SimSnapshot {
         let body_len = d.usize("body length")?;
         let body = d.take(body_len, "body")?;
         let check = d.u64("checksum")?;
-        if fnv1a(body) != check {
+        if crc64(body) != check {
             return Err(SnapshotError::Corrupt {
                 context: "checksum",
             });
@@ -1531,8 +1701,15 @@ impl SimSnapshot {
     /// simulations at the same step of the same run have equal state
     /// hashes, whether paused there or restored from a checkpoint and
     /// re-stepped.
+    ///
+    /// FNV-1a over the body bytes [`to_bytes`](Self::to_bytes) writes,
+    /// streamed from the encoder without materializing them.
     pub fn state_hash(&self) -> u64 {
-        fnv1a(&encode_state(&self.state))
+        let mut e = Enc {
+            out: Fnv1a(FNV_OFFSET),
+        };
+        encode_state(&mut e, &self.state);
+        e.out.0
     }
 
     /// Writes the snapshot to a file.
@@ -1581,6 +1758,177 @@ impl SimSnapshot {
 mod tests {
     use super::*;
 
+    fn encoded(f: impl FnOnce(&mut Enc<Vec<u8>>)) -> Vec<u8> {
+        let mut e = Enc::default();
+        f(&mut e);
+        e.out
+    }
+
+    fn encoded_len(f: impl FnOnce(&mut Enc<ByteCount>)) -> usize {
+        let mut e = Enc::default();
+        f(&mut e);
+        e.out.0
+    }
+
+    #[test]
+    fn crc64_matches_the_xz_check_value() {
+        // The CRC-64/XZ catalogue check value: `printf 123456789 | xz
+        // --check=crc64 | xz -lvv -` prints it in the CheckVal column.
+        assert_eq!(crc64(b"123456789"), 0x995d_c9bb_df19_39fa);
+        assert_eq!(crc64(b""), 0);
+    }
+
+    #[test]
+    fn crc64_slicing_matches_bytewise() {
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = !0u64;
+            for &b in bytes {
+                crc ^= u64::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 == 1 {
+                        (crc >> 1) ^ CRC64_POLY
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 131 + 7) as u8).collect();
+        // Every length covers each remainder around the 16-byte blocks.
+        for n in 0..data.len() {
+            assert_eq!(crc64(&data[..n]), bytewise(&data[..n]), "length {n}");
+        }
+    }
+
+    fn sample() -> SensorSample {
+        SensorSample {
+            at: SimInstant::from_secs(1),
+            voltage: Volts::new(12.0),
+            current: Amperes::new(1.0),
+            temperature: Celsius::new(25.0),
+            soc: Soc::saturating(0.5),
+        }
+    }
+
+    fn vm() -> VmSnapshot {
+        VmSnapshot {
+            id: VmId(3),
+            kind: WorkloadKind::ALL[0],
+            state: VmState::Running,
+            progress: 0.5,
+            work_done: 1.0,
+            migrations: 0,
+        }
+    }
+
+    /// Every `width` constant is the encoder's exact minimum for its
+    /// element: larger would reject valid files, smaller would let a
+    /// corrupt length reserve more than the input can fill.
+    #[test]
+    fn min_widths_match_the_encoder() {
+        assert_eq!(encoded_len(|e| enc_sample(e, &sample())), width::SAMPLE);
+        assert_eq!(encoded_len(|e| enc_vm(e, &vm())), width::VM);
+        assert_eq!(
+            encoded_len(|e| enc_accumulator(e, &UsageAccumulator::default())),
+            width::ACCUMULATOR
+        );
+        let actions = [
+            Action::SetDvfs {
+                node: 0,
+                level: DvfsLevel::ALL[0],
+            },
+            Action::Migrate {
+                vm: VmId(1),
+                target: 2,
+            },
+            Action::SetSocFloor {
+                node: 0,
+                floor: Soc::saturating(0.4),
+            },
+        ];
+        let shortest = actions
+            .iter()
+            .map(|a| encoded_len(|e| enc_action(e, a)))
+            .min();
+        assert_eq!(shortest, Some(width::ACTION));
+        let outcome = ActionOutcome {
+            action: actions[0],
+            result: ActionResult::Applied,
+        };
+        assert_eq!(encoded_len(|e| enc_outcome(e, &outcome)), width::OUTCOME);
+        let events = [
+            Event::ServerShutdown { node: 1 },
+            Event::DvfsChanged {
+                node: 1,
+                level: DvfsLevel::ALL[0],
+            },
+            Event::Action { outcome },
+            Event::FaultInjected {
+                fault: FaultKind::PvOutage,
+            },
+            Event::FaultCleared {
+                fault: FaultKind::MigrationsBlocked,
+            },
+            Event::DegradedMode {
+                node: 0,
+                active: true,
+            },
+        ];
+        let shortest = events
+            .iter()
+            .map(|ev| width::WORD + encoded_len(|e| enc_event(e, ev)))
+            .min();
+        assert_eq!(shortest, Some(width::EVENT));
+        let row = TraceRow {
+            at: SimInstant::from_secs(0),
+            solar: Watts::new(0.0),
+            soc: Vec::new(),
+            server_power: Vec::new(),
+            battery_current: Vec::new(),
+            work_cumulative: 0.0,
+        };
+        assert_eq!(encoded_len(|e| enc_trace_row(e, &row)), width::TRACE_ROW);
+        let host = HostState {
+            dvfs: DvfsLevel::ALL[0],
+            online: true,
+            boot_remaining: SimDuration::from_secs(0),
+            work_done: 0.0,
+            completed_jobs: 0,
+            vms: Vec::new(),
+        };
+        assert_eq!(encoded_len(|e| enc_host(e, &host)), width::HOST);
+        let cluster = |in_flight| ClusterState {
+            hosts: Vec::new(),
+            in_flight,
+            migrations_started: 0,
+        };
+        let one = vec![InFlightState {
+            vm: vm(),
+            to: ServerId(1),
+            completes_at: SimInstant::from_secs(60),
+        }];
+        assert_eq!(
+            encoded_len(|e| enc_cluster(e, &cluster(one)))
+                - encoded_len(|e| enc_cluster(e, &cluster(Vec::new()))),
+            width::IN_FLIGHT
+        );
+        let battery = BatteryUnitState {
+            soc: Soc::saturating(1.0),
+            hours_since_full: 0.0,
+            cutoff_events: 0,
+            temperature: Celsius::new(25.0),
+            aging: AgingBreakdown::default(),
+            telemetry: TelemetryState {
+                max_samples: 0,
+                samples: Vec::new(),
+                lifetime: UsageAccumulator::default(),
+                window: UsageAccumulator::default(),
+            },
+        };
+        assert_eq!(encoded_len(|e| enc_battery(e, &battery)), width::BATTERY);
+    }
+
     #[test]
     fn fnv_matches_reference_vectors() {
         // Standard FNV-1a test vectors.
@@ -1617,10 +1965,24 @@ mod tests {
 
     #[test]
     fn decoder_rejects_absurd_length_prefixes() {
-        let mut e = Enc::default();
-        e.u64(u64::MAX);
-        let mut d = Dec::new(&e.buf);
-        assert!(matches!(d.len("test"), Err(SnapshotError::Corrupt { .. })));
+        let bytes = encoded(|e| e.u64(u64::MAX));
+        let mut d = Dec::new(&bytes);
+        assert!(matches!(
+            d.len(1, "test"),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+        // 80 bytes follow the prefix: room for ten words, not eleven,
+        // even though eleven is far below the byte count.
+        for (n, fits) in [(10, true), (11, false), (80, false)] {
+            let bytes = encoded(|e| {
+                e.usize(n);
+                for _ in 0..10 {
+                    e.u64(0);
+                }
+            });
+            let got = Dec::new(&bytes).len(width::WORD, "test");
+            assert_eq!(got.is_ok(), fits, "{n} words");
+        }
     }
 
     #[test]
@@ -1666,9 +2028,8 @@ mod tests {
             FaultKind::MigrationsBlocked,
         ];
         for kind in kinds {
-            let mut e = Enc::default();
-            enc_fault(&mut e, &kind);
-            let mut d = Dec::new(&e.buf);
+            let bytes = encoded(|e| enc_fault(e, &kind));
+            let mut d = Dec::new(&bytes);
             assert_eq!(dec_fault(&mut d).unwrap(), kind);
         }
     }
@@ -1676,9 +2037,8 @@ mod tests {
     #[test]
     fn f64_round_trip_is_bit_exact() {
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
-            let mut e = Enc::default();
-            e.f64(v);
-            let mut d = Dec::new(&e.buf);
+            let bytes = encoded(|e| e.f64(v));
+            let mut d = Dec::new(&bytes);
             assert_eq!(d.f64("v").unwrap().to_bits(), v.to_bits());
         }
     }

@@ -11,21 +11,25 @@
 //! 2. **Golden**: a committed binary checkpoint file restores in this
 //!    (necessarily different) process and finishes identically to a
 //!    from-scratch run; the current encoder also still produces those
-//!    exact bytes, pinning format version 1. Regenerate with
+//!    exact bytes, pinning format version 2. Regenerate with
 //!    `BAAT_UPDATE_GOLDEN=1` only on an intentional format change
-//!    (which must bump `SNAPSHOT_VERSION`).
+//!    (which must bump `SNAPSHOT_VERSION`). The version-1 file stays as
+//!    a read-only fixture: it is refused by version, and its header and
+//!    body match the version-2 file byte for byte.
 //! 3. **CI**: `ci/check.sh replay` kills a checkpointing console run
 //!    mid-flight and resumes it in a fresh process (see `ci/`).
 //!
 //! Version/config/chemistry skew must surface as typed
-//! [`SnapshotError`]s — never a panic, never a silently-wrong resume.
+//! [`SnapshotError`]s — never a panic, never a silently-wrong resume —
+//! and so must hostile bodies that carry a valid checksum.
 
 use std::path::PathBuf;
 
 use baat_battery::Chemistry;
+use baat_rng::StdRng;
 use baat_sim::{
-    config_hash, ChemistrySpec, FaultMix, FaultPlan, Policy, RoundRobinPolicy, SimConfig, SimError,
-    SimSnapshot, Simulation, SnapshotError, SNAPSHOT_VERSION,
+    config_hash, crc64, fnv1a, ChemistrySpec, FaultMix, FaultPlan, Policy, RoundRobinPolicy,
+    SimConfig, SimError, SimSnapshot, Simulation, SnapshotError, SNAPSHOT_VERSION,
 };
 use baat_solar::Weather;
 use baat_testkit::prelude::*;
@@ -322,8 +326,45 @@ fn interrupted_checkpoint_run_resumes_to_identical_artifacts() {
     assert_eq!(straight, report);
 }
 
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint_v1.snap")
+    golden_dir().join("checkpoint_v2.snap")
+}
+
+/// Header bytes before the body (magic, version, chemistry, config
+/// hash, body length) and trailer bytes after it (checksum).
+const HEADER: usize = 29;
+const TRAILER: usize = 8;
+
+fn trailer(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[bytes.len() - TRAILER..].try_into().expect("8 bytes"))
+}
+
+fn body(bytes: &[u8]) -> &[u8] {
+    &bytes[HEADER..bytes.len() - TRAILER]
+}
+
+fn read_golden() -> Vec<u8> {
+    let path = golden_path();
+    std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden checkpoint {} ({e}); regenerate with BAAT_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    })
+}
+
+/// Re-frames `body` under the golden's header with a matching length
+/// field and a recomputed checksum, so the decoder sees the body itself.
+fn reframe(header: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut out = header[..HEADER - 8].to_vec();
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc64(body).to_le_bytes());
+    out
 }
 
 /// The golden checkpoint's scenario: fixed chemistry, weather, seed,
@@ -343,7 +384,7 @@ fn golden_bytes_now() -> Vec<u8> {
 }
 
 /// The committed checkpoint file — written by an earlier process — still
-/// parses, carries format version 1 and the scenario's config hash, and
+/// parses, carries format version 2 and the scenario's config hash, and
 /// byte-matches what the current encoder produces.
 #[test]
 fn golden_checkpoint_file_is_byte_stable() {
@@ -352,12 +393,7 @@ fn golden_checkpoint_file_is_byte_stable() {
     if std::env::var_os("BAAT_UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write golden checkpoint");
     }
-    let committed = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden checkpoint {} ({e}); regenerate with BAAT_UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
+    let committed = read_golden();
     assert_eq!(
         committed, actual,
         "snapshot encoding drifted from the committed checkpoint; an \
@@ -388,6 +424,123 @@ fn golden_checkpoint_resumes_identically_across_processes() {
     let report = resumed.run_remaining(&mut policy).expect("resumed run");
     let straight = straight_run(golden_config());
     assert_eq!(straight, report);
+}
+
+/// The version-1 golden (FNV-1a trailer) is refused by version, and
+/// version 2 changed nothing but the version field and the trailer: its
+/// header and body equal version 1's byte for byte.
+#[test]
+fn v1_checkpoint_is_refused_and_matches_v2_but_for_version_and_trailer() {
+    let v1 = std::fs::read(golden_dir().join("checkpoint_v1.snap")).expect("v1 fixture");
+    let v2 = read_golden();
+    assert_eq!(
+        SimSnapshot::from_bytes(&v1),
+        Err(SnapshotError::UnsupportedVersion {
+            found: 1,
+            expected: 2
+        })
+    );
+    assert_eq!(v1.len(), v2.len());
+    assert_eq!(v1[..8], v2[..8], "magic");
+    assert_eq!(v1[8..12], 1u32.to_le_bytes());
+    assert_eq!(v2[8..12], 2u32.to_le_bytes());
+    assert_eq!(
+        v1[12..HEADER],
+        v2[12..HEADER],
+        "chemistry, config hash, length"
+    );
+    assert!(body(&v1) == body(&v2), "body");
+    assert_eq!(trailer(&v1), fnv1a(body(&v1)));
+    assert_eq!(trailer(&v2), crc64(body(&v2)));
+    // The state hash is still FNV-1a over the unchanged body.
+    let snapshot = SimSnapshot::from_bytes(&v2).expect("v2 golden parses");
+    assert_eq!(snapshot.state_hash(), fnv1a(body(&v2)));
+}
+
+/// Every single-bit flip of the body fails the checksum before the body
+/// is decoded: each bit of the first and last 64 body bytes, plus 256
+/// seeded positions in between.
+#[test]
+fn single_bit_flips_fail_the_checksum() {
+    let golden = read_golden();
+    let len = body(&golden).len();
+    let mut rng = StdRng::seed_from_u64(0xc4c6_4b17);
+    let mut bits: Vec<usize> = (0..64 * 8)
+        .chain((len - 64) * 8..len * 8)
+        .chain((0..256).map(|_| rng.random_range(0..len * 8)))
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    for bit in bits {
+        let mut bytes = golden.clone();
+        bytes[HEADER + bit / 8] ^= 1 << (bit % 8);
+        assert_eq!(
+            SimSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::Corrupt {
+                context: "checksum"
+            }),
+            "body bit {bit}"
+        );
+    }
+}
+
+/// Seeded hostile bodies — byte flips, overwritten words, truncations
+/// and splices of the golden's body, re-framed with a valid length and
+/// checksum so the decoder really sees them — decode to `Ok` or a typed
+/// error, never a panic or an oversized allocation.
+#[test]
+fn mutated_bodies_with_valid_checksums_never_panic() {
+    let golden = read_golden();
+    let original = body(&golden);
+    let len = original.len();
+    let mut rng = StdRng::seed_from_u64(0x5eed_b0d1);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..1500 {
+        let mut b = original.to_vec();
+        match case % 4 {
+            0 => {
+                for _ in 0..rng.random_range(1..=4usize) {
+                    let at = rng.random_range(0..len);
+                    b[at] ^= rng.random_range(1..=255u8);
+                }
+            }
+            1 => {
+                // A random word, often landing on a length prefix.
+                let at = rng.random_range(0..len - 8);
+                let word = match rng.random_range(0..3u8) {
+                    0 => rng.next_u64(),
+                    1 => rng.next_u64() >> rng.random_range(32..64u32),
+                    _ => u64::from(rng.random_range(0..64u8)),
+                };
+                b[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+            2 => b.truncate(rng.random_range(0..len)),
+            _ => {
+                let from = rng.random_range(0..len);
+                let to = rng.random_range(from..=len.min(from + 512));
+                let at = rng.random_range(0..len);
+                let chunk = b[from..to].to_vec();
+                if rng.random::<bool>() {
+                    b.splice(at..at, chunk);
+                } else {
+                    let end = (at + chunk.len()).min(len);
+                    b.splice(at..end, chunk);
+                }
+            }
+        }
+        match SimSnapshot::from_bytes(&reframe(&golden, &b)) {
+            Err(SnapshotError::Corrupt {
+                context: "checksum",
+            }) => panic!("case {case}: re-framed body failed its checksum"),
+            Ok(_) => accepted += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    // Flipped float payloads still decode; truncations never do.
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} ok, {rejected} err"
+    );
 }
 
 /// A policy with a different name than the snapshot's recorded state
