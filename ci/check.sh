@@ -234,28 +234,39 @@ run_replay() {
     cmp "$REPLAY_DIR/full/trace.jsonl" "$REPLAY_DIR/cut/trace.jsonl"
     cmp "$REPLAY_DIR/full/result.jsonl" "$REPLAY_DIR/cut/result.jsonl"
 
-    # The snapshot trailer must be the CRC-64/XZ of the body, as an
+    # Every snapshot trailer must be the CRC-64/XZ of its body, as an
     # independent implementation computes it: cut the body out by the
     # header's length field (bytes 21..29), let xz checksum it as a
     # single block, and compare `xz -lvv`'s CheckVal with the trailer
-    # read as a little-endian u64.
+    # read as a little-endian u64. Every snapshot left in the cut run's
+    # directory is checked: their bodies differ in length, so the
+    # oracle sees the four-stream CRC at several lane and tail sizes.
     if ! command -v xz >/dev/null; then
         echo "error: xz not found; the replay gate needs it to cross-check snapshot checksums" >&2
         exit 1
     fi
-    BODY_LEN="$(od -An --endian=little -t u8 -j 21 -N 8 "$LAST" | tr -d ' ')"
-    if [ "$((29 + BODY_LEN + 8))" != "$(stat -c %s "$LAST")" ]; then
-        echo "error: $LAST: header body length $BODY_LEN does not match the file size" >&2
+    CHECKED=0
+    for SNAP in "$REPLAY_DIR/cut"/step-*.snap; do
+        BODY_LEN="$(od -An --endian=little -t u8 -j 21 -N 8 "$SNAP" | tr -d ' ')"
+        if [ "$((29 + BODY_LEN + 8))" != "$(stat -c %s "$SNAP")" ]; then
+            echo "error: $SNAP: header body length $BODY_LEN does not match the file size" >&2
+            exit 1
+        fi
+        TRAILER="$(od -An --endian=little -t x8 -j "$((29 + BODY_LEN))" -N 8 "$SNAP" | tr -d ' ')"
+        tail -c "+30" "$SNAP" | head -c "$BODY_LEN" |
+            xz --check=crc64 -T1 -0 >"$REPLAY_DIR/body.xz"
+        CHECKVALS="$(xz --robot -lvv "$REPLAY_DIR/body.xz" | awk -F'\t' '$1 == "block" { print $11 }')"
+        if [ "$CHECKVALS" != "$TRAILER" ]; then
+            echo "error: snapshot trailer $TRAILER != xz CRC-64 '$CHECKVALS' of $SNAP's body" >&2
+            exit 1
+        fi
+        CHECKED=$((CHECKED + 1))
+    done
+    if [ "$CHECKED" -lt 3 ]; then
+        echo "error: only $CHECKED snapshots cross-checked against xz" >&2
         exit 1
     fi
-    TRAILER="$(od -An --endian=little -t x8 -j "$((29 + BODY_LEN))" -N 8 "$LAST" | tr -d ' ')"
-    tail -c "+30" "$LAST" | head -c "$BODY_LEN" |
-        xz --check=crc64 -T1 -0 >"$REPLAY_DIR/body.xz"
-    CHECKVALS="$(xz --robot -lvv "$REPLAY_DIR/body.xz" | awk -F'\t' '$1 == "block" { print $11 }')"
-    if [ "$CHECKVALS" != "$TRAILER" ]; then
-        echo "error: snapshot trailer $TRAILER != xz CRC-64 '$CHECKVALS' of $LAST's body" >&2
-        exit 1
-    fi
+    echo "    $CHECKED snapshot trailers match xz's CRC-64"
 
     # Replaying to one step from two different checkpoints — the full
     # run's snapshot at the target (zero re-steps) vs the cut run's

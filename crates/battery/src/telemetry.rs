@@ -146,13 +146,7 @@ impl TelemetryLog {
 
     /// Appends a raw sensor sample, evicting the oldest beyond capacity.
     pub fn push_sample(&mut self, sample: SensorSample) {
-        if self.max_samples == 0 {
-            return;
-        }
-        if self.samples.len() == self.max_samples {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
+        crate::ring::push(&mut self.samples, sample, self.max_samples);
     }
 
     /// Folds one step of activity into both accumulators.
@@ -209,18 +203,20 @@ impl TelemetryLog {
     pub fn capture(&self) -> crate::state::TelemetryState {
         crate::state::TelemetryState {
             max_samples: self.max_samples,
-            samples: self.samples.iter().copied().collect(),
+            samples: crate::ring::rows(&self.samples),
             lifetime: self.lifetime,
             window: self.window,
         }
     }
 
-    /// Rebuilds a log from captured contents. The restored log compares
-    /// equal to the one [`TelemetryLog::capture`] saw, including ring
-    /// capacity and eviction position.
+    /// Rebuilds a log from captured contents. The restored log holds the
+    /// rows [`TelemetryLog::capture`] saw, in the same eviction order;
+    /// samples beyond `max_samples` keep only the newest, as
+    /// [`TelemetryLog::push_sample`] would. Ring capacity follows
+    /// [`crate::ring::restore`], not [`TelemetryLog::new`]'s preallocation.
     pub fn restore(state: &crate::state::TelemetryState) -> Self {
         Self {
-            samples: state.samples.iter().copied().collect(),
+            samples: crate::ring::restore(&state.samples, state.max_samples),
             max_samples: state.max_samples,
             lifetime: state.lifetime,
             window: state.window,
@@ -334,6 +330,28 @@ mod tests {
         assert!(taken.ah_discharged.as_f64() > 0.0);
         assert_eq!(log.window().ah_discharged, AmpHours::ZERO);
         assert!(log.lifetime().ah_discharged.as_f64() > 0.0);
+    }
+
+    #[test]
+    fn restore_keeps_the_newest_samples_within_capacity() {
+        let sample = |i| SensorSample {
+            at: SimInstant::from_secs(i),
+            voltage: Volts::new(12.0),
+            current: Amperes::ZERO,
+            temperature: Celsius::new(25.0),
+            soc: soc(0.5),
+        };
+        let mut state = TelemetryLog::new(4).capture();
+        state.samples = (0..6).map(sample).collect();
+        let mut log = TelemetryLog::restore(&state);
+        assert_eq!(log.samples().count(), 4);
+        assert_eq!(log.samples().next().unwrap().at, SimInstant::from_secs(2));
+        log.push_sample(sample(6));
+        assert_eq!(log.samples().count(), 4);
+        state.max_samples = 0;
+        let mut log = TelemetryLog::restore(&state);
+        log.push_sample(sample(7));
+        assert!(log.latest().is_none());
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Allocation-count pin for disabled observability (satellite of the
-//! tracing/health PR): `cargo test -p baat-bench --features count-allocs
-//! --test alloc_counts`.
+//! Allocation-count pins: `cargo test -p baat-bench --features
+//! count-allocs --test alloc_counts`.
 //!
-//! Two invariants, measured with a counting global allocator:
+//! Measured with a counting global allocator:
 //!
 //! 1. disabled obs handles — metrics, tracer, health monitor, flight
 //!    recorder — perform **zero** heap allocations per operation;
 //! 2. a full faulted day simulated with `Obs::disabled()` stays within
 //!    the committed per-step allocation budget, i.e. the trace/health
 //!    wiring added to the engine attributes no allocations to the
-//!    disabled path.
+//!    disabled path;
+//! 3. the checkpoint codec allocates per node, not per logged row:
+//!    `to_bytes` allocates once, and decode plus restore cost the same
+//!    at 2 h as at 8 h of one run.
 #![cfg(feature = "count-allocs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use baat_core::Scheme;
 use baat_obs::{FlightRecorder, HealthConfig, HealthMonitor, NodeHealthSample, Obs, SpanId};
-use baat_sim::{FaultMix, FaultPlan, SimConfig, Simulation};
+use baat_sim::{FaultMix, FaultPlan, SimConfig, SimSnapshot, Simulation};
 use baat_solar::Weather;
 use baat_units::SimDuration;
 
@@ -81,9 +83,15 @@ fn faulted_day_config_threads(threads: usize) -> SimConfig {
     cfg.build().expect("valid")
 }
 
-/// Tests run single-threaded in this file (one test fn) so the global
-/// counter observes only our own work.
+/// One test fn runs every budget in turn: the counter is global, and
+/// the harness allocates on its own thread as each test starts and
+/// ends, which would leak into a concurrent test's exact counts.
 #[test]
+fn allocation_budgets() {
+    disabled_observability_allocates_nothing();
+    checkpoint_allocations_scale_with_nodes_not_rows();
+}
+
 fn disabled_observability_allocates_nothing() {
     // --- invariant 1: disabled handles are allocation-free per op. ---
     let obs = Obs::disabled();
@@ -163,5 +171,50 @@ fn disabled_observability_allocates_nothing() {
         per_step < SHARDED_STEP_ALLOC_BUDGET,
         "sharded faulted day with disabled obs allocated {per_step:.3}/step \
          (budget {SHARDED_STEP_ALLOC_BUDGET})"
+    );
+}
+
+/// The checkpoint codec's allocations scale with the fleet, not with the
+/// rows its rings have logged: `to_bytes` allocates its one output
+/// buffer, and decoding plus restoring a snapshot taken at 8 h costs
+/// exactly as many allocations as one taken at 2 h of the same run.
+fn checkpoint_allocations_scale_with_nodes_not_rows() {
+    let mut cfg = SimConfig::builder();
+    // One trace row (step 0) in both snapshots: the recorder's rows are
+    // not rings, so only the power-table and telemetry rings grow.
+    cfg.weather_plan(vec![Weather::Cloudy])
+        .sample_every(1 << 20)
+        .seed(5);
+    let config = cfg.build().expect("valid");
+    let mut sim = Simulation::new(config.clone()).expect("valid");
+    let mut policy = Scheme::Baat.build();
+    let steps_per_hour = 3600 / config.dt.as_secs();
+    let mut round_trip = |hours: u64| {
+        let target = hours * steps_per_hour;
+        sim.run_steps(&mut policy, target - sim.step_index())
+            .expect("runs");
+        let snapshot = sim.snapshot_with_policy(&policy);
+        let (encode, bytes) = allocs_during(|| snapshot.to_bytes());
+        assert_eq!(encode, 1, "to_bytes at {hours} h allocated {encode} times");
+        let (resume, restored) = allocs_during(|| {
+            let decoded = SimSnapshot::from_bytes(&bytes).expect("decodes");
+            Simulation::restore(config.clone(), &decoded).expect("restores")
+        });
+        assert_eq!(restored.state_hash(), sim.state_hash());
+        (resume, snapshot.state.power_table[0].0.len())
+    };
+    let (early, early_rows) = round_trip(2);
+    let (late, late_rows) = round_trip(8);
+    println!(
+        "from_bytes + restore allocations: {early} at 2 h ({early_rows} rows/node), \
+         {late} at 8 h ({late_rows} rows/node)"
+    );
+    assert!(
+        late_rows >= 4 * early_rows,
+        "{early_rows} -> {late_rows} rows"
+    );
+    assert_eq!(
+        early, late,
+        "decode + restore allocations grew with logged rows"
     );
 }

@@ -102,19 +102,20 @@ impl FaultInjector {
 
     /// Re-applies a captured dynamic state onto this injector. The
     /// injector must have been built over the same plan and bank count
-    /// as the captured one; mismatched lengths are ignored field-wise
-    /// (the caller's config-hash check is the real guard).
-    pub fn restore_state(&mut self, state: &InjectorState) {
-        if state.active.len() == self.active.len() {
+    /// as the captured one: a state whose lengths do not fit is refused
+    /// with `false`, leaving the injector untouched.
+    #[must_use]
+    pub fn restore_state(&mut self, state: &InjectorState) -> bool {
+        let fits = state.active.len() == self.active.len()
+            && state.held.len() == self.held.len()
+            && state.held_temp.len() == self.held_temp.len();
+        if fits {
             self.active.clone_from(&state.active);
-        }
-        if state.held.len() == self.held.len() {
             self.held.clone_from(&state.held);
-        }
-        if state.held_temp.len() == self.held_temp.len() {
             self.held_temp.clone_from(&state.held_temp);
+            self.rng = StdRng::from_state(state.rng_state);
         }
-        self.rng = StdRng::from_state(state.rng_state);
+        fits
     }
 
     /// Number of faults currently in force.

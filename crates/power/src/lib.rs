@@ -43,4 +43,4 @@ pub use charger::{ChargeStage, Charger, StageTracker};
 pub use error::PowerError;
 pub use sensors::{BatterySensor, NoiseSpec};
 pub use switcher::{PowerSwitcher, Routing};
-pub use table::{NodeLog, PowerTable, ServerPowerRecord};
+pub use table::{NodeLog, NodeRows, PowerTable, ServerPowerRecord};

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use baat_battery::SensorSample;
+use baat_battery::{ring, SensorSample};
 use baat_units::{SimInstant, Watts};
 
 /// One IPDU server-power reading.
@@ -32,30 +32,6 @@ pub struct NodeLog {
 const MAX_ROWS: usize = 8_192;
 
 impl NodeLog {
-    fn push_battery(&mut self, row: SensorSample) {
-        if self.battery.len() == MAX_ROWS {
-            self.battery.pop_front();
-        }
-        self.battery.push_back(row);
-    }
-
-    fn push_server(&mut self, row: ServerPowerRecord) {
-        if self.server.len() == MAX_ROWS {
-            self.server.pop_front();
-        }
-        self.server.push_back(row);
-    }
-
-    /// Battery sensor rows, oldest first.
-    pub fn battery_rows(&self) -> impl Iterator<Item = &SensorSample> {
-        self.battery.iter()
-    }
-
-    /// Server power rows, oldest first.
-    pub fn server_rows(&self) -> impl Iterator<Item = &ServerPowerRecord> {
-        self.server.iter()
-    }
-
     /// The most recent battery row.
     pub fn latest_battery(&self) -> Option<&SensorSample> {
         self.battery.back()
@@ -65,16 +41,11 @@ impl NodeLog {
     pub fn latest_server(&self) -> Option<&ServerPowerRecord> {
         self.server.back()
     }
-
-    /// Mean server power over the retained window.
-    pub fn mean_server_power(&self) -> Watts {
-        if self.server.is_empty() {
-            return Watts::ZERO;
-        }
-        let sum: f64 = self.server.iter().map(|r| r.power.as_f64()).sum();
-        Watts::new(sum / self.server.len() as f64)
-    }
 }
+
+/// One node's rows for a checkpoint: `(battery rows, server rows)`,
+/// oldest first.
+pub type NodeRows = (Vec<SensorSample>, Vec<ServerPowerRecord>);
 
 /// The monitoring architecture: one [`NodeLog`] per server/battery node.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,7 +77,7 @@ impl PowerTable {
     ///
     /// Panics if `node` is out of range.
     pub fn record_battery(&mut self, node: usize, row: SensorSample) {
-        self.nodes[node].push_battery(row);
+        ring::push(&mut self.nodes[node].battery, row, MAX_ROWS);
     }
 
     /// Records an IPDU server power row for a node.
@@ -115,7 +86,7 @@ impl PowerTable {
     ///
     /// Panics if `node` is out of range.
     pub fn record_server(&mut self, node: usize, row: ServerPowerRecord) {
-        self.nodes[node].push_server(row);
+        ring::push(&mut self.nodes[node].server, row, MAX_ROWS);
     }
 
     /// The log of one node, or `None` if out of range.
@@ -126,6 +97,29 @@ impl PowerTable {
     /// Iterates over all node logs.
     pub fn iter(&self) -> impl Iterator<Item = &NodeLog> {
         self.nodes.iter()
+    }
+
+    /// Captures every node's rows for a checkpoint, copied by slice.
+    pub fn capture(&self) -> Vec<NodeRows> {
+        self.nodes
+            .iter()
+            .map(|log| (ring::rows(&log.battery), ring::rows(&log.server)))
+            .collect()
+    }
+
+    /// Rebuilds a table from captured rows, one entry per node. Each
+    /// ring is rebuilt in bulk and keeps the newest rows within the
+    /// retention limit, exactly as recording the rows one by one would.
+    pub fn restore(nodes: &[NodeRows]) -> Self {
+        Self {
+            nodes: nodes
+                .iter()
+                .map(|(battery, server)| NodeLog {
+                    battery: ring::restore(battery, MAX_ROWS),
+                    server: ring::restore(server, MAX_ROWS),
+                })
+                .collect(),
+        }
     }
 }
 
@@ -155,8 +149,9 @@ mod tests {
                 power: Watts::new(90.0),
             },
         );
-        assert_eq!(t.node(1).unwrap().battery_rows().count(), 1);
-        assert_eq!(t.node(0).unwrap().battery_rows().count(), 0);
+        let rows = t.capture();
+        assert_eq!(rows[1].0.len(), 1);
+        assert_eq!(rows[0].0.len(), 0);
         assert_eq!(
             t.node(1).unwrap().latest_server().unwrap().power,
             Watts::new(90.0)
@@ -165,32 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_server_power_over_window() {
-        let mut t = PowerTable::new(1);
-        for (at, p) in [(0, 80.0), (10, 120.0)] {
-            t.record_server(
-                0,
-                ServerPowerRecord {
-                    at: SimInstant::from_secs(at),
-                    power: Watts::new(p),
-                },
-            );
-        }
-        assert_eq!(t.node(0).unwrap().mean_server_power(), Watts::new(100.0));
-    }
-
-    #[test]
     fn retention_evicts_oldest() {
         let mut t = PowerTable::new(1);
         for i in 0..(MAX_ROWS as u64 + 5) {
             t.record_battery(0, sample(i));
         }
-        let log = t.node(0).unwrap();
-        assert_eq!(log.battery_rows().count(), MAX_ROWS);
-        assert_eq!(
-            log.battery_rows().next().unwrap().at,
-            SimInstant::from_secs(5)
-        );
+        let rows = &t.capture()[0].0;
+        assert_eq!(rows.len(), MAX_ROWS);
+        assert_eq!(rows[0].at, SimInstant::from_secs(5));
     }
 
     #[test]
@@ -198,6 +175,33 @@ mod tests {
         let t = PowerTable::new(1);
         let log = t.node(0).unwrap();
         assert!(log.latest_battery().is_none());
-        assert_eq!(log.mean_server_power(), Watts::ZERO);
+        assert!(log.latest_server().is_none());
+    }
+
+    #[test]
+    fn restore_matches_recording_row_by_row() {
+        let mut recorded = PowerTable::new(2);
+        for i in 0..(MAX_ROWS as u64 + 5) {
+            recorded.record_battery(0, sample(i));
+            recorded.record_server(
+                1,
+                ServerPowerRecord {
+                    at: SimInstant::from_secs(i),
+                    power: Watts::new(i as f64),
+                },
+            );
+        }
+        let captured = recorded.capture();
+        assert_eq!(captured[0].0.len(), MAX_ROWS);
+        assert_eq!(captured[1].1.len(), MAX_ROWS);
+        assert_eq!(PowerTable::restore(&captured), recorded);
+        // Over-long rows keep the newest, as recording them would.
+        let mut long = captured.clone();
+        long[0].0.splice(0..0, (0..3).map(sample));
+        let mut restored = PowerTable::restore(&long);
+        assert_eq!(restored, recorded);
+        restored.record_battery(0, sample(1 << 20));
+        recorded.record_battery(0, sample(1 << 20));
+        assert_eq!(restored, recorded);
     }
 }

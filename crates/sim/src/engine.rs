@@ -1087,18 +1087,8 @@ impl Simulation {
     /// [`restore`]: Simulation::restore
     /// [`snapshot_with_policy`]: Simulation::snapshot_with_policy
     pub fn snapshot(&self) -> SimSnapshot {
-        let nodes = self.config.nodes;
         let (clouds_rng, clouds_ar) = self.clouds.state();
         let (generator_rng, generator_next_id) = self.generator.state();
-        let power_table = (0..nodes)
-            .map(|n| {
-                let log = self.power_table.node(n).expect("node in range");
-                (
-                    log.battery_rows().copied().collect(),
-                    log.server_rows().copied().collect(),
-                )
-            })
-            .collect();
         let state = SimState {
             step_index: self.step_index,
             now: self.now,
@@ -1134,7 +1124,7 @@ impl Simulation {
             recorder_pushes: self.recorder.pushes(),
             recorder_rows: self.recorder.rows().to_vec(),
             cluster: self.cluster.capture_state(),
-            power_table,
+            power_table: self.power_table.capture(),
             batteries: self.batteries.iter().map(|b| b.capture_state()).collect(),
             policy: None,
         };
@@ -1255,26 +1245,20 @@ impl Simulation {
         }
         self.clouds = CloudProcess::restore(s.weather_today, s.clouds_rng, s.clouds_ar);
         self.generator = WorkloadGenerator::restore(s.generator_rng, s.generator_next_id);
-        self.injector.restore_state(&s.injector);
-        self.events = EventLog::new();
-        for ev in &s.events {
-            self.events.push(ev.at, ev.event);
+        if !self.injector.restore_state(&s.injector) {
+            return Err(SnapshotError::StateMismatch {
+                context: "fault injector lengths",
+            }
+            .into());
         }
+        self.events = EventLog::restore(&s.events);
         self.recorder = Recorder::from_parts(
             s.recorder_rows.clone(),
             self.config.max_trace_rows,
             s.recorder_keep_every,
             s.recorder_pushes,
         );
-        self.power_table = PowerTable::new(nodes);
-        for (node, (battery, server)) in s.power_table.iter().enumerate() {
-            for row in battery {
-                self.power_table.record_battery(node, *row);
-            }
-            for row in server {
-                self.power_table.record_server(node, *row);
-            }
-        }
+        self.power_table = PowerTable::restore(&s.power_table);
         for (tracker, last) in self.stage_trackers.iter_mut().zip(&s.stage_last) {
             tracker.set_last(*last);
         }

@@ -200,6 +200,14 @@ impl EventLog {
         Self::default()
     }
 
+    /// Rebuilds a log from captured events, oldest first, in one
+    /// allocation.
+    pub fn restore(events: &[TimedEvent]) -> Self {
+        Self {
+            events: events.to_vec(),
+        }
+    }
+
     /// Appends an event.
     pub fn push(&mut self, at: SimInstant, event: Event) {
         self.events.push(TimedEvent { at, event });

@@ -33,7 +33,9 @@
 //! byte [`Sink`]: a counting pass sizes the output, a second pass writes
 //! header, body and trailer into one exact-size buffer, and
 //! [`SimSnapshot::state_hash`] streams FNV-1a over the same bytes
-//! without materializing them.
+//! without materializing them. Runs of fixed-width rows (sensor samples,
+//! server power rows) go out one `put` per row and come back from one
+//! bounds check per run.
 //!
 //! [`Simulation`]: crate::Simulation
 
@@ -43,7 +45,7 @@ use baat_battery::{
     AgingBreakdown, BatteryUnitState, Chemistry, SensorSample, TelemetryState, UsageAccumulator,
 };
 use baat_faults::{FaultKind, InjectorState};
-use baat_power::{ChargeStage, ServerPowerRecord};
+use baat_power::{ChargeStage, NodeRows, ServerPowerRecord};
 use baat_server::{ClusterState, DvfsLevel, HostState, InFlightState, ServerId};
 use baat_solar::Weather;
 use baat_units::{
@@ -244,7 +246,7 @@ pub struct SimState {
     /// Cluster runtime state (hosts, VMs, in-flight migrations).
     pub cluster: ClusterState,
     /// Per-node power-table rows: `(battery rows, server rows)`.
-    pub power_table: Vec<(Vec<SensorSample>, Vec<ServerPowerRecord>)>,
+    pub power_table: Vec<NodeRows>,
     /// Per-bank battery unit state (SoC, thermal, aging, telemetry).
     pub batteries: Vec<BatteryUnitState>,
     /// Policy decision state, when captured with a policy in hand.
@@ -323,21 +325,94 @@ const fn crc64_tables() -> [[u64; 256]; 16] {
 /// CRC-64/XZ over a byte slice (reflected polynomial
 /// `0xC96C5795D7870F42`, init and xorout all ones) — the check `xz
 /// --check=crc64` computes, and the snapshot trailer.
+///
+/// The input is split into four equal lanes of whole 16-byte blocks
+/// plus a tail of under 64 bytes. The lanes run as four independent
+/// slicing-by-16 chains in one loop, so their table lookups overlap
+/// instead of waiting on each other, and are joined by the linearity of
+/// the raw (no init, no xorout) register: `raw(r, A‖B) = raw(0, B) ⊕
+/// r·x^(8|B|) mod P`. Below 64 bytes the lanes are empty and the tail
+/// is the whole input.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    let lane = bytes.len() / 64 * 16;
+    let (a, rest) = bytes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, rest) = rest.split_at(lane);
+    let (d, tail) = rest.split_at(lane);
+    let mut crc = [!0u64, 0, 0, 0];
+    let blocks = a.chunks_exact(16).zip(b.chunks_exact(16));
+    let blocks = blocks.zip(c.chunks_exact(16).zip(d.chunks_exact(16)));
+    for ((b0, b1), (b2, b3)) in blocks {
+        crc[0] = crc64_block(crc[0], b0);
+        crc[1] = crc64_block(crc[1], b1);
+        crc[2] = crc64_block(crc[2], b2);
+        crc[3] = crc64_block(crc[3], b3);
+    }
+    let shift = crc64_x_pow_8n(lane);
+    let joined = crc[1..]
+        .iter()
+        .fold(crc[0], |r, &next| gf2_mul_mod(r, shift) ^ next);
+    !crc64_raw(joined, tail)
+}
+
+/// Folds one 16-byte block into the raw register with slicing-by-16.
+#[inline(always)]
+fn crc64_block(crc: u64, block: &[u8]) -> u64 {
     let t = &CRC64_TABLES;
-    let mut crc = !0u64;
+    // The reflected CRC lines up with the block's first 8 bytes.
+    let x = u128::from_le_bytes(block.try_into().expect("16 bytes")) ^ u128::from(crc);
+    (0..16).fold(0, |acc, k| {
+        acc ^ t[15 - k][((x >> (8 * k)) & 0xff) as usize]
+    })
+}
+
+/// The raw register after feeding `bytes` to register `crc`, one
+/// stream.
+fn crc64_raw(mut crc: u64, bytes: &[u8]) -> u64 {
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
-        // The reflected CRC lines up with the block's first 8 bytes.
-        let x = u128::from_le_bytes(block.try_into().expect("16 bytes")) ^ u128::from(crc);
-        crc = (0..16).fold(0, |acc, k| {
-            acc ^ t[15 - k][((x >> (8 * k)) & 0xff) as usize]
-        });
+        crc = crc64_block(crc, block);
     }
     for &b in blocks.remainder() {
-        crc = t[0][((crc ^ u64::from(b)) & 0xff) as usize] ^ (crc >> 8);
+        crc = CRC64_TABLES[0][((crc ^ u64::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// `a·b mod P` over GF(2) in the reflected representation, where bit
+/// `63 − k` holds the coefficient of `x^k`.
+fn gf2_mul_mod(a: u64, mut b: u64) -> u64 {
+    let mut product = 0;
+    let mut bit = 1u64 << 63;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        // b ← b·x mod P.
+        b = if b & 1 == 1 {
+            (b >> 1) ^ CRC64_POLY
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `x^(8n) mod P` by square-and-multiply: feeding `n` zero bytes to a
+/// raw register multiplies it by this.
+fn crc64_x_pow_8n(n: usize) -> u64 {
+    let mut exp = 8 * n as u64;
+    let mut power = 1u64 << 63; // x^0
+    let mut square = 1u64 << 62; // x^1, then x^2, x^4, …
+    while exp != 0 {
+        if exp & 1 == 1 {
+            power = gf2_mul_mod(power, square);
+        }
+        square = gf2_mul_mod(square, square);
+        exp >>= 1;
+    }
+    power
 }
 
 /// Canonical hash of a [`SimConfig`], used to pin a snapshot to the
@@ -437,6 +512,24 @@ impl<S: Sink> Enc<S> {
         self.usize(s.len());
         self.out.put(s.as_bytes());
     }
+    /// One fixed-width row of little-endian words, in a single `put`.
+    fn words<const N: usize>(&mut self, words: [u64; N]) {
+        self.out.put(words.map(u64::to_le_bytes).as_flattened());
+    }
+    /// A length-prefixed run of fixed-width rows, one `put` per row.
+    fn rows<T, const N: usize>(&mut self, rows: &[T], words: impl Fn(&T) -> [u64; N]) {
+        self.usize(rows.len());
+        for row in rows {
+            self.words(words(row));
+        }
+    }
+}
+
+/// The `N` little-endian words of one fixed-width row.
+fn words<const N: usize>(row: &[u8]) -> [u64; N] {
+    std::array::from_fn(|i| {
+        u64::from_le_bytes(row[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+    })
 }
 
 struct Dec<'a> {
@@ -521,6 +614,19 @@ impl<'a> Dec<'a> {
             self.u64(context)?,
         ])
     }
+
+    /// A length-prefixed run of fixed-width rows of `N` words: the
+    /// whole run is taken with one bounds check, then parsed row by row.
+    fn rows<T, const N: usize>(
+        &mut self,
+        context: &'static str,
+        row: impl Fn([u64; N]) -> T,
+    ) -> DecResult<Vec<T>> {
+        let width = N * width::WORD;
+        let n = self.len(width, context)?;
+        let run = self.take(n * width, context)?;
+        Ok(run.chunks_exact(width).map(|r| row(words(r))).collect())
+    }
 }
 
 /// Smallest encoded width, in bytes, of one element of each
@@ -549,8 +655,6 @@ mod width {
     pub const EVENT: usize = WORD + 2 * TAG;
     /// A sensor sample: timestamp and four `f64`s.
     pub const SAMPLE: usize = 5 * WORD;
-    /// A server power row: timestamp and power.
-    pub const SERVER_ROW: usize = 2 * WORD;
     /// One node's power table: two length prefixes.
     pub const POWER_TABLE_NODE: usize = 2 * WORD;
     /// A recorder row with empty series: at, solar, three lengths, work.
@@ -993,22 +1097,45 @@ fn dec_vm(d: &mut Dec<'_>) -> DecResult<VmSnapshot> {
     })
 }
 
+/// A sensor sample's row: timestamp, voltage, current, temperature, SoC.
+fn sample_words(s: &SensorSample) -> [u64; 5] {
+    [
+        s.at.as_secs(),
+        s.voltage.as_f64().to_bits(),
+        s.current.as_f64().to_bits(),
+        s.temperature.as_f64().to_bits(),
+        s.soc.value().to_bits(),
+    ]
+}
+
+fn sample_from([at, voltage, current, temperature, soc]: [u64; 5]) -> SensorSample {
+    SensorSample {
+        at: SimInstant::from_secs(at),
+        voltage: Volts::new(f64::from_bits(voltage)),
+        current: Amperes::new(f64::from_bits(current)),
+        temperature: Celsius::new(f64::from_bits(temperature)),
+        soc: Soc::saturating(f64::from_bits(soc)),
+    }
+}
+
+/// A server power row: timestamp, power.
+fn server_row_words(r: &ServerPowerRecord) -> [u64; 2] {
+    [r.at.as_secs(), r.power.as_f64().to_bits()]
+}
+
+fn server_row_from([at, power]: [u64; 2]) -> ServerPowerRecord {
+    ServerPowerRecord {
+        at: SimInstant::from_secs(at),
+        power: Watts::new(f64::from_bits(power)),
+    }
+}
+
 fn enc_sample<S: Sink>(e: &mut Enc<S>, s: &SensorSample) {
-    e.u64(s.at.as_secs());
-    e.f64(s.voltage.as_f64());
-    e.f64(s.current.as_f64());
-    e.f64(s.temperature.as_f64());
-    e.f64(s.soc.value());
+    e.words(sample_words(s));
 }
 
 fn dec_sample(d: &mut Dec<'_>) -> DecResult<SensorSample> {
-    Ok(SensorSample {
-        at: SimInstant::from_secs(d.u64("sample at")?),
-        voltage: Volts::new(d.f64("sample voltage")?),
-        current: Amperes::new(d.f64("sample current")?),
-        temperature: Celsius::new(d.f64("sample temperature")?),
-        soc: Soc::saturating(d.f64("sample soc")?),
-    })
+    Ok(sample_from(words(d.take(width::SAMPLE, "sample")?)))
 }
 
 fn enc_accumulator<S: Sink>(e: &mut Enc<S>, u: &UsageAccumulator) {
@@ -1088,10 +1215,7 @@ fn enc_battery<S: Sink>(e: &mut Enc<S>, b: &BatteryUnitState) {
     e.f64(b.temperature.as_f64());
     enc_breakdown(e, &b.aging);
     e.usize(b.telemetry.max_samples);
-    e.usize(b.telemetry.samples.len());
-    for s in &b.telemetry.samples {
-        enc_sample(e, s);
-    }
+    e.rows(&b.telemetry.samples, sample_words);
     enc_accumulator(e, &b.telemetry.lifetime);
     enc_accumulator(e, &b.telemetry.window);
 }
@@ -1103,10 +1227,13 @@ fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitSt
     let temperature = Celsius::new(d.f64("battery temperature")?);
     let aging = dec_breakdown(d, chemistry)?;
     let max_samples = d.usize("telemetry capacity")?;
-    let n = d.len(width::SAMPLE, "telemetry samples len")?;
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        samples.push(dec_sample(d)?);
+    let samples = d.rows("telemetry samples len", sample_from)?;
+    // A ring never holds more than its capacity; restoring one that did
+    // would never shrink back under it.
+    if samples.len() > max_samples {
+        return Err(SnapshotError::Corrupt {
+            context: "telemetry samples len",
+        });
     }
     let lifetime = dec_accumulator(d)?;
     let window = dec_accumulator(d)?;
@@ -1398,15 +1525,8 @@ fn encode_state<S: Sink>(e: &mut Enc<S>, s: &SimState) {
     enc_cluster(e, &s.cluster);
     e.usize(s.power_table.len());
     for (battery, server) in &s.power_table {
-        e.usize(battery.len());
-        for row in battery {
-            enc_sample(e, row);
-        }
-        e.usize(server.len());
-        for row in server {
-            e.u64(row.at.as_secs());
-            e.f64(row.power.as_f64());
-        }
+        e.rows(battery, sample_words);
+        e.rows(server, server_row_words);
     }
     e.usize(s.batteries.len());
     for b in &s.batteries {
@@ -1544,19 +1664,8 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     let n = d.len(width::POWER_TABLE_NODE, "power table len")?;
     let mut power_table = Vec::with_capacity(n);
     for _ in 0..n {
-        let m = d.len(width::SAMPLE, "power table battery len")?;
-        let mut battery = Vec::with_capacity(m);
-        for _ in 0..m {
-            battery.push(dec_sample(d)?);
-        }
-        let m = d.len(width::SERVER_ROW, "power table server len")?;
-        let mut server = Vec::with_capacity(m);
-        for _ in 0..m {
-            server.push(ServerPowerRecord {
-                at: SimInstant::from_secs(d.u64("server row at")?),
-                power: Watts::new(d.f64("server row power")?),
-            });
-        }
+        let battery = d.rows("power table battery len", sample_from)?;
+        let server = d.rows("power table server len", server_row_from)?;
         power_table.push((battery, server));
     }
     let n = d.len(width::BATTERY, "batteries len")?;
@@ -1778,26 +1887,72 @@ mod tests {
         assert_eq!(crc64(b""), 0);
     }
 
+    /// The bit-at-a-time CRC-64/XZ reference.
+    fn crc64_bytewise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc ^= u64::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ CRC64_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn crc_test_data(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+            .collect()
+    }
+
     #[test]
     fn crc64_slicing_matches_bytewise() {
-        let bytewise = |bytes: &[u8]| {
-            let mut crc = !0u64;
-            for &b in bytes {
-                crc ^= u64::from(b);
-                for _ in 0..8 {
-                    crc = if crc & 1 == 1 {
-                        (crc >> 1) ^ CRC64_POLY
-                    } else {
-                        crc >> 1
-                    };
-                }
-            }
-            !crc
-        };
         let data: Vec<u8> = (0u32..300).map(|i| (i * 131 + 7) as u8).collect();
         // Every length covers each remainder around the 16-byte blocks.
         for n in 0..data.len() {
-            assert_eq!(crc64(&data[..n]), bytewise(&data[..n]), "length {n}");
+            assert_eq!(crc64(&data[..n]), crc64_bytewise(&data[..n]), "length {n}");
+        }
+    }
+
+    /// The four-stream split agrees with the reference on long inputs
+    /// (16 KiB ± 16 bytes), with every odd tail length after the lanes,
+    /// and when a single byte changes on either side of each lane
+    /// boundary.
+    #[test]
+    fn crc64_streams_match_bytewise() {
+        const KIB16: usize = 16 * 1024;
+        let data = crc_test_data(KIB16 + 200);
+        let lengths =
+            (KIB16 - 16..=KIB16 + 16).chain((1..64).step_by(2).map(|tail| KIB16 + 128 + tail));
+        for n in lengths {
+            assert_eq!(crc64(&data[..n]), crc64_bytewise(&data[..n]), "length {n}");
+        }
+        let n = KIB16 + 64 + 37;
+        let lane = n / 64 * 16;
+        for split in 1..=4 {
+            for at in [split * lane - 1, split * lane] {
+                let mut bytes = data[..n].to_vec();
+                bytes[at] ^= 0x5a;
+                let crc = crc64(&bytes);
+                assert_eq!(crc, crc64_bytewise(&bytes), "byte {at}");
+                assert_ne!(crc, crc64(&data[..n]), "byte {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn gf2_shift_is_feeding_zero_bytes() {
+        for n in [0, 1, 7, 16, 4096] {
+            let r = 0x0123_4567_89ab_cdef;
+            assert_eq!(
+                gf2_mul_mod(r, crc64_x_pow_8n(n)),
+                crc64_raw(r, &vec![0; n]),
+                "{n} zero bytes"
+            );
         }
     }
 

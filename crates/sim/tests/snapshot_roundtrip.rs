@@ -487,14 +487,15 @@ fn single_bit_flips_fail_the_checksum() {
 /// Seeded hostile bodies — byte flips, overwritten words, truncations
 /// and splices of the golden's body, re-framed with a valid length and
 /// checksum so the decoder really sees them — decode to `Ok` or a typed
-/// error, never a panic or an oversized allocation.
+/// error, never a panic or an oversized allocation; every body that
+/// decodes restores to `Ok` or a typed error as well.
 #[test]
 fn mutated_bodies_with_valid_checksums_never_panic() {
     let golden = read_golden();
     let original = body(&golden);
     let len = original.len();
     let mut rng = StdRng::seed_from_u64(0x5eed_b0d1);
-    let (mut accepted, mut rejected) = (0, 0);
+    let (mut restored, mut refused, mut rejected) = (0, 0, 0);
     for case in 0..1500 {
         let mut b = original.to_vec();
         match case % 4 {
@@ -532,15 +533,85 @@ fn mutated_bodies_with_valid_checksums_never_panic() {
             Err(SnapshotError::Corrupt {
                 context: "checksum",
             }) => panic!("case {case}: re-framed body failed its checksum"),
-            Ok(_) => accepted += 1,
+            // A decoded body is restored too: `Ok` or a typed error.
+            Ok(snapshot) => match Simulation::restore(golden_config(), &snapshot) {
+                Ok(_) => restored += 1,
+                Err(_) => refused += 1,
+            },
             Err(_) => rejected += 1,
         }
     }
-    // Flipped float payloads still decode; truncations never do.
+    // Flipped float payloads still decode and restore; truncations never
+    // decode.
     assert!(
-        accepted > 0 && rejected > 0,
-        "{accepted} ok, {rejected} err"
+        restored > 0 && rejected > 0,
+        "{restored} restored, {refused} refused on restore, {rejected} rejected on decode"
     );
+}
+
+/// Re-encodes `edit`ed golden state, so the hostile state arrives as a
+/// body with a valid length and checksum.
+fn edited_golden(edit: impl FnOnce(&mut baat_sim::SimState)) -> Vec<u8> {
+    let mut snapshot = SimSnapshot::from_bytes(&read_golden()).expect("golden parses");
+    edit(&mut snapshot.state);
+    snapshot.to_bytes()
+}
+
+/// A telemetry ring holding more samples than its capacity is refused
+/// by the decoder: restoring it would build a ring that never shrinks
+/// back under its cap, or, at capacity 0, never updates again.
+#[test]
+fn telemetry_samples_beyond_capacity_are_corrupt() {
+    for capacity in [|n: usize| n - 1, |_| 0] {
+        let bytes = edited_golden(|s| {
+            let telemetry = &mut s.batteries[1].telemetry;
+            assert!(!telemetry.samples.is_empty());
+            telemetry.max_samples = capacity(telemetry.samples.len());
+        });
+        assert_eq!(
+            SimSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::Corrupt {
+                context: "telemetry samples len"
+            })
+        );
+    }
+    // At capacity exactly, the ring is full and still valid.
+    let bytes = edited_golden(|s| {
+        let telemetry = &mut s.batteries[1].telemetry;
+        telemetry.max_samples = telemetry.samples.len();
+    });
+    let snapshot = SimSnapshot::from_bytes(&bytes).expect("full ring decodes");
+    Simulation::restore(golden_config(), &snapshot).expect("full ring restores");
+}
+
+/// Decodable states that do not fit the rebuilt simulation are refused
+/// on restore with a typed error, not applied in part.
+#[test]
+fn misfit_states_are_refused_on_restore() {
+    let mismatch = |context| SimError::Snapshot(SnapshotError::StateMismatch { context });
+    let edits: [(fn(&mut baat_sim::SimState), _); 2] = [
+        (
+            |s| drop(s.power_table.pop()),
+            mismatch("per-node/per-bank vector lengths"),
+        ),
+        (
+            |s| s.injector.held.push(None),
+            mismatch("fault injector lengths"),
+        ),
+    ];
+    for (edit, expected) in edits {
+        let snapshot = SimSnapshot::from_bytes(&edited_golden(edit)).expect("decodes");
+        assert_eq!(
+            Simulation::restore(golden_config(), &snapshot).err(),
+            Some(expected)
+        );
+    }
+    let snapshot =
+        SimSnapshot::from_bytes(&edited_golden(|s| drop(s.cluster.hosts.pop()))).expect("decodes");
+    assert!(matches!(
+        Simulation::restore(golden_config(), &snapshot),
+        Err(SimError::Server(_))
+    ));
 }
 
 /// A policy with a different name than the snapshot's recorded state
