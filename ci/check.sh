@@ -279,6 +279,21 @@ run_replay() {
         grep -oE 'state hash [0-9a-f]+')"
     [ -n "$HASH_FULL" ] && [ "$HASH_FULL" = "$HASH_CUT" ]
 
+    # A second target past step 8,192 (the 3-day scenario has 8,640
+    # steps), where both history limits have evicted: the power table's
+    # 8,192 rows per node and the telemetry history's 4,096 samples per
+    # bank. From the cut run's early checkpoint the replay restores and
+    # re-steps thousands of steps through eviction; the full run's
+    # nearest checkpoint is 200 steps back. Both must land on the same
+    # state hash.
+    LATE=8600
+    HASH_FULL="$("$CONSOLE_BIN" replay --dir "$REPLAY_DIR/full" --to "$LATE" |
+        grep -oE 'state hash [0-9a-f]+')"
+    HASH_CUT="$("$CONSOLE_BIN" replay --dir "$REPLAY_DIR/cut" --to "$LATE" |
+        grep -oE 'state hash [0-9a-f]+')"
+    [ -n "$HASH_FULL" ] && [ "$HASH_FULL" = "$HASH_CUT" ]
+    echo "    replay to step $LATE: $HASH_CUT from both checkpoints"
+
     # `replay --event` resolves a recorded event's line index to the
     # first state containing it and must land there cleanly.
     FAULT_LINE="$(grep -n '"kind":"fault_injected"' "$REPLAY_DIR/full/events.jsonl" |

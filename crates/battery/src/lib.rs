@@ -20,10 +20,8 @@
 //!   onto capacity fade, resistance growth and OCV sag;
 //! * [`Manufacturer`] / [`CycleLifeCurve`] — the Fig 10 cycle-life-vs-DoD
 //!   curves used by planned aging (Eq 7);
-//! * [`TelemetryLog`] — the Table 2 sensor log plus the usage accumulators
-//!   the five aging metrics are computed from; [`ring`] holds the
-//!   bounded-ring rules (eviction, bulk capture and restore) it shares
-//!   with the power table;
+//! * [`TelemetryLog`] — the latest Table 2 sensor sample plus the usage
+//!   accumulators the five aging metrics are computed from;
 //! * [`BatteryPack`] — groups of units with seeded manufacturing
 //!   variation (the source of aging variation that BAAT-h hides).
 //!
@@ -57,7 +55,6 @@ mod liion;
 mod model;
 mod obs;
 mod pack;
-pub mod ring;
 mod spec;
 mod state;
 mod telemetry;

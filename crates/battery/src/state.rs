@@ -40,16 +40,19 @@ pub struct BatteryUnitState {
     pub temperature: Celsius,
     /// Per-mechanism accumulated aging damage, chemistry-labelled.
     pub aging: AgingBreakdown,
-    /// Full telemetry contents (sample ring + usage accumulators).
+    /// Telemetry contents (sample history + usage accumulators).
     pub telemetry: TelemetryState,
 }
 
 /// Checkpointable contents of a [`TelemetryLog`](crate::TelemetryLog).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryState {
-    /// Ring capacity the log was built with.
+    /// Most samples the history may hold (the log's configured
+    /// capacity).
     pub max_samples: usize,
-    /// Retained sensor samples, oldest first.
+    /// Retained sensor samples, oldest first. A unit's own capture holds
+    /// at most its latest sample; the simulation engine fills in the
+    /// history its telemetry journal retained.
     pub samples: Vec<SensorSample>,
     /// Lifetime usage counters.
     pub lifetime: UsageAccumulator,

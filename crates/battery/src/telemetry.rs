@@ -1,7 +1,11 @@
 //! Battery telemetry: the sensor data of paper Table 2 and the usage
 //! aggregates the five aging metrics are computed from.
-
-use std::collections::VecDeque;
+//!
+//! A [`TelemetryLog`] keeps only its latest sensor sample next to the
+//! accumulators. The sample history a checkpoint carries per unit (the
+//! newest `max_samples` rows) is retained outside the unit, by whoever
+//! steps it: the simulation engine appends each step's sample to an
+//! append-only journal keyed by bank.
 
 use baat_units::{AmpHours, Amperes, Celsius, SimDuration, SimInstant, Soc, Volts, WattHours};
 
@@ -123,30 +127,36 @@ impl UsageAccumulator {
     }
 }
 
-/// Telemetry store for one battery: recent raw sensor samples plus
+/// Telemetry store for one battery: the latest raw sensor sample plus
 /// lifetime and resettable-window usage accumulators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryLog {
-    samples: VecDeque<SensorSample>,
+    latest: Option<SensorSample>,
     max_samples: usize,
     lifetime: UsageAccumulator,
     window: UsageAccumulator,
 }
 
 impl TelemetryLog {
-    /// Creates a log retaining at most `max_samples` raw sensor readings.
+    /// Sample history a unit's checkpoint carries by default.
+    pub const DEFAULT_MAX_SAMPLES: usize = 4_096;
+
+    /// Creates a log whose checkpoints carry at most `max_samples` raw
+    /// sensor readings; at 0 it keeps no sample at all.
     pub fn new(max_samples: usize) -> Self {
         Self {
-            samples: VecDeque::with_capacity(max_samples.min(4096)),
+            latest: None,
             max_samples,
             lifetime: UsageAccumulator::default(),
             window: UsageAccumulator::default(),
         }
     }
 
-    /// Appends a raw sensor sample, evicting the oldest beyond capacity.
+    /// Records a raw sensor sample as the latest one.
     pub fn push_sample(&mut self, sample: SensorSample) {
-        crate::ring::push(&mut self.samples, sample, self.max_samples);
+        if self.max_samples > 0 {
+            self.latest = Some(sample);
+        }
     }
 
     /// Folds one step of activity into both accumulators.
@@ -173,14 +183,14 @@ impl TelemetryLog {
         self.window.full_charge_events += 1;
     }
 
-    /// Retained raw sensor samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &SensorSample> {
-        self.samples.iter()
-    }
-
     /// The most recent sensor sample, if any.
     pub fn latest(&self) -> Option<&SensorSample> {
-        self.samples.back()
+        self.latest.as_ref()
+    }
+
+    /// The number of samples this unit's checkpoints carry at most.
+    pub fn max_samples(&self) -> usize {
+        self.max_samples
     }
 
     /// Usage counters since the battery was installed.
@@ -199,34 +209,33 @@ impl TelemetryLog {
         std::mem::take(&mut self.window)
     }
 
-    /// Captures the full log contents for a checkpoint.
+    /// Captures the log for a checkpoint: its latest sample (if any) as
+    /// the only retained sample, plus the accumulators.
     pub fn capture(&self) -> crate::state::TelemetryState {
         crate::state::TelemetryState {
             max_samples: self.max_samples,
-            samples: crate::ring::rows(&self.samples),
+            samples: self.latest.into_iter().collect(),
             lifetime: self.lifetime,
             window: self.window,
         }
     }
 
-    /// Rebuilds a log from captured contents. The restored log holds the
-    /// rows [`TelemetryLog::capture`] saw, in the same eviction order;
-    /// samples beyond `max_samples` keep only the newest, as
-    /// [`TelemetryLog::push_sample`] would. Ring capacity follows
-    /// [`crate::ring::restore`], not [`TelemetryLog::new`]'s preallocation.
+    /// Rebuilds a log from captured contents: the newest captured sample
+    /// becomes the latest one, unless `max_samples` is 0.
     pub fn restore(state: &crate::state::TelemetryState) -> Self {
-        Self {
-            samples: crate::ring::restore(&state.samples, state.max_samples),
-            max_samples: state.max_samples,
-            lifetime: state.lifetime,
-            window: state.window,
+        let mut log = Self::new(state.max_samples);
+        if let Some(&sample) = state.samples.last() {
+            log.push_sample(sample);
         }
+        log.lifetime = state.lifetime;
+        log.window = state.window;
+        log
     }
 }
 
 impl Default for TelemetryLog {
     fn default() -> Self {
-        Self::new(4096)
+        Self::new(Self::DEFAULT_MAX_SAMPLES)
     }
 }
 
@@ -333,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_keeps_the_newest_samples_within_capacity() {
+    fn latest_sample_survives_capture_unless_capacity_is_zero() {
         let sample = |i| SensorSample {
             at: SimInstant::from_secs(i),
             voltage: Volts::new(12.0),
@@ -341,33 +350,19 @@ mod tests {
             temperature: Celsius::new(25.0),
             soc: soc(0.5),
         };
-        let mut state = TelemetryLog::new(4).capture();
+        let mut log = TelemetryLog::default();
+        assert!(log.latest().is_none());
+        log.push_sample(sample(1));
+        log.push_sample(sample(2));
+        assert_eq!(log.latest(), Some(&sample(2)));
+        let mut state = log.capture();
+        assert_eq!(state.samples, vec![sample(2)]);
+        assert_eq!(TelemetryLog::restore(&state), log);
         state.samples = (0..6).map(sample).collect();
-        let mut log = TelemetryLog::restore(&state);
-        assert_eq!(log.samples().count(), 4);
-        assert_eq!(log.samples().next().unwrap().at, SimInstant::from_secs(2));
-        log.push_sample(sample(6));
-        assert_eq!(log.samples().count(), 4);
+        assert_eq!(TelemetryLog::restore(&state).latest(), Some(&sample(5)));
         state.max_samples = 0;
         let mut log = TelemetryLog::restore(&state);
         log.push_sample(sample(7));
         assert!(log.latest().is_none());
-    }
-
-    #[test]
-    fn sample_ring_evicts_oldest() {
-        let mut log = TelemetryLog::new(2);
-        for i in 0..3 {
-            log.push_sample(SensorSample {
-                at: SimInstant::from_secs(i),
-                voltage: Volts::new(12.0),
-                current: Amperes::ZERO,
-                temperature: Celsius::new(25.0),
-                soc: soc(0.5),
-            });
-        }
-        assert_eq!(log.samples().count(), 2);
-        assert_eq!(log.latest().unwrap().at, SimInstant::from_secs(2));
-        assert_eq!(log.samples().next().unwrap().at, SimInstant::from_secs(1));
     }
 }

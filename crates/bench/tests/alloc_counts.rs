@@ -57,7 +57,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Allocations per step budgeted for the engine's own step loop (events,
 /// queues, amortized growth) on the faulted BAAT day below, which
-/// measures 2.81/step. Disabled observability must not add to it, and
+/// measures 2.78/step. Disabled observability must not add to it, and
 /// the inline routing pass adds nothing either.
 const STEP_ALLOC_BUDGET: f64 = 3.0;
 
@@ -151,7 +151,7 @@ fn disabled_observability_allocates_nothing() {
     // the pool's inherent per-batch dispatch cost (the shard ranges, the
     // task list, the result-slot and result vectors); shards write
     // their outcomes into the shared scratch buffer, so there are no
-    // per-shard output vectors. Measures 6.82/step. The metering itself
+    // per-shard output vectors. Measures 6.78/step. The metering itself
     // must add nothing:
     // worker meters are sized at pool construction, per-shard timing
     // vectors live in the reusable step scratch, and the off path is
@@ -175,13 +175,13 @@ fn disabled_observability_allocates_nothing() {
 }
 
 /// The checkpoint codec's allocations scale with the fleet, not with the
-/// rows its rings have logged: `to_bytes` allocates its one output
+/// rows its histories have logged: `to_bytes` allocates its one output
 /// buffer, and decoding plus restoring a snapshot taken at 8 h costs
 /// exactly as many allocations as one taken at 2 h of the same run.
 fn checkpoint_allocations_scale_with_nodes_not_rows() {
     let mut cfg = SimConfig::builder();
-    // One trace row (step 0) in both snapshots: the recorder's rows are
-    // not rings, so only the power-table and telemetry rings grow.
+    // One trace row (step 0) in both snapshots: the recorder's rows stay
+    // fixed here, so only the power-table and telemetry histories grow.
     cfg.weather_plan(vec![Weather::Cloudy])
         .sample_every(1 << 20)
         .seed(5);

@@ -56,7 +56,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -422,7 +422,19 @@ impl ExecPool {
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the batch lock: a worker checks it under
+        // that lock and only then waits (releasing it atomically), so a
+        // flag set between its check and its wait would miss the wake-up
+        // below and leave `join` waiting forever. A poisoned lock still
+        // guards the flag, so take it either way rather than panic here.
+        {
+            let _batch = self
+                .shared
+                .batch
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

@@ -11,7 +11,8 @@
 //!   inverter losses, reporting unserved demand and curtailment;
 //! * [`Charger`] — three-stage (bulk/absorption/float) lead-acid charging;
 //! * [`BatterySensor`] — noisy voltage/current/temperature sampling;
-//! * [`PowerTable`] — the controller-facing per-node history logs.
+//! * [`PowerTable`] — the controller-facing per-node history logs;
+//! * [`Journal`] — the append-only per-key history they are kept in.
 //!
 //! # Examples
 //!
@@ -35,12 +36,14 @@
 
 mod charger;
 mod error;
+mod journal;
 mod sensors;
 mod switcher;
 mod table;
 
 pub use charger::{ChargeStage, Charger, StageTracker};
 pub use error::PowerError;
+pub use journal::Journal;
 pub use sensors::{BatterySensor, NoiseSpec};
 pub use switcher::{PowerSwitcher, Routing};
 pub use table::{NodeLog, NodeRows, PowerTable, ServerPowerRecord};

@@ -6,11 +6,16 @@
 //! power through the IPDU (§IV.A). The [`PowerTable`] is that
 //! controller-facing data layer: per-node battery sensor rows and server
 //! power rows.
+//!
+//! The controller reads only each node's latest rows, which
+//! [`NodeLog`] keeps at hand. The history behind them is retained, the
+//! newest 8,192 rows per node and channel, in two [`Journal`]s keyed by
+//! node, and is read back whole only for a checkpoint.
 
-use std::collections::VecDeque;
-
-use baat_battery::{ring, SensorSample};
+use baat_battery::SensorSample;
 use baat_units::{SimInstant, Watts};
+
+use crate::Journal;
 
 /// One IPDU server-power reading.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,11 +26,11 @@ pub struct ServerPowerRecord {
     pub power: Watts,
 }
 
-/// History log for one server/battery node.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The latest rows of one server/battery node.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeLog {
-    battery: VecDeque<SensorSample>,
-    server: VecDeque<ServerPowerRecord>,
+    battery: Option<SensorSample>,
+    server: Option<ServerPowerRecord>,
 }
 
 /// Retention limit per node and per channel.
@@ -34,12 +39,12 @@ const MAX_ROWS: usize = 8_192;
 impl NodeLog {
     /// The most recent battery row.
     pub fn latest_battery(&self) -> Option<&SensorSample> {
-        self.battery.back()
+        self.battery.as_ref()
     }
 
     /// The most recent server power row.
     pub fn latest_server(&self) -> Option<&ServerPowerRecord> {
-        self.server.back()
+        self.server.as_ref()
     }
 }
 
@@ -47,17 +52,22 @@ impl NodeLog {
 /// oldest first.
 pub type NodeRows = (Vec<SensorSample>, Vec<ServerPowerRecord>);
 
-/// The monitoring architecture: one [`NodeLog`] per server/battery node.
-#[derive(Debug, Clone, PartialEq)]
+/// The monitoring architecture: one [`NodeLog`] per server/battery node
+/// plus the retained history of both channels.
+#[derive(Debug, Clone)]
 pub struct PowerTable {
     nodes: Vec<NodeLog>,
+    battery: Journal<SensorSample>,
+    server: Journal<ServerPowerRecord>,
 }
 
 impl PowerTable {
     /// Creates a table for `nodes` server/battery pairs.
     pub fn new(nodes: usize) -> Self {
         Self {
-            nodes: (0..nodes).map(|_| NodeLog::default()).collect(),
+            nodes: vec![NodeLog::default(); nodes],
+            battery: Journal::new(nodes, MAX_ROWS),
+            server: Journal::new(nodes, MAX_ROWS),
         }
     }
 
@@ -77,7 +87,8 @@ impl PowerTable {
     ///
     /// Panics if `node` is out of range.
     pub fn record_battery(&mut self, node: usize, row: SensorSample) {
-        ring::push(&mut self.nodes[node].battery, row, MAX_ROWS);
+        self.nodes[node].battery = Some(row);
+        self.battery.push(node, row);
     }
 
     /// Records an IPDU server power row for a node.
@@ -86,7 +97,8 @@ impl PowerTable {
     ///
     /// Panics if `node` is out of range.
     pub fn record_server(&mut self, node: usize, row: ServerPowerRecord) {
-        ring::push(&mut self.nodes[node].server, row, MAX_ROWS);
+        self.nodes[node].server = Some(row);
+        self.server.push(node, row);
     }
 
     /// The log of one node, or `None` if out of range.
@@ -99,26 +111,29 @@ impl PowerTable {
         self.nodes.iter()
     }
 
-    /// Captures every node's rows for a checkpoint, copied by slice.
+    /// Captures every node's retained rows for a checkpoint.
     pub fn capture(&self) -> Vec<NodeRows> {
-        self.nodes
-            .iter()
-            .map(|log| (ring::rows(&log.battery), ring::rows(&log.server)))
+        self.battery
+            .capture()
+            .into_iter()
+            .zip(self.server.capture())
             .collect()
     }
 
     /// Rebuilds a table from captured rows, one entry per node. Each
-    /// ring is rebuilt in bulk and keeps the newest rows within the
-    /// retention limit, exactly as recording the rows one by one would.
+    /// channel keeps the newest rows within the retention limit, exactly
+    /// as recording the rows one by one would.
     pub fn restore(nodes: &[NodeRows]) -> Self {
         Self {
             nodes: nodes
                 .iter()
                 .map(|(battery, server)| NodeLog {
-                    battery: ring::restore(battery, MAX_ROWS),
-                    server: ring::restore(server, MAX_ROWS),
+                    battery: battery.last().copied(),
+                    server: server.last().copied(),
                 })
                 .collect(),
+            battery: Journal::restore(nodes.iter().map(|(b, _)| &b[..]), MAX_ROWS),
+            server: Journal::restore(nodes.iter().map(|(_, s)| &s[..]), MAX_ROWS),
         }
     }
 }
@@ -160,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_evicts_oldest() {
-        let mut t = PowerTable::new(1);
-        for i in 0..(MAX_ROWS as u64 + 5) {
-            t.record_battery(0, sample(i));
-        }
-        let rows = &t.capture()[0].0;
-        assert_eq!(rows.len(), MAX_ROWS);
-        assert_eq!(rows[0].at, SimInstant::from_secs(5));
-    }
-
-    #[test]
     fn empty_log_defaults() {
         let t = PowerTable::new(1);
         let log = t.node(0).unwrap();
@@ -179,9 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn restore_matches_recording_row_by_row() {
+    fn restore_rebuilds_latest_rows_and_history() {
         let mut recorded = PowerTable::new(2);
-        for i in 0..(MAX_ROWS as u64 + 5) {
+        let rows = MAX_ROWS as u64 + 5;
+        for i in 0..rows {
             recorded.record_battery(0, sample(i));
             recorded.record_server(
                 1,
@@ -193,15 +198,14 @@ mod tests {
         }
         let captured = recorded.capture();
         assert_eq!(captured[0].0.len(), MAX_ROWS);
+        assert_eq!(captured[0].0[0].at, SimInstant::from_secs(5));
         assert_eq!(captured[1].1.len(), MAX_ROWS);
-        assert_eq!(PowerTable::restore(&captured), recorded);
-        // Over-long rows keep the newest, as recording them would.
-        let mut long = captured.clone();
-        long[0].0.splice(0..0, (0..3).map(sample));
-        let mut restored = PowerTable::restore(&long);
-        assert_eq!(restored, recorded);
-        restored.record_battery(0, sample(1 << 20));
-        recorded.record_battery(0, sample(1 << 20));
-        assert_eq!(restored, recorded);
+        let restored = PowerTable::restore(&captured);
+        assert_eq!(restored.capture(), captured);
+        assert!(restored.iter().eq(recorded.iter()));
+        assert_eq!(
+            restored.node(0).unwrap().latest_battery(),
+            Some(&sample(rows - 1))
+        );
     }
 }

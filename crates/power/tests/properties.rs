@@ -1,6 +1,9 @@
 //! Property-based tests for the power infrastructure.
 
-use baat_power::{Charger, PowerSwitcher};
+use std::collections::VecDeque;
+
+use baat_power::{Charger, Journal, PowerSwitcher};
+use baat_rng::StdRng;
 use baat_testkit::prelude::*;
 use baat_units::{Soc, Watts};
 
@@ -91,5 +94,120 @@ proptest! {
         let acc_low = c.acceptance(Soc::new(a).unwrap());
         let acc_high = c.acceptance(Soc::new(b).unwrap());
         prop_assert!(acc_high <= acc_low + Watts::new(1e-9));
+    }
+}
+
+/// The per-key ring rule the journal replaces, kept as its oracle: a
+/// `VecDeque` per key that evicts its oldest row once it holds `limit`,
+/// checkpointed as an oldest-first `Vec` and restored to the newest
+/// `limit` rows.
+mod ring {
+    use std::collections::VecDeque;
+
+    pub fn push(ring: &mut VecDeque<u64>, row: u64, limit: usize) {
+        if limit == 0 {
+            return;
+        }
+        if ring.len() == limit {
+            ring.pop_front();
+        }
+        ring.push_back(row);
+    }
+
+    pub fn rows(ring: &VecDeque<u64>) -> Vec<u64> {
+        ring.iter().copied().collect()
+    }
+
+    pub fn restore(rows: &[u64], limit: usize) -> VecDeque<u64> {
+        rows[rows.len().saturating_sub(limit)..]
+            .iter()
+            .copied()
+            .collect()
+    }
+}
+
+/// Checks a capture against the rings: same rows, each `Vec` exact-size.
+fn matches_rings(journal: &Journal<u64>, rings: &[VecDeque<u64>]) -> Result<(), TestCaseError> {
+    let captured = journal.capture();
+    prop_assert_eq!(captured.len(), rings.len());
+    for (rows, ring) in captured.iter().zip(rings) {
+        prop_assert_eq!(rows, &ring::rows(ring));
+        prop_assert_eq!(rows.capacity(), rows.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Seeded sequences of pushes, with keys dropping out for stretches
+    /// (ragged rows) or logging bursts alone, restores from over-long,
+    /// short and empty rows, and captures, run long enough to cross
+    /// compaction and eviction: the journal keeps exactly the rows
+    /// per-key rings keep, at limit 1, a small limit and the engine's
+    /// real limits.
+    #[test]
+    fn journal_keeps_what_per_key_rings_keep(
+        seed in 0u64..u64::MAX,
+        pick in 0usize..4,
+    ) {
+        let limit = [1, 3, 4_096, 8_192][pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = rng.random_range(1..=8usize);
+        let mut journal = Journal::new(keys, limit);
+        let mut rings = vec![VecDeque::new(); keys];
+        let mut dropped = vec![false; keys];
+        let mut next = 0u64;
+        let mut push = |journal: &mut Journal<u64>, ring: &mut VecDeque<u64>, key| {
+            journal.push(key, next);
+            ring::push(ring, next, limit);
+            next += 1;
+        };
+        let rounds = rng.random_range(0..3 * limit + 200);
+        let rare = 1.0 / (limit as f64 + 20.0);
+        for _ in 0..rounds {
+            if rng.random::<f64>() < rare {
+                // One key alone logs a burst, enough to evict some of
+                // its own logged rows before the next compaction.
+                let key = rng.random_range(0..keys);
+                for _ in 0..rng.random_range(1..=2 * limit + 2) {
+                    push(&mut journal, &mut rings[key], key);
+                }
+            }
+            for (key, ring) in rings.iter_mut().enumerate() {
+                if rng.random::<f64>() < 4.0 * rare {
+                    dropped[key] = !dropped[key];
+                }
+                if !dropped[key] {
+                    push(&mut journal, ring, key);
+                }
+            }
+            if rng.random::<f64>() < rare {
+                matches_rings(&journal, &rings)?;
+            }
+            if rng.random::<f64>() < rare {
+                // Restore from each ring's rows, made over-long, cut
+                // short or emptied.
+                let rows: Vec<Vec<u64>> = rings
+                    .iter()
+                    .map(|ring| {
+                        let mut rows = ring::rows(ring);
+                        match rng.random_range(0..4u32) {
+                            0 => {
+                                let extra = rng.random_range(1..=limit as u64 + 2);
+                                rows.splice(0..0, (0..extra).map(|i| i << 40));
+                            }
+                            1 => drop(rows.drain(..rows.len() / 2)),
+                            2 => rows.clear(),
+                            _ => {}
+                        }
+                        rows
+                    })
+                    .collect();
+                journal = Journal::restore(rows.iter().map(|r| &r[..]), limit);
+                rings = rows.iter().map(|r| ring::restore(r, limit)).collect();
+            }
+        }
+        matches_rings(&journal, &rings)?;
     }
 }

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use baat_battery::{
     AgingBreakdown, AgingObs, AnyBattery, BatteryModel, BatteryOp, BatteryPack, SensorSample,
+    TelemetryLog,
 };
 use baat_exec::ExecPool;
 use baat_faults::{FaultInjector, FaultKind, FaultPlan};
@@ -36,7 +37,7 @@ use baat_obs::{
     SpanId, Stage, StageClock, Tracer,
 };
 use baat_power::{
-    BatterySensor, Charger, PowerSwitcher, PowerTable, ServerPowerRecord, StageTracker,
+    BatterySensor, Charger, Journal, PowerSwitcher, PowerTable, ServerPowerRecord, StageTracker,
 };
 use baat_server::{Cluster, ServerId};
 use baat_solar::{ClearSky, CloudProcess, PvArray, Weather};
@@ -379,6 +380,9 @@ struct BankOutcome {
     curtailed: WattHours,
     /// The sensor's reading, before the fault injector sees it.
     fresh: SensorSample,
+    /// The sample the battery's own telemetry logged this step, for the
+    /// engine's telemetry journal (`None` when the log keeps none).
+    logged: Option<SensorSample>,
     /// Member node to shed after a sustained unserved streak.
     victim: Option<usize>,
 }
@@ -397,6 +401,7 @@ impl BankOutcome {
             temperature: Celsius::ZERO,
             soc: Soc::EMPTY,
         },
+        logged: None,
         victim: None,
     };
 }
@@ -555,10 +560,15 @@ fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u6
             result.current,
             ctx.now,
         );
+        // A successful step logs exactly one telemetry sample, stamped
+        // `now`; the merge appends it to the telemetry journal.
+        let logged = shard.units[k].telemetry().latest().copied();
+        debug_assert!(logged.is_none_or(|s| s.at == ctx.now));
         let mut outcome = BankOutcome {
             accepted: result.accepted * ctx.dt,
             cutoff: result.cutoff,
             fresh,
+            logged,
             ..BankOutcome::EMPTY
         };
         // Emergency shedding on sustained unserved demand: shut down the
@@ -614,6 +624,13 @@ pub struct Simulation {
     switcher: PowerSwitcher,
     array: PvArray,
     power_table: PowerTable,
+    /// Per-bank battery telemetry history: the samples each unit's own
+    /// [`TelemetryLog`] logged, newest `max_samples` retained, as
+    /// checkpoints carry them. Only [`route_banks`] steps batteries, and
+    /// every successful step logs exactly one sample, so appending each
+    /// bank's sample in the bank-order merge keeps the rows a per-unit
+    /// sample ring would.
+    telemetry: Journal<SensorSample>,
     generator: WorkloadGenerator,
     events: EventLog,
     recorder: Recorder,
@@ -822,6 +839,8 @@ impl Simulation {
             switcher: PowerSwitcher::prototype(),
             array,
             power_table: PowerTable::new(nodes),
+            // Every unit is manufactured with the default telemetry log.
+            telemetry: Journal::new(banks, TelemetryLog::DEFAULT_MAX_SAMPLES),
             generator: WorkloadGenerator::new(config.seed ^ 0x10AD),
             events: EventLog::new(),
             recorder: Recorder::with_limits(rows_hint, config.max_trace_rows),
@@ -1125,7 +1144,16 @@ impl Simulation {
             recorder_rows: self.recorder.rows().to_vec(),
             cluster: self.cluster.capture_state(),
             power_table: self.power_table.capture(),
-            batteries: self.batteries.iter().map(|b| b.capture_state()).collect(),
+            batteries: self
+                .batteries
+                .iter()
+                .zip(self.telemetry.capture())
+                .map(|(battery, samples)| {
+                    let mut state = battery.capture_state();
+                    state.telemetry.samples = samples;
+                    state
+                })
+                .collect(),
             policy: None,
         };
         SimSnapshot {
@@ -1236,10 +1264,27 @@ impl Simulation {
             }
             .into());
         }
+        // A unit's sample history is bounded by its configured capacity;
+        // a snapshot must not lift (or drop) the bound.
+        let capacity_fits = self
+            .batteries
+            .iter()
+            .zip(&s.batteries)
+            .all(|(unit, st)| st.telemetry.max_samples == unit.telemetry().max_samples());
+        if !capacity_fits {
+            return Err(SnapshotError::StateMismatch {
+                context: "telemetry capacity",
+            }
+            .into());
+        }
         self.cluster.restore_state(&s.cluster)?;
         for (unit, st) in self.batteries.iter_mut().zip(&s.batteries) {
             unit.restore_state(st);
         }
+        self.telemetry = Journal::restore(
+            s.batteries.iter().map(|st| &st.telemetry.samples[..]),
+            TelemetryLog::DEFAULT_MAX_SAMPLES,
+        );
         for (sensor, rng) in self.sensors.iter_mut().zip(&s.sensor_rngs) {
             *sensor = BatterySensor::restore(self.config.sensor_noise, *rng);
         }
@@ -2205,8 +2250,9 @@ impl Simulation {
     ///    bank), one shard per pool thread otherwise.
     /// 3. **Sequential merge**, bank order: energy folds (float sums keep
     ///    one association order), fault-injector sample observation
-    ///    (shared RNG), power-table rows, `BatteryCutoff` and
-    ///    `ServerShutdown` events, and applying the shedding decisions.
+    ///    (shared RNG), telemetry-journal and power-table rows,
+    ///    `BatteryCutoff` and `ServerShutdown` events, and applying the
+    ///    shedding decisions.
     ///
     /// Stage timing: the pre-pass is charged to `Charger`; the kernel's
     /// per-bank laps to `Switcher` and `BatteryStep`, summed over shards
@@ -2338,6 +2384,9 @@ impl Simulation {
                 }
                 self.unserved_energy += o.unserved;
                 self.curtailed_energy += o.curtailed;
+            }
+            if let Some(logged) = o.logged {
+                self.telemetry.push(b, logged);
             }
             // Every member node sees its bank's telemetry, like rack
             // members sharing a UPS monitor. The injector's clean path is

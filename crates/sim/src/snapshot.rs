@@ -1228,8 +1228,8 @@ fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitSt
     let aging = dec_breakdown(d, chemistry)?;
     let max_samples = d.usize("telemetry capacity")?;
     let samples = d.rows("telemetry samples len", sample_from)?;
-    // A ring never holds more than its capacity; restoring one that did
-    // would never shrink back under it.
+    // A history never holds more than its capacity; restoring one that
+    // did would never shrink back under it.
     if samples.len() > max_samples {
         return Err(SnapshotError::Corrupt {
             context: "telemetry samples len",

@@ -557,9 +557,9 @@ fn edited_golden(edit: impl FnOnce(&mut baat_sim::SimState)) -> Vec<u8> {
     snapshot.to_bytes()
 }
 
-/// A telemetry ring holding more samples than its capacity is refused
-/// by the decoder: restoring it would build a ring that never shrinks
-/// back under its cap, or, at capacity 0, never updates again.
+/// A telemetry history holding more samples than its capacity is
+/// refused by the decoder: restoring it would build a history that never
+/// shrinks back under its cap, or, at capacity 0, never updates again.
 #[test]
 fn telemetry_samples_beyond_capacity_are_corrupt() {
     for capacity in [|n: usize| n - 1, |_| 0] {
@@ -575,13 +575,39 @@ fn telemetry_samples_beyond_capacity_are_corrupt() {
             })
         );
     }
-    // At capacity exactly, the ring is full and still valid.
+    // At capacity exactly, the history is full and still decodes.
     let bytes = edited_golden(|s| {
         let telemetry = &mut s.batteries[1].telemetry;
         telemetry.max_samples = telemetry.samples.len();
     });
-    let snapshot = SimSnapshot::from_bytes(&bytes).expect("full ring decodes");
-    Simulation::restore(golden_config(), &snapshot).expect("full ring restores");
+    SimSnapshot::from_bytes(&bytes).expect("full history decodes");
+}
+
+/// A telemetry capacity other than the unit's configured one decodes
+/// but is refused on restore: it would lift (or drop) the retention
+/// bound for the rest of the run.
+#[test]
+fn telemetry_capacity_must_match_the_configured_one() {
+    let golden = SimSnapshot::from_bytes(&read_golden()).expect("golden parses");
+    let telemetry = &golden.state.batteries[1].telemetry;
+    let configured = telemetry.max_samples;
+    assert_eq!(configured, 4_096);
+    // The last one is a full history that the decoder accepts.
+    for capacity in [configured + 1, 1 << 40, 0, telemetry.samples.len()] {
+        let bytes = edited_golden(|s| {
+            let telemetry = &mut s.batteries[1].telemetry;
+            telemetry.samples.truncate(capacity);
+            telemetry.max_samples = capacity;
+        });
+        let snapshot = SimSnapshot::from_bytes(&bytes).expect("decodes");
+        assert_eq!(
+            Simulation::restore(golden_config(), &snapshot).err(),
+            Some(SimError::Snapshot(SnapshotError::StateMismatch {
+                context: "telemetry capacity"
+            })),
+            "capacity {capacity}"
+        );
+    }
 }
 
 /// Decodable states that do not fit the rebuilt simulation are refused
