@@ -234,6 +234,17 @@ run_replay() {
     cmp "$REPLAY_DIR/full/trace.jsonl" "$REPLAY_DIR/cut/trace.jsonl"
     cmp "$REPLAY_DIR/full/result.jsonl" "$REPLAY_DIR/cut/result.jsonl"
 
+    # The scenario must leave jobs queued overnight (each is logged as a
+    # placement_failed event when the next day starts), so the gate
+    # above covers checkpoints that carry a pending queue through the
+    # per-kind queue's restore.
+    QUEUED_OVERNIGHT="$(grep -c '"kind":"placement_failed"' "$REPLAY_DIR/full/events.jsonl" || true)"
+    if [ "$QUEUED_OVERNIGHT" -eq 0 ]; then
+        echo "error: the replay scenario never carried a queued job over a day" >&2
+        exit 1
+    fi
+    echo "    $QUEUED_OVERNIGHT queued jobs carried over a day"
+
     # Every snapshot trailer must be the CRC-64/XZ of its body, as an
     # independent implementation computes it: cut the body out by the
     # header's length field (bytes 21..29), let xz checksum it as a

@@ -51,6 +51,7 @@ use crate::error::SimError;
 use crate::events::{Event, EventLog, TimedEvent};
 use crate::fallback::{FallbackInput, FallbackScheme};
 use crate::fleet::{demand_class, BankScore, DirtyReason, FleetView, PlacementSpec, NAT_MODE};
+use crate::pending::PendingQueue;
 use crate::policy::{Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason};
 use crate::recorder::{Recorder, TraceRow};
 use crate::report::{NodeReport, SimReport};
@@ -109,39 +110,6 @@ fn shard_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
         start += len;
     }
     out
-}
-
-/// The resource requests one fast-path placement pass (an arrivals
-/// batch, or one retry of the pending queue) found no host for.
-///
-/// Within a pass hosts only lose free resources: admissions charge them,
-/// and nothing releases resources or powers a host on or off between
-/// two attempts. So once request `r` walked every host and failed, any
-/// request at least `r` in both cores and memory cannot fit either until
-/// the pass ends, and its O(n) walk can be skipped with the same result.
-/// Recorded requests are pairwise distinct workload requests (an equal
-/// one is skipped, not recorded), so a slot per workload kind suffices.
-#[derive(Debug, Default)]
-struct PlacementPass {
-    failed: [(u32, u32); WorkloadKind::ALL.len()],
-    len: usize,
-}
-
-impl PlacementPass {
-    /// `true` if `request` dominates a request that already failed.
-    fn known_unplaceable(&self, request: (u32, u32)) -> bool {
-        self.failed[..self.len]
-            .iter()
-            .any(|&(cores, memory)| request.0 >= cores && request.1 >= memory)
-    }
-
-    /// Remembers that `request` fit on no host.
-    fn record_failure(&mut self, request: (u32, u32)) {
-        if let Some(slot) = self.failed.get_mut(self.len) {
-            *slot = request;
-            self.len += 1;
-        }
-    }
 }
 
 /// Engine-level metric handles, all inert when observation is disabled.
@@ -359,6 +327,9 @@ struct StepScratch {
     shard_ns: Vec<u64>,
     /// Banks re-scored by the current fleet refresh, first-seen order.
     dirty_banks: Vec<usize>,
+    /// One step's arrivals, placed as a batch before the misfits join
+    /// the pending queue.
+    arrivals: PendingQueue<Vm>,
 }
 
 impl Clone for StepScratch {
@@ -646,7 +617,7 @@ pub struct Simulation {
     arrivals_today: VecDeque<Arrival>,
     /// Jobs that could not be placed yet; retried every control interval
     /// (the prototype's job queue).
-    pending: VecDeque<Vm>,
+    pending: PendingQueue<Vm>,
     clouds: CloudProcess,
     weather_today: Weather,
     started_day: Option<u64>,
@@ -854,7 +825,7 @@ impl Simulation {
             curtailed_energy: WattHours::ZERO,
             grid_charge_energy: WattHours::ZERO,
             arrivals_today: VecDeque::new(),
-            pending: VecDeque::new(),
+            pending: PendingQueue::new(),
             clouds,
             weather_today,
             started_day: None,
@@ -1322,7 +1293,7 @@ impl Simulation {
         self.curtailed_energy = s.curtailed_energy;
         self.grid_charge_energy = s.grid_charge_energy;
         self.arrivals_today = s.arrivals_today.iter().copied().collect();
-        self.pending = s.pending.iter().cloned().map(Vm::restore).collect();
+        self.pending = PendingQueue::from_ordered(&s.pending, |v| v.kind, |v| Vm::restore(*v));
         self.last_currents = s.last_currents.clone();
         self.last_voltages = s.last_voltages.clone();
         self.last_solar = s.last_solar;
@@ -1444,28 +1415,28 @@ impl Simulation {
                         }
                         let view = view.as_mut().expect("view built above");
                         if let Some(vm) = self.place_vm(vm, arrival.kind, policy, view, obs)? {
-                            self.pending.push_back(vm);
+                            self.pending.push(arrival.kind, vm);
                         }
                     }
                 }
                 spec => {
-                    let mut refreshed = false;
-                    let mut pass = PlacementPass::default();
+                    let mut batch = std::mem::take(&mut self.scratch.arrivals);
                     while let Some(arrival) = self.arrivals_today.front().copied() {
                         if arrival.at > tod {
                             break;
                         }
                         self.arrivals_today.pop_front();
-                        let vm = self.generator.spawn(arrival.kind);
-                        if !refreshed {
+                        batch.push(arrival.kind, self.generator.spawn(arrival.kind));
+                    }
+                    if !batch.is_empty() {
+                        {
                             let _t = obs.time(Stage::PlacementRank);
                             self.refresh_fleet()?;
-                            refreshed = true;
                         }
-                        if let Some(vm) = self.place_vm_fast(vm, arrival.kind, spec, &mut pass)? {
-                            self.pending.push_back(vm);
-                        }
+                        self.place_fast(&mut batch, spec)?;
+                        self.pending.append(&mut batch);
                     }
+                    self.scratch.arrivals = batch;
                 }
             }
             clock.lap(Stage::Placement);
@@ -1924,26 +1895,46 @@ impl Simulation {
         Ok(Some(vm))
     }
 
-    /// Places a VM through the incremental fleet ranker — no
-    /// [`SystemView`] is built. The admission walk consults the live
-    /// cluster (`is_online` + `fits`), so only the *ranking* is cached;
-    /// any admission since the last refresh is still observed.
-    ///
-    /// A request `pass` already knows to be unplaceable skips the walk,
-    /// after the round-robin cursor and ranking mode advance exactly as
-    /// they would for a walk.
-    fn place_vm_fast(
+    /// One placement pass over `queue` through the incremental fleet
+    /// ranker — no [`SystemView`] is built. The admission walk consults
+    /// the live cluster (`is_online` + `fits`), so only the *ranking* is
+    /// cached; any admission since the last refresh is still observed.
+    /// Kinds known to fit nowhere are skipped (see
+    /// [`PendingQueue::retry`]); the round-robin cursor still advances
+    /// once per queued job.
+    fn place_fast(
+        &mut self,
+        queue: &mut PendingQueue<Vm>,
+        spec: PlacementSpec,
+    ) -> Result<(), SimError> {
+        let mut cursor = self.fleet.rr_cursor();
+        queue.retry(&mut cursor, self.config.nodes, |vm, kind, start| {
+            self.admit_fast(vm, kind, spec, start)
+        })?;
+        if spec == PlacementSpec::RoundRobin {
+            self.fleet.set_rr_cursor(cursor);
+        }
+        Ok(())
+    }
+
+    /// Walks `spec`'s host order for a VM of `kind` and admits it to the
+    /// first online host with room, or hands it back. `start` is where a
+    /// round-robin walk begins (other specs ignore it). Ranked specs
+    /// build their ranking mode on first use: it is a cache over the
+    /// refreshed fleet, so building it later in a pass gives the same
+    /// order.
+    fn admit_fast(
         &mut self,
         vm: Vm,
         kind: WorkloadKind,
         spec: PlacementSpec,
-        pass: &mut PlacementPass,
+        start: usize,
     ) -> Result<Option<Vm>, SimError> {
         let n = self.config.nodes;
         let (start, mode) = match spec {
             PlacementSpec::Custom => unreachable!("custom specs use place_vm"),
             PlacementSpec::FirstFit => (0, None),
-            PlacementSpec::RoundRobin => (self.fleet.rr_next(), None),
+            PlacementSpec::RoundRobin => (start, None),
             PlacementSpec::WeightedAging { server_power } => {
                 // Untimed: after the caller's refresh this is a no-op
                 // check; per-VM timer guards here would cost more clock
@@ -1958,9 +1949,6 @@ impl Simulation {
             }
         };
         let request = kind.resource_request();
-        if pass.known_unplaceable(request) {
-            return Ok(Some(vm));
-        }
         for r in 0..n {
             let node = match mode {
                 None => (start + r) % n,
@@ -1972,7 +1960,6 @@ impl Simulation {
                 return Ok(None);
             }
         }
-        pass.record_failure(request);
         Ok(Some(vm))
     }
 
@@ -2053,31 +2040,23 @@ impl Simulation {
         if spec == PlacementSpec::Custom {
             let _t = obs.time(Stage::Placement);
             let mut view = self.build_view()?;
-            let mut still_pending = VecDeque::with_capacity(self.pending.len());
-            while let Some(vm) = self.pending.pop_front() {
+            let mut pending = std::mem::take(&mut self.pending);
+            let result = pending.retry_all(|vm| {
                 let kind = vm.kind();
-                if let Some(vm) = self.place_vm(vm, kind, policy, &mut view, obs)? {
-                    still_pending.push_back(vm);
-                }
-            }
-            self.pending = still_pending;
-            return Ok(());
+                self.place_vm(vm, kind, policy, &mut view, obs)
+            });
+            self.pending = pending;
+            return result;
         }
         {
             let _t = obs.time(Stage::PlacementRank);
             self.refresh_fleet()?;
         }
         let _t = obs.time(Stage::Placement);
-        let mut still_pending = VecDeque::with_capacity(self.pending.len());
-        let mut pass = PlacementPass::default();
-        while let Some(vm) = self.pending.pop_front() {
-            let kind = vm.kind();
-            if let Some(vm) = self.place_vm_fast(vm, kind, spec, &mut pass)? {
-                still_pending.push_back(vm);
-            }
-        }
-        self.pending = still_pending;
-        Ok(())
+        let mut pending = std::mem::take(&mut self.pending);
+        let result = self.place_fast(&mut pending, spec);
+        self.pending = pending;
+        result
     }
 
     /// Processes each requested action through the typed actuation path:

@@ -448,18 +448,6 @@ impl FleetView {
         order[rank] as usize
     }
 
-    /// Advances the round-robin cursor and returns the start index for
-    /// this placement attempt.
-    pub(crate) fn rr_next(&mut self) -> usize {
-        let n = self.nodes;
-        if n == 0 {
-            return 0;
-        }
-        let start = self.rr_cursor % n;
-        self.rr_cursor = (self.rr_cursor + 1) % n;
-        start
-    }
-
     /// Checkpoint view: the raw round-robin cursor.
     pub(crate) fn rr_cursor(&self) -> usize {
         self.rr_cursor
@@ -637,10 +625,12 @@ mod tests {
     #[test]
     fn round_robin_cursor_cycles() {
         let mut fleet = FleetView::new(3, 3, vec![0, 1, 2]);
-        assert_eq!(fleet.rr_next(), 0);
-        assert_eq!(fleet.rr_next(), 1);
-        assert_eq!(fleet.rr_next(), 2);
-        assert_eq!(fleet.rr_next(), 0);
+        assert_eq!(fleet.rr_peek(), 0);
+        for (cursor, start) in [(1, 1), (2, 2), (3, 0), (7, 1)] {
+            fleet.set_rr_cursor(cursor);
+            assert_eq!(fleet.rr_cursor(), cursor);
+            assert_eq!(fleet.rr_peek(), start);
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ mod error;
 mod events;
 mod fallback;
 mod fleet;
+mod pending;
 mod policy;
 mod recorder;
 mod report;
@@ -57,6 +58,7 @@ pub use error::SimError;
 pub use events::{Event, EventLog, TimedEvent};
 pub use fallback::{FallbackInput, FallbackScheme, FALLBACK_DVFS, FALLBACK_SOC_FLOOR};
 pub use fleet::{DirtyReason, FleetView, PlacementSpec};
+pub use pending::PendingQueue;
 pub use policy::{
     Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason, RoundRobinPolicy,
     ScratchPlacement,

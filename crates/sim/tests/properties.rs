@@ -1,10 +1,13 @@
 //! Property-based tests for engine-level invariants, run on coarse
 //! timesteps to keep the case count affordable.
 
+use std::collections::VecDeque;
+
 use baat_metrics::weighted_aging;
 use baat_obs::Obs;
+use baat_rng::StdRng;
 use baat_sim::{
-    run_simulation, Action, ControlCtx, FaultMix, FaultPlan, PlacementSpec, Policy,
+    run_simulation, Action, ControlCtx, FaultMix, FaultPlan, PendingQueue, PlacementSpec, Policy,
     RoundRobinPolicy, ScratchPlacement, SimConfig, SimReport, Simulation, SystemView,
 };
 use baat_solar::Weather;
@@ -390,4 +393,240 @@ fn placement_memo_matches_scratch_on_an_oversubscribed_fleet() {
             );
         }
     }
+}
+
+/// How one queue retry orders the hosts, mirroring the four declarative
+/// placement specs: first-fit walks from host 0, round-robin from its
+/// start, and the two ranked specs walk a ranking (weighted aging ranks
+/// per demand class, lifetime NAT one order for every kind).
+#[derive(Debug, Clone)]
+enum Walk {
+    FirstFit,
+    RoundRobin,
+    Ranked {
+        mode_of: [usize; WorkloadKind::ALL.len()],
+        orders: Vec<Vec<usize>>,
+    },
+}
+
+/// One queue-retry case: hosts, their walk, and the queued VMs
+/// (`(id, kind)` in arrival order).
+#[derive(Debug, Clone)]
+struct RetryCase {
+    online: Vec<bool>,
+    free: Vec<(u32, u32)>,
+    walk: Walk,
+    cursor: usize,
+    queue: Vec<(u64, WorkloadKind)>,
+}
+
+/// What one pass did: every host walk as `(id, start)`, every admission
+/// as `(id, host)`, in order.
+#[derive(Debug, Default, PartialEq)]
+struct PassLog {
+    walks: Vec<(u64, usize)>,
+    admissions: Vec<(u64, usize)>,
+}
+
+impl RetryCase {
+    fn generate(rng: &mut StdRng) -> Self {
+        let nodes = rng.random_range(1..=8usize);
+        let online = (0..nodes).map(|_| rng.random_range(0..4u32) > 0).collect();
+        let free = (0..nodes)
+            .map(|_| (rng.random_range(0..=12u32), rng.random_range(0..=16u32)))
+            .collect();
+        let permutation = |rng: &mut StdRng| {
+            let mut order: Vec<usize> = (0..nodes).collect();
+            for i in (1..nodes).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            order
+        };
+        let walk = match rng.random_range(0..4u32) {
+            0 => Walk::FirstFit,
+            1 => Walk::RoundRobin,
+            2 => Walk::Ranked {
+                mode_of: std::array::from_fn(|_| rng.random_range(0..3usize)),
+                orders: (0..3).map(|_| permutation(rng)).collect(),
+            },
+            _ => Walk::Ranked {
+                mode_of: [0; WorkloadKind::ALL.len()],
+                orders: vec![permutation(rng)],
+            },
+        };
+        // A cursor that may sit past the node count, as a restored one can.
+        let cursor = rng.random_range(0..3 * nodes);
+        let kinds = Self::queue_kinds(rng);
+        let len = rng.random_range(0..48usize);
+        let queue = (0..len as u64)
+            .map(|id| (id, kinds[rng.random_range(0..kinds.len())]))
+            .collect();
+        Self {
+            online,
+            free,
+            walk,
+            cursor,
+            queue,
+        }
+    }
+
+    /// The kinds one queue draws from: all six, a single kind, only the
+    /// requests that dominate another kind's, or a random subset (the
+    /// remaining kinds' FIFOs stay empty).
+    fn queue_kinds(rng: &mut StdRng) -> Vec<WorkloadKind> {
+        let all = WorkloadKind::ALL;
+        match rng.random_range(0..4u32) {
+            0 => all.to_vec(),
+            1 => vec![all[rng.random_range(0..all.len())]],
+            2 => all
+                .iter()
+                .copied()
+                .filter(|k| {
+                    let (c, m) = k.resource_request();
+                    all.iter().any(|o| {
+                        let (oc, om) = o.resource_request();
+                        o != k && c >= oc && m >= om
+                    })
+                })
+                .collect(),
+            _ => {
+                let subset: Vec<_> = all.iter().copied().filter(|_| rng.random()).collect();
+                if subset.is_empty() {
+                    vec![all[0]]
+                } else {
+                    subset
+                }
+            }
+        }
+    }
+
+    fn nodes(&self) -> usize {
+        self.online.len()
+    }
+
+    /// Walks the hosts for one VM from `start` and admits it to the
+    /// first online host with room.
+    fn place(&mut self, id: u64, kind: WorkloadKind, start: usize, log: &mut PassLog) -> bool {
+        let n = self.nodes();
+        let (cores, memory) = kind.resource_request();
+        log.walks.push((id, start));
+        for r in 0..n {
+            let node = match &self.walk {
+                Walk::FirstFit => r,
+                Walk::RoundRobin => (start + r) % n,
+                Walk::Ranked { mode_of, orders } => orders[mode_of[kind as usize]][r],
+            };
+            let free = &mut self.free[node];
+            if self.online[node] && free.0 >= cores && free.1 >= memory {
+                free.0 -= cores;
+                free.1 -= memory;
+                log.admissions.push((id, node));
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Today's scan, kept here as the oracle: every queued VM in order,
+    /// each advancing the round-robin cursor, skipping a VM whose request
+    /// dominates one that already failed this pass.
+    fn scan(&mut self, queue: &mut VecDeque<(u64, WorkloadKind)>, log: &mut PassLog) {
+        let n = self.nodes();
+        let mut failed: Vec<(u32, u32)> = Vec::new();
+        let mut left = VecDeque::new();
+        for (id, kind) in queue.drain(..) {
+            let start = match self.walk {
+                Walk::RoundRobin => {
+                    let start = self.cursor % n;
+                    self.cursor = (self.cursor + 1) % n;
+                    start
+                }
+                _ => 0,
+            };
+            let request = kind.resource_request();
+            let skip = failed
+                .iter()
+                .any(|&(c, m)| request.0 >= c && request.1 >= m);
+            if skip {
+                left.push_back((id, kind));
+            } else if !self.place(id, kind, start, log) {
+                failed.push(request);
+                left.push_back((id, kind));
+            }
+        }
+        *queue = left;
+    }
+
+    /// The per-kind queue's retry over the same hosts.
+    fn retry(&mut self, queue: &mut PendingQueue<u64>, log: &mut PassLog) {
+        let n = self.nodes();
+        let mut cursor = self.cursor;
+        let round_robin = matches!(self.walk, Walk::RoundRobin);
+        queue
+            .retry(&mut cursor, n, |id, kind, start| {
+                let start = if round_robin { start } else { 0 };
+                Ok::<_, ()>((!self.place(id, kind, start, log)).then_some(id))
+            })
+            .expect("placement never fails");
+        if round_robin {
+            self.cursor = cursor;
+        }
+    }
+}
+
+/// The per-kind queue's retry against a copy of the single-queue scan it
+/// replaced: over random hosts, walks and queues (mixed, single-kind,
+/// only dominating requests, some kinds empty), three passes with fresh
+/// arrivals and new free resources between them must walk the same VMs
+/// from the same starts, admit the same VMs to the same hosts, leave the
+/// same queue in the same order and end on the same round-robin cursor.
+#[test]
+fn per_kind_retry_matches_the_arrival_order_scan() {
+    let mut rng = StdRng::seed_from_u64(0x9e4d_17a5);
+    let mut walked = 0;
+    let mut skipped = 0;
+    for case in 0..3_000 {
+        let mut oracle = RetryCase::generate(&mut rng);
+        let mut fast = oracle.clone();
+        let mut queue: VecDeque<_> = oracle.queue.iter().copied().collect();
+        let mut pending = PendingQueue::new();
+        for &(id, kind) in &oracle.queue {
+            pending.push(kind, id);
+        }
+        let mut next_id = queue.len() as u64;
+        for pass in 0..3 {
+            let (mut want, mut got) = (PassLog::default(), PassLog::default());
+            let queued = queue.len();
+            oracle.scan(&mut queue, &mut want);
+            fast.retry(&mut pending, &mut got);
+            assert_eq!(got, want, "case {case} pass {pass}: {oracle:?}");
+            let left: Vec<u64> = queue.iter().map(|&(id, _)| id).collect();
+            assert!(
+                pending.iter().copied().eq(left.iter().copied()),
+                "case {case} pass {pass}: queue order"
+            );
+            assert_eq!(pending.len(), left.len());
+            assert_eq!(fast.cursor, oracle.cursor, "case {case} pass {pass}");
+            walked += want.walks.len();
+            skipped += queued - want.walks.len();
+            // Between passes: new arrivals, and hosts freed or filled.
+            let kinds = RetryCase::queue_kinds(&mut rng);
+            for _ in 0..rng.random_range(0..8u32) {
+                let kind = kinds[rng.random_range(0..kinds.len())];
+                queue.push_back((next_id, kind));
+                pending.push(kind, next_id);
+                next_id += 1;
+            }
+            for node in 0..oracle.nodes() {
+                let free = (rng.random_range(0..=12u32), rng.random_range(0..=16u32));
+                oracle.free[node] = free;
+                fast.free[node] = free;
+            }
+        }
+    }
+    // Both halves of the scan are exercised: walks and memo skips.
+    assert!(
+        walked > 10_000 && skipped > 10_000,
+        "{walked} walked, {skipped} skipped"
+    );
 }
