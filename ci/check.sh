@@ -5,7 +5,9 @@
 #
 #   lint   — fmt + clippy + rustdoc (all deny-warnings, deprecated APIs denied)
 #   test   — release build + full workspace test suite
-#   smoke  — faulted-determinism + OpenMetrics-golden console smokes
+#   smoke  — faulted-determinism + OpenMetrics-golden console smokes,
+#            and `figures --quick` byte-identical at 1 and 8 runner
+#            threads
 #   replay — checkpoint/kill/resume gate: an interrupted checkpointing
 #            run resumed in a fresh process must byte-match the
 #            uninterrupted run's artifacts, and a snapshot's checksum
@@ -188,6 +190,15 @@ run_smoke() {
         exit 1
     fi
     "${CONSOLE[@]}" trace-check "$SMOKE_DIR/li/spans.jsonl"
+
+    echo "==> scenario runner thread-invariance smoke"
+    # Every figure sweep goes through the scenario runner, which reads
+    # its worker count from BAAT_RUNNER_THREADS: the quick figure report
+    # must be byte-identical on 1 and on 8 runner threads.
+    FIGURES=(cargo run --release -q -p baat-bench --bin figures -- --quick)
+    BAAT_RUNNER_THREADS=1 "${FIGURES[@]}" >"$SMOKE_DIR/figures-1.md" 2>/dev/null
+    BAAT_RUNNER_THREADS=8 "${FIGURES[@]}" >"$SMOKE_DIR/figures-8.md" 2>/dev/null
+    cmp "$SMOKE_DIR/figures-1.md" "$SMOKE_DIR/figures-8.md"
 }
 
 run_replay() {

@@ -5,11 +5,11 @@
 
 use baat_battery::VariationParams;
 use baat_core::Scheme;
-use baat_sim::{run_simulation, BatteryTopology, SimConfig};
+use baat_sim::{BatteryTopology, SimConfig};
 use baat_solar::Weather;
 use baat_units::{Fraction, SimDuration};
 
-use crate::runner::{parallel_map, runner_threads, EXPERIMENT_DT};
+use crate::runner::{run_scenarios, runner_threads, Scenario, EXPERIMENT_DT};
 
 fn base_builder(seed: u64) -> baat_sim::SimConfigBuilder {
     let mut b = SimConfig::builder();
@@ -46,17 +46,23 @@ pub fn topology(seed: u64) -> Vec<TopologyRow> {
                 .map(move |scheme| (pools, scheme))
         })
         .collect();
-    parallel_map(specs, runner_threads(), |(pools, scheme)| {
-        let topology = if pools == 6 {
-            BatteryTopology::PerServer
-        } else {
-            BatteryTopology::SharedPool { pools }
-        };
-        let mut b = base_builder(seed);
-        b.topology(topology);
-        let report = run_simulation(b.build().expect("config valid"), &mut scheme.build())
-            .expect("simulation runs");
-        TopologyRow {
+    let cells = specs
+        .iter()
+        .map(|&(pools, scheme)| {
+            let topology = if pools == 6 {
+                BatteryTopology::PerServer
+            } else {
+                BatteryTopology::SharedPool { pools }
+            };
+            let mut b = base_builder(seed);
+            b.topology(topology);
+            Scenario::new(scheme, b.build().expect("config valid"))
+        })
+        .collect();
+    specs
+        .into_iter()
+        .zip(run_scenarios(cells, runner_threads()))
+        .map(|((pools, scheme), report)| TopologyRow {
             pools,
             scheme,
             work: report.total_work,
@@ -67,8 +73,8 @@ pub fn topology(seed: u64) -> Vec<TopologyRow> {
                 .map(|n| n.soc_histogram[0].as_secs())
                 .max()
                 .unwrap_or(0),
-        }
-    })
+        })
+        .collect()
 }
 
 /// One timestep sensitivity row.
@@ -85,7 +91,8 @@ pub struct TimestepRow {
 /// Timestep-insensitivity check: results should drift only mildly across
 /// dt = 10–120 s (the aging integrals are per-hour linear).
 pub fn timestep(seed: u64) -> Vec<TimestepRow> {
-    [10u64, 30, 60, 120]
+    let dts = [10u64, 30, 60, 120];
+    let cells = dts
         .iter()
         .map(|&dt| {
             let mut b = SimConfig::builder();
@@ -94,14 +101,15 @@ pub fn timestep(seed: u64) -> Vec<TimestepRow> {
                 .control_interval(SimDuration::from_secs(dt.max(60)))
                 .sample_every(40)
                 .seed(seed);
-            let report =
-                run_simulation(b.build().expect("config valid"), &mut Scheme::Baat.build())
-                    .expect("simulation runs");
-            TimestepRow {
-                dt_secs: dt,
-                work: report.total_work,
-                mean_damage: report.mean_damage(),
-            }
+            Scenario::new(Scheme::Baat, b.build().expect("config valid"))
+        })
+        .collect();
+    dts.into_iter()
+        .zip(run_scenarios(cells, runner_threads()))
+        .map(|(dt_secs, report)| TimestepRow {
+            dt_secs,
+            work: report.total_work,
+            mean_damage: report.mean_damage(),
         })
         .collect()
 }
@@ -130,26 +138,33 @@ pub fn variation(seed: u64) -> Vec<VariationRow> {
                 .map(move |scheme| (spread, scheme))
         })
         .collect();
-    let ratios = parallel_map(specs, runner_threads(), |(spread, scheme)| {
-        let mut b = base_builder(seed);
-        b.variation(
-            VariationParams::new(
-                Fraction::saturating((spread / 3.0).min(0.12)),
-                Fraction::saturating(spread.min(0.3)),
-                Fraction::saturating(spread),
-            )
-            .expect("ablation spreads stay below 0.5"),
-        );
-        let report = run_simulation(b.build().expect("config valid"), &mut scheme.build())
-            .expect("simulation runs");
-        let worst = report.worst_node().expect("nodes exist").damage;
-        let best = report
-            .nodes
-            .iter()
-            .map(|n| n.damage)
-            .fold(f64::INFINITY, f64::min);
-        worst / best.max(1e-12)
-    });
+    let cells = specs
+        .into_iter()
+        .map(|(spread, scheme)| {
+            let mut b = base_builder(seed);
+            b.variation(
+                VariationParams::new(
+                    Fraction::saturating((spread / 3.0).min(0.12)),
+                    Fraction::saturating(spread.min(0.3)),
+                    Fraction::saturating(spread),
+                )
+                .expect("ablation spreads stay below 0.5"),
+            );
+            Scenario::new(scheme, b.build().expect("config valid"))
+        })
+        .collect();
+    let ratios: Vec<f64> = run_scenarios(cells, runner_threads())
+        .iter()
+        .map(|report| {
+            let worst = report.worst_node().expect("nodes exist").damage;
+            let best = report
+                .nodes
+                .iter()
+                .map(|n| n.damage)
+                .fold(f64::INFINITY, f64::min);
+            worst / best.max(1e-12)
+        })
+        .collect();
     spreads
         .iter()
         .zip(ratios.chunks(2))
@@ -175,19 +190,22 @@ pub struct CadenceRow {
 /// Control-interval sensitivity: how slow can the BAAT controller tick
 /// before it stops protecting batteries?
 pub fn cadence(seed: u64) -> Vec<CadenceRow> {
-    [60u64, 300, 900]
+    let intervals = [60u64, 300, 900];
+    let cells = intervals
         .iter()
         .map(|&interval| {
             let mut b = base_builder(seed);
             b.control_interval(SimDuration::from_secs(interval));
-            let report =
-                run_simulation(b.build().expect("config valid"), &mut Scheme::Baat.build())
-                    .expect("simulation runs");
-            CadenceRow {
-                interval_secs: interval,
-                work: report.total_work,
-                worst_damage: report.worst_node().expect("nodes exist").damage,
-            }
+            Scenario::new(Scheme::Baat, b.build().expect("config valid"))
+        })
+        .collect();
+    intervals
+        .into_iter()
+        .zip(run_scenarios(cells, runner_threads()))
+        .map(|(interval_secs, report)| CadenceRow {
+            interval_secs,
+            work: report.total_work,
+            worst_damage: report.worst_node().expect("nodes exist").damage,
         })
         .collect()
 }

@@ -15,7 +15,7 @@ use baat_core::{LifetimeEstimate, Scheme};
 use baat_cost::TcoModel;
 use baat_solar::Weather;
 
-use crate::runner::{chemistry_plan_config, run_scenarios_forked, Scenario};
+use crate::runner::{chemistry_plan_config, run_scenarios, runner_threads, Scenario};
 
 /// The schemes the ablation compares on each chemistry.
 const SCHEMES: [Scheme; 2] = [Scheme::EBuff, Scheme::Baat];
@@ -75,7 +75,7 @@ pub fn run(plan: Vec<Weather>, seed: u64) -> ChemistryAblation {
             })
         })
         .collect();
-    let reports = run_scenarios_forked(scenarios);
+    let reports = run_scenarios(scenarios, runner_threads());
     let cells = Chemistry::ALL
         .iter()
         .flat_map(|&chemistry| SCHEMES.map(|scheme| (chemistry, scheme)))

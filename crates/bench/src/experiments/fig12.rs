@@ -10,7 +10,7 @@ use baat_core::Scheme;
 use baat_sim::Simulation;
 use baat_solar::Weather;
 
-use crate::runner::{day_config, run_scheme};
+use crate::runner::{day_config, run_scenarios, runner_threads, Scenario};
 
 /// One hourly snapshot of the worst battery node's metrics (the paper's
 /// Fig 12e–k trajectories).
@@ -126,10 +126,14 @@ impl RuntimeProfile {
 /// Runs the per-weather profiling under e-Buff (the paper profiles its
 /// unmanaged prototype).
 pub fn run(seed: u64) -> RuntimeProfile {
+    let cells = Weather::ALL
+        .iter()
+        .map(|&weather| Scenario::new(Scheme::EBuff, day_config(weather, seed)))
+        .collect();
     let profiles = Weather::ALL
         .iter()
-        .map(|&weather| {
-            let report = run_scheme(Scheme::EBuff, day_config(weather, seed), None);
+        .zip(run_scenarios(cells, runner_threads()))
+        .map(|(&weather, report)| {
             // NAT × CAP_nom (the default 70 Ah node rates 35 000 Ah
             // life-long) recovers absolute discharged Ah.
             let node_ah: Vec<f64> = report

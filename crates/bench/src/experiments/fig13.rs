@@ -9,12 +9,13 @@
 
 use baat_core::Scheme;
 use baat_metrics::weighted_aging;
+use baat_sim::SimReport;
 use baat_solar::Weather;
 use baat_workload::{DemandClass, EnergyDemand, PowerDemand};
 
 use crate::runner::{
-    day_config, run_scenarios_forked, run_scenarios_observed_with_threads, runner_threads,
-    write_perf_report, Scenario, OLD_BATTERY_DAMAGE,
+    day_config, run_scenarios, run_scenarios_observed, runner_threads, write_perf_report, Scenario,
+    OLD_BATTERY_DAMAGE,
 };
 
 /// One cell of the comparison matrix.
@@ -127,14 +128,15 @@ fn sweep(seed: u64) -> (Vec<(Scheme, Weather, bool)>, Vec<Scenario>) {
     (specs, scenarios)
 }
 
-/// Runs the 4×2×2 comparison on matched solar days, fanned out across
-/// the parallel scenario runner.
-pub fn run(seed: u64) -> AgingComparison {
-    let (specs, scenarios) = sweep(seed);
+/// Builds the comparison matrix from the sweep's reports, in sweep order.
+fn comparison<'a>(
+    specs: &[(Scheme, Weather, bool)],
+    reports: impl IntoIterator<Item = &'a SimReport>,
+) -> AgingComparison {
     let cells = specs
-        .into_iter()
-        .zip(run_scenarios_forked(scenarios))
-        .map(|((scheme, weather, old), report)| {
+        .iter()
+        .zip(reports)
+        .map(|(&(scheme, weather, old), report)| {
             let worst = report.worst_node().expect("nodes exist");
             let base = if old { OLD_BATTERY_DAMAGE } else { 0.0 };
             ComparisonCell {
@@ -152,6 +154,13 @@ pub fn run(seed: u64) -> AgingComparison {
     AgingComparison { cells }
 }
 
+/// Runs the 4×2×2 comparison on matched solar days, fanned out across
+/// the parallel scenario runner.
+pub fn run(seed: u64) -> AgingComparison {
+    let (specs, scenarios) = sweep(seed);
+    comparison(&specs, &run_scenarios(scenarios, runner_threads()))
+}
+
 /// [`run`] with per-scenario perf + counter reports written to `dir`
 /// (`fig13_<scheme>_<weather>_<age>.perf.jsonl`). The returned matrix is
 /// bit-identical to [`run`]'s: observation never perturbs a run.
@@ -161,26 +170,7 @@ pub fn run(seed: u64) -> AgingComparison {
 /// Propagates filesystem errors writing the perf reports.
 pub fn run_observed(seed: u64, dir: &std::path::Path) -> std::io::Result<AgingComparison> {
     let (specs, scenarios) = sweep(seed);
-    let runs = run_scenarios_observed_with_threads(scenarios, runner_threads());
-    let cells = specs
-        .iter()
-        .zip(&runs)
-        .map(|(&(scheme, weather, old), run)| {
-            let report = &run.report;
-            let worst = report.worst_node().expect("nodes exist");
-            let base = if old { OLD_BATTERY_DAMAGE } else { 0.0 };
-            ComparisonCell {
-                scheme,
-                weather,
-                old,
-                nat: worst.lifetime_metrics.nat,
-                cf: worst.lifetime_metrics.cf,
-                pc: worst.lifetime_metrics.pc.weighted_value(),
-                weighted: weighted_aging(&worst.lifetime_metrics, CLASS),
-                damage: report.mean_damage() - base,
-            }
-        })
-        .collect();
+    let runs = run_scenarios_observed(scenarios, runner_threads());
     for (&(scheme, weather, old), run) in specs.iter().zip(&runs) {
         let label = format!(
             "fig13_{}_{}_{}",
@@ -190,7 +180,7 @@ pub fn run_observed(seed: u64, dir: &std::path::Path) -> std::io::Result<AgingCo
         );
         write_perf_report(dir, &label, run)?;
     }
-    Ok(AgingComparison { cells })
+    Ok(comparison(&specs, runs.iter().map(|run| &run.report)))
 }
 
 /// Renders the matrix plus headline ratios.

@@ -8,7 +8,7 @@
 use baat_core::{weather_plan_for_sunshine, LifetimeEstimate, Scheme};
 use baat_units::Fraction;
 
-use crate::runner::{plan_config, run_scenarios_forked, Scenario};
+use crate::runner::{plan_config, run_scenarios, runner_threads, Scenario};
 
 /// Lifetime estimates for the four schemes at one sunshine fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ pub fn run(fractions: &[f64], days: usize, seed: u64) -> LifetimeSweep {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let reports = run_scenarios_forked(scenarios);
+    let reports = run_scenarios(scenarios, runner_threads());
     let points = fractions
         .iter()
         .zip(reports.chunks(Scheme::ALL.len()))

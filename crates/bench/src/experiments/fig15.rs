@@ -10,7 +10,7 @@ use baat_server::ServerPowerModel;
 use baat_sim::{SimConfig, SimReport};
 use baat_units::{Fraction, Watts};
 
-use crate::runner::{run_scenarios_forked, Scenario, EXPERIMENT_DT};
+use crate::runner::{run_scenarios, runner_threads, Scenario, EXPERIMENT_DT};
 
 /// One ratio sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,7 +129,7 @@ pub fn run(ratios: &[f64], days: usize, seed: u64) -> RatioSweep {
                 .map(move |&s| Scenario::new(scheme, config_for(ratio, scale, days, s)))
         })
         .collect();
-    let means: Vec<f64> = run_scenarios_forked(scenarios)
+    let means: Vec<f64> = run_scenarios(scenarios, runner_threads())
         .chunks(window_seeds.len())
         .map(|chunk| chunk.iter().map(worst_days).sum::<f64>() / chunk.len() as f64)
         .collect();

@@ -6,14 +6,11 @@
 //! e-Buff, but "aggressively applying the aging slowdown algorithm is not
 //! wise since it may cause unnecessary performance degradation".
 
-use baat_core::{
-    weather_plan_for_sunshine, Baat, BaatConfig, LifetimeEstimate, Scheme, SlowdownThresholds,
-};
+use baat_core::{weather_plan_for_sunshine, BaatConfig, LifetimeEstimate, SlowdownThresholds};
 use baat_cost::BatteryCostModel;
-use baat_sim::Simulation;
 use baat_units::{Fraction, Soc};
 
-use crate::runner::{plan_config, run_scheme};
+use crate::runner::plan_config;
 
 /// One threshold sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,20 +56,20 @@ pub fn run(thresholds: &[f64], days: usize, seed: u64) -> CostSweep {
     )
     .expect("static prices are valid");
     let plan = weather_plan_for_sunshine(Fraction::new(0.55).expect("static fraction"), days, seed);
+    let policies = thresholds.iter().map(|&deep| BaatConfig {
+        thresholds: SlowdownThresholds {
+            deep_soc: Soc::saturating(deep),
+            recover_soc: Soc::saturating(deep + 0.08),
+            ..SlowdownThresholds::default()
+        },
+        ..BaatConfig::default()
+    });
+    let (reports, ebuff) = super::baat_sweep(policies, plan_config(plan, seed));
     let points = thresholds
         .iter()
-        .map(|&deep| {
-            let mut policy = Baat::with_config(BaatConfig {
-                thresholds: SlowdownThresholds {
-                    deep_soc: Soc::saturating(deep),
-                    recover_soc: Soc::saturating(deep + 0.08),
-                    ..SlowdownThresholds::default()
-                },
-                ..BaatConfig::default()
-            });
-            let sim = Simulation::new(plan_config(plan.clone(), seed)).expect("config validated");
-            let report = sim.run(&mut policy).expect("engine invariants hold");
-            let lifetime_days = LifetimeEstimate::from_report(&report)
+        .zip(&reports)
+        .map(|(&deep, report)| {
+            let lifetime_days = LifetimeEstimate::from_report(report)
                 .expect("cycling causes damage")
                 .worst_days;
             ThresholdPoint {
@@ -86,7 +83,6 @@ pub fn run(thresholds: &[f64], days: usize, seed: u64) -> CostSweep {
             }
         })
         .collect();
-    let ebuff = run_scheme(Scheme::EBuff, plan_config(plan, seed), None);
     let ebuff_days = LifetimeEstimate::from_report(&ebuff)
         .expect("cycling causes damage")
         .worst_days;

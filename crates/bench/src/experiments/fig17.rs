@@ -10,7 +10,7 @@ use baat_core::{weather_plan_for_sunshine, LifetimeEstimate, Scheme};
 use baat_cost::{BatteryCostModel, TcoModel};
 use baat_units::{Dollars, Fraction, WattHours, Watts};
 
-use crate::runner::{plan_config, run_scenarios_forked, Scenario};
+use crate::runner::{plan_config, run_scenarios, runner_threads, Scenario};
 
 /// One sunshine sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +59,7 @@ pub fn run(fractions: &[f64], days: usize, seed: u64) -> ExpansionSweep {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let reports = run_scenarios_forked(scenarios);
+    let reports = run_scenarios(scenarios, runner_threads());
     let points = fractions
         .iter()
         .zip(reports.chunks(2))

@@ -12,7 +12,7 @@ use baat_core::{
 use baat_sim::SimReport;
 use baat_solar::Weather;
 
-use crate::runner::{plan_config, run_scenarios_forked, Scenario};
+use crate::runner::{plan_config, run_scenarios, runner_threads, Scenario};
 
 /// Low-SoC and distribution results for one scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,7 @@ pub fn run(days: usize, seed: u64) -> AvailabilityStudy {
     let reports: Vec<(Scheme, SimReport)> = Scheme::ALL
         .iter()
         .copied()
-        .zip(run_scenarios_forked(scenarios))
+        .zip(run_scenarios(scenarios, runner_threads()))
         .collect();
     let baat_report = &reports
         .iter()

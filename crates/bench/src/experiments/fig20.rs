@@ -9,7 +9,7 @@
 use baat_core::Scheme;
 use baat_solar::Weather;
 
-use crate::runner::{day_config, run_scenarios_forked, Scenario, OLD_BATTERY_DAMAGE};
+use crate::runner::{day_config, run_scenarios, runner_threads, Scenario, OLD_BATTERY_DAMAGE};
 
 /// Throughput of the four schemes in one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ pub fn run(scenarios: &[(Weather, bool)], seed: u64) -> ThroughputStudy {
             })
         })
         .collect();
-    let reports = run_scenarios_forked(cells);
+    let reports = run_scenarios(cells, runner_threads());
     let rows = scenarios
         .iter()
         .zip(reports.chunks(Scheme::ALL.len()))

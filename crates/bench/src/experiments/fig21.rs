@@ -6,12 +6,11 @@
 //! visibly, while 70 % → 90 % adds little (the battery spends too long at
 //! very low SoC).
 
-use baat_core::{Baat, BaatConfig, Scheme, SlowdownThresholds};
-use baat_sim::Simulation;
+use baat_core::{BaatConfig, SlowdownThresholds};
 use baat_solar::Weather;
 use baat_units::Soc;
 
-use crate::runner::{plan_config, run_scheme};
+use crate::runner::plan_config;
 
 /// One planned-DoD sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,28 +63,25 @@ pub fn run(dods: &[f64], days: usize, seed: u64) -> PlannedDodSweep {
             }
         })
         .collect();
+    // The planned DoD substitutes the slowdown line (§IV.D).
+    let policies = dods.iter().map(|&dod| BaatConfig {
+        thresholds: SlowdownThresholds {
+            deep_soc: Soc::saturating(1.0 - dod),
+            recover_soc: Soc::saturating((1.0 - dod + 0.08).min(0.95)),
+            ..SlowdownThresholds::default()
+        },
+        ..BaatConfig::default()
+    });
+    let (reports, ebuff) = super::baat_sweep(policies, plan_config(plan, seed));
     let points = dods
         .iter()
-        .map(|&dod| {
-            // The planned DoD substitutes the slowdown line (§IV.D).
-            let mut policy = Baat::with_config(BaatConfig {
-                thresholds: SlowdownThresholds {
-                    deep_soc: Soc::saturating(1.0 - dod),
-                    recover_soc: Soc::saturating((1.0 - dod + 0.08).min(0.95)),
-                    ..SlowdownThresholds::default()
-                },
-                ..BaatConfig::default()
-            });
-            let sim = Simulation::new(plan_config(plan.clone(), seed)).expect("config validated");
-            let report = sim.run(&mut policy).expect("engine invariants hold");
-            DodPoint {
-                dod,
-                work: report.total_work,
-                daily_damage: report.mean_damage() / days as f64,
-            }
+        .zip(&reports)
+        .map(|(&dod, report)| DodPoint {
+            dod,
+            work: report.total_work,
+            daily_damage: report.mean_damage() / days as f64,
         })
         .collect();
-    let ebuff = run_scheme(Scheme::EBuff, plan_config(plan, seed), None);
     PlannedDodSweep {
         points,
         ebuff_work: ebuff.total_work,

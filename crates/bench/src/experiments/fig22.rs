@@ -7,11 +7,10 @@
 //! horizon the DoD is already capped (>90 % DoD is off-limits), and with
 //! a very long horizon there is little unused life to shift.
 
-use baat_core::{Baat, PlannedAging, Scheme};
-use baat_sim::Simulation;
+use baat_core::{BaatConfig, PlannedAging};
 use baat_solar::Weather;
 
-use crate::runner::{plan_config, run_scheme};
+use crate::runner::plan_config;
 
 /// One service-horizon sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,16 +71,18 @@ pub fn run(horizons_days: &[f64], days: usize, seed: u64) -> HorizonSweep {
             }
         })
         .collect();
-    let ebuff = run_scheme(Scheme::EBuff, plan_config(plan.clone(), seed), None);
+    let policies = horizons_days.iter().map(|&service_days| BaatConfig {
+        planned: Some(PlannedAging {
+            service_days,
+            cycles_per_day: 1.0,
+        }),
+        ..BaatConfig::default()
+    });
+    let (reports, ebuff) = super::baat_sweep(policies, plan_config(plan, seed));
     let points = horizons_days
         .iter()
-        .map(|&service_days| {
-            let mut policy = Baat::with_planned_aging(PlannedAging {
-                service_days,
-                cycles_per_day: 1.0,
-            });
-            let sim = Simulation::new(plan_config(plan.clone(), seed)).expect("config validated");
-            let report = sim.run(&mut policy).expect("engine invariants hold");
+        .zip(&reports)
+        .map(|(&service_days, report)| {
             let improvement = report.total_work / ebuff.total_work - 1.0;
             HorizonPoint {
                 service_days,

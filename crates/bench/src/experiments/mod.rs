@@ -15,3 +15,24 @@ pub mod fig20;
 pub mod fig21;
 pub mod fig22;
 pub mod table1;
+
+use baat_core::{BaatConfig, Scheme};
+use baat_sim::{SimConfig, SimReport};
+
+use crate::runner::{run_scenarios, runner_threads, Scenario};
+
+/// Runs one BAAT cell per policy configuration plus the e-Buff reference,
+/// all on `config`'s days, as one warm group of the scenario runner.
+/// Returns the BAAT reports in policy order, then e-Buff's.
+fn baat_sweep(
+    policies: impl Iterator<Item = BaatConfig>,
+    config: SimConfig,
+) -> (Vec<SimReport>, SimReport) {
+    let mut cells: Vec<Scenario> = policies
+        .map(|policy| Scenario::new(policy, config.clone()))
+        .collect();
+    cells.push(Scenario::new(Scheme::EBuff, config));
+    let mut reports = run_scenarios(cells, runner_threads());
+    let ebuff = reports.pop().expect("the e-Buff cell");
+    (reports, ebuff)
+}

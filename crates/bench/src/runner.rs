@@ -1,20 +1,26 @@
-//! Shared experiment plumbing: standard configurations, scheme runs,
-//! and the parallel scenario runner.
+//! Shared experiment plumbing: standard configurations and the one
+//! scenario runner.
+//!
+//! Every figure and ablation sweep is a `Vec<`[`Scenario`]`>` handed to
+//! [`run_scenarios`]; [`run_scenarios_observed`] is the from-scratch
+//! variant that also returns each run's metric registry, and
+//! [`Scenario::run`] is the from-scratch single run the tests use as
+//! the oracle.
 //!
 //! # Parallelism and determinism
 //!
 //! Figure and ablation sweeps are embarrassingly parallel: every
-//! scenario owns its full simulation state and its own seed, so
-//! [`run_scenarios`] fans them out across a [`baat_exec::ExecPool`] —
-//! the same worker pool the engine uses for intra-step sharding.
-//! Determinism is preserved by construction — a scenario's result is a
-//! pure function of its [`Scenario`] value, the pool returns results in
-//! item order, and nothing about scheduling order can leak into a
-//! [`SimReport`]. The same scenario list therefore produces
-//! **bit-identical** reports on 1 thread and on N (verified by
-//! `tests/determinism.rs`).
+//! scenario owns its full simulation state and its own seed, so the
+//! runner fans them out across a [`baat_exec::ExecPool`] — the same
+//! worker pool the engine uses for intra-step sharding. Determinism is
+//! preserved by construction — a scenario's result is a pure function
+//! of its [`Scenario`] value, the pool returns results in item order,
+//! and nothing about scheduling order can leak into a [`SimReport`].
+//! The same scenario list therefore produces **bit-identical** reports
+//! on 1 thread and on N (verified by `tests/determinism.rs`).
 //!
-//! Thread count comes from `BAAT_RUNNER_THREADS` when set, else from
+//! Sweeps take their thread count from [`runner_threads`]:
+//! `BAAT_RUNNER_THREADS` when set, else
 //! [`std::thread::available_parallelism`].
 
 use std::io::Write;
@@ -22,14 +28,11 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use baat_battery::Chemistry;
-use baat_core::Scheme;
+use baat_core::{Baat, BaatConfig, Scheme};
 use baat_obs::json::JsonLine;
 use baat_obs::Obs;
 use baat_rng::derive_seed;
-use baat_sim::{
-    ChemistrySpec, FaultMix, FaultPlan, SimConfig, SimError, SimReport, SimSnapshot, Simulation,
-    SnapshotError,
-};
+use baat_sim::{ChemistrySpec, FaultMix, FaultPlan, Policy, SimConfig, SimReport, Simulation};
 use baat_solar::Weather;
 use baat_units::SimDuration;
 
@@ -138,36 +141,49 @@ pub fn plan_config(plan: Vec<Weather>, seed: u64) -> SimConfig {
     b.build().expect("experiment defaults are valid")
 }
 
-/// Runs one scheme on one configuration, optionally pre-aging the
-/// batteries to the "old" stage first.
-pub fn run_scheme(scheme: Scheme, config: SimConfig, pre_age: Option<f64>) -> SimReport {
-    run_scheme_observed(scheme, config, pre_age, Obs::disabled())
+/// What a scenario runs: one of the Table-4 schemes with its defaults,
+/// or the full BAAT policy under a custom configuration (the Fig 16
+/// slowdown thresholds, the Fig 21 planned DoD, the Fig 22 service
+/// horizons).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioPolicy {
+    /// A scheme with its default configuration.
+    Scheme(Scheme),
+    /// The coordinated BAAT policy with this configuration.
+    Baat(BaatConfig),
 }
 
-/// [`run_scheme`] recording metrics and stage timings into `obs`.
-///
-/// The report is bit-identical to the unobserved run of the same
-/// configuration: observation never perturbs the simulation.
-pub fn run_scheme_observed(
-    scheme: Scheme,
-    config: SimConfig,
-    pre_age: Option<f64>,
-    obs: Obs,
-) -> SimReport {
-    let mut sim = Simulation::with_obs(config, obs.clone()).expect("config validated by builder");
-    if let Some(damage) = pre_age {
-        sim.pre_age_batteries(damage);
+impl ScenarioPolicy {
+    /// Instantiates the policy with its decision counters in `obs`.
+    fn build(&self, obs: &Obs) -> Box<dyn Policy> {
+        match self {
+            ScenarioPolicy::Scheme(scheme) => scheme.build_observed(obs),
+            ScenarioPolicy::Baat(config) => {
+                let mut policy = Baat::with_config(config.clone());
+                policy.attach_obs(obs);
+                Box::new(policy)
+            }
+        }
     }
-    let mut policy = scheme.build_observed(&obs);
-    sim.run(&mut policy)
-        .expect("experiment scenarios uphold engine invariants")
+}
+
+impl From<Scheme> for ScenarioPolicy {
+    fn from(scheme: Scheme) -> Self {
+        ScenarioPolicy::Scheme(scheme)
+    }
+}
+
+impl From<BaatConfig> for ScenarioPolicy {
+    fn from(config: BaatConfig) -> Self {
+        ScenarioPolicy::Baat(config)
+    }
 }
 
 /// One sweep cell: everything needed to produce one [`SimReport`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// The scheme under test.
-    pub scheme: Scheme,
+    /// The policy under test.
+    pub policy: ScenarioPolicy,
     /// The full simulation configuration (carries the seed).
     pub config: SimConfig,
     /// Optional pre-aging damage (the paper's "old battery" stage).
@@ -176,9 +192,9 @@ pub struct Scenario {
 
 impl Scenario {
     /// A fresh-battery scenario.
-    pub fn new(scheme: Scheme, config: SimConfig) -> Self {
+    pub fn new(policy: impl Into<ScenarioPolicy>, config: SimConfig) -> Self {
         Self {
-            scheme,
+            policy: policy.into(),
             config,
             pre_age: None,
         }
@@ -190,14 +206,26 @@ impl Scenario {
         self
     }
 
-    fn run(self) -> SimReport {
-        run_scheme(self.scheme, self.config, self.pre_age)
+    /// Runs the scenario from scratch on the calling thread — the
+    /// oracle every [`run_scenarios`] report must equal bit for bit.
+    pub fn run(self) -> SimReport {
+        self.run_with_obs(Obs::disabled())
+    }
+
+    fn run_with_obs(self, obs: Obs) -> SimReport {
+        let mut sim =
+            Simulation::with_obs(self.config, obs.clone()).expect("config validated by builder");
+        if let Some(damage) = self.pre_age {
+            sim.pre_age_batteries(damage);
+        }
+        sim.run(&mut self.policy.build(&obs))
+            .expect("experiment scenarios uphold engine invariants")
     }
 
     fn run_observed(self) -> ObservedRun {
         let obs = Obs::enabled();
         let started = Instant::now();
-        let report = run_scheme_observed(self.scheme, self.config, self.pre_age, obs.clone());
+        let report = self.run_with_obs(obs.clone());
         ObservedRun {
             report,
             obs,
@@ -218,16 +246,14 @@ pub struct ObservedRun {
     pub wall: Duration,
 }
 
-/// Runs every scenario with a fresh enabled [`Obs`] each, fanned out over
-/// `threads` workers, and returns runs **in scenario order**.
+/// Runs every scenario from scratch with a fresh enabled [`Obs`] each,
+/// fanned out over `threads` workers, and returns runs **in scenario
+/// order**.
 ///
-/// Reports are bit-identical to [`run_scenarios_with_threads`] for the
-/// same scenario list (verified by `tests/determinism.rs`); only the
-/// wall-clock figures and metric registries are extra.
-pub fn run_scenarios_observed_with_threads(
-    scenarios: Vec<Scenario>,
-    threads: usize,
-) -> Vec<ObservedRun> {
+/// Reports are bit-identical to [`run_scenarios`] for the same scenario
+/// list (verified by `tests/determinism.rs`); only the wall-clock
+/// figures and metric registries are extra.
+pub fn run_scenarios_observed(scenarios: Vec<Scenario>, threads: usize) -> Vec<ObservedRun> {
     parallel_map(scenarios, threads, Scenario::run_observed)
 }
 
@@ -316,67 +342,43 @@ pub fn runner_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs every scenario, fanned out over [`runner_threads`] workers, and
-/// returns the reports **in scenario order**.
-pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<SimReport> {
-    run_scenarios_with_threads(scenarios, runner_threads())
-}
-
-/// [`run_scenarios`] with an explicit worker count (exposed so the
-/// determinism tests can compare 1-thread and N-thread execution).
-pub fn run_scenarios_with_threads(scenarios: Vec<Scenario>, threads: usize) -> Vec<SimReport> {
-    parallel_map(scenarios, threads, Scenario::run)
-}
-
-/// [`run_scenarios`] with snapshot-forked warm-ups: scenarios that share
-/// everything but scheme and fault plan (same config-minus-faults, same
-/// pre-aging) simulate their policy-free pre-window prefix **once**,
-/// then each variant forks a clone of the warm engine and runs its own
-/// tail.
+/// Runs every scenario over `threads` workers and returns the reports
+/// **in scenario order**.
 ///
-/// Reports are **bit-identical** to [`run_scenarios`] (verified by
+/// Scenarios that share everything but policy and fault plan (same
+/// config-minus-faults, same pre-aging) simulate their policy-free
+/// pre-window prefix **once**; each member then forks a clone of the
+/// warm engine and runs its own tail.
+///
+/// Reports are **bit-identical** to [`Scenario::run`] (verified by
 /// `tests/determinism.rs`): the prefix is policy-independent by
 /// construction — arrivals, placement and control are all gated on the
 /// operating window — and a fault plan installed at the fork point
 /// rebuilds an injector bit-identical to one armed from step 0, as long
 /// as the fork precedes the earliest fault onset. Groups whose faults
 /// fire before the window simply fork earlier (worst case: step 0).
-pub fn run_scenarios_forked(scenarios: Vec<Scenario>) -> Vec<SimReport> {
-    run_scenarios_forked_with_threads(scenarios, runner_threads())
-}
-
-/// [`run_scenarios_forked`] with an explicit worker count.
-pub fn run_scenarios_forked_with_threads(
-    scenarios: Vec<Scenario>,
-    threads: usize,
-) -> Vec<SimReport> {
+pub fn run_scenarios(scenarios: Vec<Scenario>, threads: usize) -> Vec<SimReport> {
     // Phase 1: one warm prefix per group, in parallel.
     let prefixes: Vec<(Simulation, Vec<usize>)> =
         parallel_map(warm_groups(&scenarios), threads, |group| {
             (warm_prefix(&group, &scenarios), group.members)
         });
-    let prefix_of: Vec<&Simulation> = {
-        let mut slots: Vec<Option<&Simulation>> = vec![None; scenarios.len()];
-        for (sim, members) in &prefixes {
-            for &index in members {
-                slots[index] = Some(sim);
-            }
+    let mut prefix_of: Vec<Option<&Simulation>> = vec![None; scenarios.len()];
+    for (sim, members) in &prefixes {
+        for &index in members {
+            prefix_of[index] = Some(sim);
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every scenario belongs to one group"))
-            .collect()
-    };
+    }
 
     // Phase 2: fork and finish every scenario tail, in parallel.
-    let jobs: Vec<(Scenario, &Simulation)> = scenarios.iter().cloned().zip(prefix_of).collect();
+    let jobs: Vec<(Scenario, Option<&Simulation>)> = scenarios.into_iter().zip(prefix_of).collect();
     parallel_map(jobs, threads, |(scenario, prefix)| {
+        let prefix = prefix.expect("every scenario belongs to one group");
         finish_from_prefix(prefix.clone(), scenario)
-            .expect("experiment scenarios uphold engine invariants")
     })
 }
 
-/// Scenarios that differ only in scheme and fault plan — exactly what
+/// Scenarios that differ only in policy and fault plan — exactly what
 /// the policy-free prefix is independent of — so they share one warm
 /// prefix.
 struct WarmGroup {
@@ -436,86 +438,13 @@ fn warm_prefix(group: &WarmGroup, scenarios: &[Scenario]) -> Simulation {
 
 /// Arms `scenario`'s fault plan on its group's warm prefix and runs the
 /// scenario's own tail.
-fn finish_from_prefix(mut sim: Simulation, scenario: Scenario) -> Result<SimReport, SimError> {
+fn finish_from_prefix(mut sim: Simulation, scenario: Scenario) -> SimReport {
     if !scenario.config.faults.is_empty() {
         sim.install_fault_plan(scenario.config.faults)
             .expect("fork point precedes the earliest fault onset");
     }
-    let mut policy = scenario.scheme.build_observed(&Obs::disabled());
-    sim.run_remaining(&mut policy)
-}
-
-/// [`run_scenarios_forked`] with the warm prefix **materialized to
-/// disk**: each group's policy-free prefix simulates once, is written to
-/// `dir` as a versioned [`SimSnapshot`] file (`warm-<group>.snap`), and
-/// every variant restores its own engine from that file before running
-/// its tail.
-///
-/// Reports are **bit-identical** to [`run_scenarios`] (verified by
-/// `tests/determinism.rs`): restore rebuilds the engine from the
-/// group's fault-free config and the snapshot round-trips every dynamic
-/// field bit-exactly, so the forked-from-file engine is
-/// indistinguishable from the in-memory clone [`run_scenarios_forked`]
-/// uses. The snapshot files are left in `dir` — a later invocation of
-/// the same sweep could fork from them without re-simulating, and CI
-/// inspects them as checkpoint artifacts.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on snapshot write/read failures (the simulation
-/// itself upholds engine invariants, as in [`run_scenarios`]).
-pub fn run_scenarios_warmstart(
-    scenarios: Vec<Scenario>,
-    dir: &Path,
-) -> Result<Vec<SimReport>, SimError> {
-    run_scenarios_warmstart_with_threads(scenarios, dir, runner_threads())
-}
-
-/// [`run_scenarios_warmstart`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on snapshot write/read failures.
-pub fn run_scenarios_warmstart_with_threads(
-    scenarios: Vec<Scenario>,
-    dir: &Path,
-    threads: usize,
-) -> Result<Vec<SimReport>, SimError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| SnapshotError::Io(format!("create {}: {e}", dir.display())))?;
-
-    // Phase 1: simulate each group's prefix once and write it to disk.
-    // The file carries the group's config hash, so a stale file from a
-    // different sweep cannot be restored by mistake.
-    let jobs: Vec<(usize, WarmGroup)> = warm_groups(&scenarios).into_iter().enumerate().collect();
-    let written = parallel_map(jobs, threads, |(g, group)| {
-        let path = dir.join(format!("warm-{g}.snap"));
-        let result = warm_prefix(&group, &scenarios)
-            .snapshot()
-            .write_file(&path)
-            .map(|()| path);
-        (result, group.config, group.members)
-    });
-    let mut prefix_of: Vec<Option<(PathBuf, SimConfig)>> = vec![None; scenarios.len()];
-    for (result, config, members) in written {
-        let path = result?;
-        for &index in members.iter() {
-            prefix_of[index] = Some((path.clone(), config.clone()));
-        }
-    }
-
-    // Phase 2: every variant restores from its group's file and runs its
-    // own tail.
-    let jobs: Vec<(Scenario, (PathBuf, SimConfig))> = scenarios
-        .into_iter()
-        .zip(prefix_of)
-        .map(|(s, p)| (s, p.expect("every scenario belongs to one group")))
-        .collect();
-    let reports = parallel_map(jobs, threads, |(scenario, (path, config))| {
-        let snapshot = SimSnapshot::read_file(&path)?;
-        finish_from_prefix(Simulation::restore(config, &snapshot)?, scenario)
-    });
-    reports.into_iter().collect()
+    sim.run_remaining(&mut scenario.policy.build(&Obs::disabled()))
+        .expect("experiment scenarios uphold engine invariants")
 }
 
 /// Order-preserving parallel map over independent jobs.
@@ -526,7 +455,7 @@ pub fn run_scenarios_warmstart_with_threads(
 /// whole simulations (seconds each), so a per-call pool spin-up is noise
 /// here — unlike the engine's per-step batches, which hold one pool for
 /// the run's lifetime.
-pub fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -568,8 +497,8 @@ mod tests {
         for (i, &scheme) in schemes.iter().enumerate() {
             let clean = &cells[2 * i];
             let faulted = &cells[2 * i + 1];
-            assert_eq!(clean.scheme, scheme);
-            assert_eq!(faulted.scheme, scheme);
+            assert_eq!(clean.policy, scheme.into());
+            assert_eq!(faulted.policy, scheme.into());
             assert!(clean.config.faults.is_empty());
             assert!(!faulted.config.faults.is_empty());
             assert_eq!(clean.config.seed, faulted.config.seed);
@@ -577,19 +506,17 @@ mod tests {
     }
 
     #[test]
-    fn run_scheme_produces_report() {
-        let report = run_scheme(Scheme::EBuff, day_config(Weather::Sunny, 2), None);
+    fn scenario_run_produces_report() {
+        let report = Scenario::new(Scheme::EBuff, day_config(Weather::Sunny, 2)).run();
         assert_eq!(report.policy, "e-Buff");
         assert!(report.total_work > 0.0);
     }
 
     #[test]
     fn pre_age_flows_through() {
-        let report = run_scheme(
-            Scheme::EBuff,
-            day_config(Weather::Sunny, 2),
-            Some(OLD_BATTERY_DAMAGE),
-        );
+        let report = Scenario::new(Scheme::EBuff, day_config(Weather::Sunny, 2))
+            .pre_aged(OLD_BATTERY_DAMAGE)
+            .run();
         assert!(report.mean_damage() >= OLD_BATTERY_DAMAGE);
     }
 
@@ -627,42 +554,9 @@ mod tests {
             Scenario::new(Scheme::Baat, day_config(Weather::Cloudy, 17))
                 .pre_aged(OLD_BATTERY_DAMAGE),
         );
-        let from_scratch = run_scenarios_with_threads(scenarios.clone(), 3);
-        let forked = run_scenarios_forked_with_threads(scenarios, 3);
+        let from_scratch: Vec<SimReport> =
+            scenarios.clone().into_iter().map(Scenario::run).collect();
+        let forked = run_scenarios(scenarios, 3);
         assert_eq!(from_scratch, forked);
-    }
-
-    #[test]
-    fn warmstart_sweep_matches_from_scratch_via_disk_roundtrip() {
-        // Same matrix as the forked test, but the warm prefix travels
-        // through a snapshot file between phase 1 and phase 2.
-        let mut scenarios = fault_matrix(
-            &[Scheme::EBuff, Scheme::Baat],
-            Weather::Cloudy,
-            17,
-            &FaultMix::light(),
-        );
-        scenarios.push(
-            Scenario::new(Scheme::Baat, day_config(Weather::Cloudy, 17))
-                .pre_aged(OLD_BATTERY_DAMAGE),
-        );
-        let dir = std::env::temp_dir().join(format!("baat-warmstart-{}", std::process::id()));
-        let from_scratch = run_scenarios_with_threads(scenarios.clone(), 3);
-        let warm = run_scenarios_warmstart_with_threads(scenarios, &dir, 3)
-            .expect("warm-start sweep succeeds");
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(from_scratch, warm);
-    }
-
-    #[test]
-    fn run_scenarios_matches_sequential_run_scheme() {
-        let scenarios = vec![
-            Scenario::new(Scheme::EBuff, day_config(Weather::Sunny, 3)),
-            Scenario::new(Scheme::Baat, day_config(Weather::Sunny, 3)),
-            Scenario::new(Scheme::EBuff, day_config(Weather::Rainy, 3)).pre_aged(0.4),
-        ];
-        let sequential: Vec<SimReport> = scenarios.clone().into_iter().map(Scenario::run).collect();
-        let parallel = run_scenarios_with_threads(scenarios, 3);
-        assert_eq!(sequential, parallel);
     }
 }

@@ -13,17 +13,18 @@
 
 use baat_battery::Chemistry;
 use baat_bench::runner::{
-    chemistry_day_config, day_config, faulted_day_config, fleet_config, plan_config,
-    run_scenarios_forked_with_threads, run_scenarios_observed_with_threads,
-    run_scenarios_with_threads, scenario_seed, Scenario, OLD_BATTERY_DAMAGE,
+    chemistry_day_config, day_config, faulted_day_config, fleet_config, plan_config, run_scenarios,
+    run_scenarios_observed, scenario_seed, Scenario, OLD_BATTERY_DAMAGE,
 };
-use baat_core::Scheme;
+use baat_core::{BaatConfig, PlannedAging, Scheme, SlowdownThresholds};
 use baat_sim::{FaultMix, SimReport};
 use baat_solar::Weather;
+use baat_units::Soc;
 
 /// A small but representative sweep: multiple schemes, weathers, day
-/// counts, a pre-aged cell, and a fault-injected cell (the degradation
-/// path must replay exactly like the clean path).
+/// counts, a pre-aged cell, a fault-injected cell (the degradation
+/// path must replay exactly like the clean path), and two configured
+/// BAAT policies in a warm group with scheme cells.
 fn sweep(seed: u64) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for (i, weather) in [Weather::Sunny, Weather::Cloudy, Weather::Rainy]
@@ -61,13 +62,43 @@ fn sweep(seed: u64) -> Vec<Scenario> {
         Scheme::Baat,
         chemistry_day_config(Chemistry::LiIon, Weather::Cloudy, scenario_seed(seed, 12)),
     ));
+    // Configured BAAT cells sharing the cloudy day's config with its
+    // scheme cells: a Fig 16-style slowdown threshold and a Fig 22
+    // planned-aging horizon must fork and replay like a scheme does.
+    let cloudy = day_config(Weather::Cloudy, scenario_seed(seed, 1));
+    scenarios.push(Scenario::new(
+        BaatConfig {
+            thresholds: SlowdownThresholds {
+                deep_soc: Soc::saturating(0.30),
+                recover_soc: Soc::saturating(0.38),
+                ..SlowdownThresholds::default()
+            },
+            ..BaatConfig::default()
+        },
+        cloudy.clone(),
+    ));
+    scenarios.push(Scenario::new(
+        BaatConfig {
+            planned: Some(PlannedAging {
+                service_days: 400.0,
+                cycles_per_day: 1.0,
+            }),
+            ..BaatConfig::default()
+        },
+        cloudy,
+    ));
     scenarios
+}
+
+/// Every scenario of `sweep`, run from scratch one at a time: the oracle.
+fn from_scratch(scenarios: Vec<Scenario>) -> Vec<SimReport> {
+    scenarios.into_iter().map(Scenario::run).collect()
 }
 
 #[test]
 fn same_seed_is_bit_identical_across_runs() {
-    let first = run_scenarios_with_threads(sweep(2015), 4);
-    let second = run_scenarios_with_threads(sweep(2015), 4);
+    let first = run_scenarios(sweep(2015), 4);
+    let second = run_scenarios(sweep(2015), 4);
     // SimReport derives PartialEq over every field, so == is a full
     // bit-for-bit comparison of the recorded traces.
     assert_eq!(first, second);
@@ -75,9 +106,9 @@ fn same_seed_is_bit_identical_across_runs() {
 
 #[test]
 fn thread_count_is_unobservable() {
-    let sequential = run_scenarios_with_threads(sweep(7), 1);
+    let sequential = run_scenarios(sweep(7), 1);
     for threads in [2, 4, 8] {
-        let parallel = run_scenarios_with_threads(sweep(7), threads);
+        let parallel = run_scenarios(sweep(7), threads);
         assert_eq!(
             sequential, parallel,
             "reports diverged between 1 and {threads} worker threads"
@@ -91,9 +122,9 @@ fn observation_is_invisible_to_reports() {
     // exact same reports as running with observation off, on 1 worker
     // and on N: the obs layer reads simulation state but never feeds
     // anything (not even timing) back into it.
-    let plain = run_scenarios_with_threads(sweep(2015), 1);
+    let plain = from_scratch(sweep(2015));
     for threads in [1, 4] {
-        let observed = run_scenarios_observed_with_threads(sweep(2015), threads);
+        let observed = run_scenarios_observed(sweep(2015), threads);
         let reports: Vec<SimReport> = observed.iter().map(|r| r.report.clone()).collect();
         assert_eq!(
             plain, reports,
@@ -119,12 +150,13 @@ fn snapshot_forking_is_unobservable() {
     // The forked sweep shares one warm policy-free prefix per scenario
     // group and forks each variant off it. Forking must be invisible:
     // forked reports equal from-scratch reports bit-for-bit, on 1 worker
-    // and on N, across the clean / pre-aged / fault-injected mix.
-    let from_scratch = run_scenarios_with_threads(sweep(2015), 1);
+    // and on N, across the clean / pre-aged / fault-injected /
+    // configured-policy mix.
+    let oracle = from_scratch(sweep(2015));
     for threads in [1, 2, 4, 8] {
-        let forked = run_scenarios_forked_with_threads(sweep(2015), threads);
+        let forked = run_scenarios(sweep(2015), threads);
         assert_eq!(
-            from_scratch, forked,
+            oracle, forked,
             "forked sweep diverged from from-scratch on {threads} worker threads"
         );
     }
@@ -132,8 +164,8 @@ fn snapshot_forking_is_unobservable() {
 
 #[test]
 fn distinct_seeds_produce_distinct_traces() {
-    let a = run_scenarios_with_threads(sweep(1), 2);
-    let b = run_scenarios_with_threads(sweep(2), 2);
+    let a = run_scenarios(sweep(1), 2);
+    let b = run_scenarios(sweep(2), 2);
     let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count();
     assert!(
         differing > 0,
@@ -143,10 +175,13 @@ fn distinct_seeds_produce_distinct_traces() {
 
 #[test]
 fn reports_preserve_scenario_order() {
-    let reports: Vec<SimReport> = run_scenarios_with_threads(sweep(11), 4);
+    let reports: Vec<SimReport> = run_scenarios(sweep(11), 4);
     let schemes: Vec<&str> = reports.iter().map(|r| r.policy).collect();
     assert_eq!(
         schemes,
-        ["e-Buff", "BAAT", "e-Buff", "BAAT", "e-Buff", "BAAT", "BAAT", "BAAT", "BAAT", "BAAT"]
+        [
+            "e-Buff", "BAAT", "e-Buff", "BAAT", "e-Buff", "BAAT", "BAAT", "BAAT", "BAAT", "BAAT",
+            "BAAT", "BAAT"
+        ]
     );
 }

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use baat_bench::runner::{fleet_config, run_scenarios_with_threads, scenario_seed, Scenario};
+use baat_bench::runner::{fleet_config, run_scenarios, scenario_seed, Scenario};
 use baat_core::Scheme;
 use baat_obs::Obs;
 use baat_sim::{EngineThreads, SimConfig, Simulation};
@@ -78,8 +78,8 @@ fn small_fleet_is_deterministic_across_runner_threads() {
             ),
         ]
     };
-    let sequential = run_scenarios_with_threads(scenarios(9), 1);
-    let parallel = run_scenarios_with_threads(scenarios(9), 4);
+    let sequential = run_scenarios(scenarios(9), 1);
+    let parallel = run_scenarios(scenarios(9), 4);
     assert_eq!(
         sequential, parallel,
         "24-host fleet reports diverged between 1 and 4 worker threads"
@@ -170,8 +170,8 @@ fn fleet_1k_day_is_thread_invariant() {
             Scenario::new(Scheme::EBuff, fleet_config(1000, Weather::Cloudy, 7)),
         ]
     };
-    let sequential = run_scenarios_with_threads(scenarios(), 1);
-    let parallel = run_scenarios_with_threads(scenarios(), 8);
+    let sequential = run_scenarios(scenarios(), 1);
+    let parallel = run_scenarios(scenarios(), 8);
     assert_eq!(
         sequential, parallel,
         "1000-host fleet reports diverged between 1 and 8 worker threads"
