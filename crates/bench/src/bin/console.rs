@@ -1180,7 +1180,6 @@ fn print_exec_profile(obs: &Obs) {
     let stages = [
         ("battery_step", "exec.merge_wait.battery_step_ns"),
         ("fleet_refresh", "exec.merge_wait.fleet_refresh_ns"),
-        ("view", "exec.merge_wait.view_ns"),
     ];
     let waits: Vec<String> = stages
         .iter()

@@ -345,7 +345,9 @@ pub fn runner_threads() -> usize {
 /// Runs every scenario over `threads` workers and returns the reports
 /// **in scenario order**.
 ///
-/// Scenarios that share everything but policy and fault plan (same
+/// Each distinct cell — equal policy, config and pre-aging — is
+/// simulated once, and every scenario that repeats it gets a clone of
+/// its report. Scenarios that share everything but policy and fault plan (same
 /// config-minus-faults, same pre-aging) simulate their policy-free
 /// pre-window prefix **once**; each member then forks a clone of the
 /// warm engine and runs its own tail.
@@ -358,6 +360,48 @@ pub fn runner_threads() -> usize {
 /// as the fork precedes the earliest fault onset. Groups whose faults
 /// fire before the window simply fork earlier (worst case: step 0).
 pub fn run_scenarios(scenarios: Vec<Scenario>, threads: usize) -> Vec<SimReport> {
+    let (cells, repeats) = distinct_cells(scenarios);
+    let mut reports = run_forked(cells, threads).into_iter();
+    let mut out: Vec<SimReport> = Vec::with_capacity(repeats.len());
+    for repeat in repeats {
+        let report = match repeat {
+            Some(first) => out[first].clone(),
+            None => reports.next().expect("one report per distinct cell"),
+        };
+        out.push(report);
+    }
+    out
+}
+
+/// Splits `scenarios` into its distinct cells, in first-seen order, and
+/// gives each scenario the index of the earlier scenario it repeats, if
+/// any.
+fn distinct_cells(scenarios: Vec<Scenario>) -> (Vec<Scenario>, Vec<Option<usize>>) {
+    let mut cells: Vec<(usize, Scenario)> = Vec::new();
+    let repeats = scenarios
+        .into_iter()
+        .enumerate()
+        .map(|(index, scenario)| {
+            let pre_age = scenario.pre_age.map(f64::to_bits);
+            let first = cells
+                .iter()
+                .find(|(_, cell)| {
+                    cell.pre_age.map(f64::to_bits) == pre_age
+                        && cell.policy == scenario.policy
+                        && cell.config == scenario.config
+                })
+                .map(|&(first, _)| first);
+            if first.is_none() {
+                cells.push((index, scenario));
+            }
+            first
+        })
+        .collect();
+    (cells.into_iter().map(|(_, cell)| cell).collect(), repeats)
+}
+
+/// [`run_scenarios`] over distinct cells: forked per warm group.
+fn run_forked(scenarios: Vec<Scenario>, threads: usize) -> Vec<SimReport> {
     // Phase 1: one warm prefix per group, in parallel.
     let prefixes: Vec<(Simulation, Vec<usize>)> =
         parallel_map(warm_groups(&scenarios), threads, |group| {
@@ -537,6 +581,22 @@ mod tests {
         let seeds: std::collections::HashSet<u64> =
             (0..64).map(|i| scenario_seed(2015, i)).collect();
         assert_eq!(seeds.len(), 64);
+    }
+
+    #[test]
+    fn distinct_cells_key_on_policy_config_and_pre_age() {
+        let day = Scenario::new(Scheme::EBuff, day_config(Weather::Sunny, 2));
+        let scenarios = vec![
+            day.clone(),
+            Scenario::new(Scheme::Baat, day.config.clone()),
+            day.clone(),
+            day.clone().pre_aged(OLD_BATTERY_DAMAGE),
+            Scenario::new(Scheme::EBuff, day_config(Weather::Sunny, 3)),
+            day.clone().pre_aged(OLD_BATTERY_DAMAGE),
+        ];
+        let (cells, repeats) = distinct_cells(scenarios);
+        assert_eq!(cells.len(), 4);
+        assert_eq!(repeats, [None, None, Some(0), None, None, Some(3)]);
     }
 
     #[test]

@@ -59,9 +59,10 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Allocations per step budgeted for the engine's own step loop (events,
 /// queues, amortized growth) on the faulted BAAT day below, which
-/// measures 2.58/step. Disabled observability must not add to it, and
-/// the inline routing pass adds nothing either.
-const STEP_ALLOC_BUDGET: f64 = 2.8;
+/// measures 0.93/step. Disabled observability must not add to it, the
+/// inline routing pass adds nothing either, and the control interval
+/// refreshes the engine's kept system view in place.
+const STEP_ALLOC_BUDGET: f64 = 1.15;
 
 fn faulted_day_config() -> SimConfig {
     faulted_day_config_threads(1)
@@ -154,14 +155,14 @@ fn disabled_observability_allocates_nothing() {
     // the pool's inherent per-batch dispatch cost (the shard ranges, the
     // task list, the result-slot and result vectors); shards write
     // their outcomes into the shared scratch buffer, so there are no
-    // per-shard output vectors. Measures 6.58/step. The metering itself
+    // per-shard output vectors. Measures 4.94/step. The metering itself
     // must add nothing:
     // worker meters are sized at pool construction, per-shard timing
     // vectors live in the reusable step scratch, and the off path is
     // one relaxed load per batch — any metering allocation would blow
     // the tight margin. The counting allocator is global, so
     // worker-thread allocations are counted too.
-    const SHARDED_STEP_ALLOC_BUDGET: f64 = 7.5;
+    const SHARDED_STEP_ALLOC_BUDGET: f64 = 5.85;
     let config = faulted_day_config_threads(4);
     let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid");
     let mut policy = Scheme::Baat.build();
@@ -225,11 +226,11 @@ fn checkpoint_allocations_scale_with_nodes_not_rows() {
 /// Allocations per control interval budgeted for an over-subscribed
 /// fleet: four hosts through two rainy days under a mix far beyond
 /// their capacity, one step per control interval, so the pending queue
-/// holds hundreds of jobs that every interval retries. Measures 3.68
-/// (e-Buff) and 4.25 (BAAT) per interval. The retry itself allocates
+/// holds hundreds of jobs that every interval retries. Measures 1.61
+/// (e-Buff) and 2.18 (BAAT) per interval. The retry itself allocates
 /// nothing: a job that stays queued stays where it is, and the per-kind
 /// FIFOs keep their capacity from pass to pass.
-const INTERVAL_ALLOC_BUDGET: f64 = 4.5;
+const INTERVAL_ALLOC_BUDGET: f64 = 2.45;
 
 fn queue_retries_stay_in_the_interval_budget() {
     let mut cfg = SimConfig::builder();

@@ -23,8 +23,9 @@ use baat_units::Soc;
 
 /// A small but representative sweep: multiple schemes, weathers, day
 /// counts, a pre-aged cell, a fault-injected cell (the degradation
-/// path must replay exactly like the clean path), and two configured
-/// BAAT policies in a warm group with scheme cells.
+/// path must replay exactly like the clean path), two configured
+/// BAAT policies in a warm group with scheme cells, and an exact repeat
+/// of the first cell, which the runner simulates once and clones.
 fn sweep(seed: u64) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for (i, weather) in [Weather::Sunny, Weather::Cloudy, Weather::Rainy]
@@ -87,6 +88,7 @@ fn sweep(seed: u64) -> Vec<Scenario> {
         },
         cloudy,
     ));
+    scenarios.push(scenarios[0].clone());
     scenarios
 }
 
@@ -181,7 +183,10 @@ fn reports_preserve_scenario_order() {
         schemes,
         [
             "e-Buff", "BAAT", "e-Buff", "BAAT", "e-Buff", "BAAT", "BAAT", "BAAT", "BAAT", "BAAT",
-            "BAAT", "BAAT"
+            "BAAT", "BAAT", "e-Buff"
         ]
     );
+    // The repeated cell's report is its original's, in the repeat's slot.
+    assert_eq!(reports[12], reports[0]);
+    assert_ne!(reports[12], reports[2]);
 }

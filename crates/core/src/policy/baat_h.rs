@@ -115,7 +115,7 @@ impl Policy for BaatH {
         movable.sort_by(|a, b| {
             let w = |v: &&baat_sim::VmView| {
                 let (c, _) = v.kind.resource_request();
-                v.kind.mean_utilization().value() * f64::from(c)
+                v.kind.profile().mean_utilization().value() * f64::from(c)
             };
             w(b).total_cmp(&w(a))
         });

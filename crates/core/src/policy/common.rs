@@ -121,8 +121,8 @@ pub fn heaviest_movable_vm(node: &NodeView) -> Option<&VmView> {
         .max_by(|a, b| {
             let (ac, _) = a.kind.resource_request();
             let (bc, _) = b.kind.resource_request();
-            let au = a.kind.mean_utilization().value() * f64::from(ac);
-            let bu = b.kind.mean_utilization().value() * f64::from(bc);
+            let au = a.kind.profile().mean_utilization().value() * f64::from(ac);
+            let bu = b.kind.profile().mean_utilization().value() * f64::from(bc);
             au.total_cmp(&bu)
         })
 }

@@ -278,28 +278,37 @@ impl Host {
         self.vms.iter()
     }
 
+    /// Utilization and electrical power right now, from one pass over
+    /// the VMs. An offline host is idle and draws nothing; a booting
+    /// host runs no VMs but draws idle power.
+    pub fn load(&self, tod: TimeOfDay) -> (Fraction, Watts) {
+        if !self.online {
+            return (Fraction::ZERO, Watts::ZERO);
+        }
+        let utilization = if self.is_booting() {
+            Fraction::ZERO
+        } else {
+            let demanded: f64 = self
+                .vms
+                .iter()
+                .map(|vm| {
+                    let (cores, _) = vm.kind().resource_request();
+                    f64::from(cores) * vm.utilization(tod).value()
+                })
+                .sum();
+            Fraction::saturating(demanded / f64::from(self.capacity.cores))
+        };
+        (utilization, self.power_model.power(utilization, self.dvfs))
+    }
+
     /// Aggregate CPU utilization demanded by running VMs, in `[0, 1]`.
     pub fn utilization(&self, tod: TimeOfDay) -> Fraction {
-        if !self.online || self.is_booting() {
-            return Fraction::ZERO;
-        }
-        let demanded: f64 = self
-            .vms
-            .iter()
-            .map(|vm| {
-                let (cores, _) = vm.kind().resource_request();
-                f64::from(cores) * vm.utilization(tod).value()
-            })
-            .sum();
-        Fraction::saturating(demanded / f64::from(self.capacity.cores))
+        self.load(tod).0
     }
 
     /// Electrical power drawn right now (zero when offline).
     pub fn power(&self, tod: TimeOfDay) -> Watts {
-        if !self.online {
-            return Watts::ZERO;
-        }
-        self.power_model.power(self.utilization(tod), self.dvfs)
+        self.load(tod).1
     }
 
     /// Advances all VMs one step; returns useful work done (core-hours).
@@ -427,6 +436,24 @@ mod tests {
         h.admit(vm(0, WorkloadKind::SoftwareTesting)).unwrap(); // 6c × 0.95
         let u = h.utilization(TimeOfDay::NOON).value();
         assert!((u - 6.0 * 0.95 / 8.0).abs() < 1e-9, "u {u}");
+    }
+
+    #[test]
+    fn load_pairs_utilization_with_power_in_every_state() {
+        let mut h = host();
+        h.admit(vm(0, WorkloadKind::SoftwareTesting)).unwrap();
+        let busy = h.load(TimeOfDay::NOON);
+        assert_eq!(
+            busy,
+            (h.utilization(TimeOfDay::NOON), h.power(TimeOfDay::NOON))
+        );
+        assert_eq!(busy.1, h.power_model().power(busy.0, h.dvfs()));
+        h.power_off();
+        assert_eq!(h.load(TimeOfDay::NOON), (Fraction::ZERO, Watts::ZERO));
+        h.power_on();
+        assert!(h.is_booting());
+        let idle = h.power_model().idle();
+        assert_eq!(h.load(TimeOfDay::NOON), (Fraction::ZERO, idle));
     }
 
     #[test]

@@ -82,11 +82,6 @@ const RESTART_SOC_MARGIN: f64 = 0.45;
 /// events and health transitions preceding a post-mortem trigger).
 const FLIGHT_RING_CAP: usize = 256;
 
-/// Minimum fleet size before a configured pool shards the system-view
-/// build; below this the per-batch dispatch overhead outweighs the
-/// per-node scoring work.
-const PAR_VIEW_MIN_NODES: usize = 128;
-
 /// Minimum dirty-node count before a configured pool shards the fleet
 /// refresh's bank scoring.
 const PAR_REFRESH_MIN_NODES: usize = 64;
@@ -213,7 +208,6 @@ struct ExecObs {
     /// task share drained. Exact (never sampled).
     merge_wait_battery_step: Counter,
     merge_wait_fleet_refresh: Counter,
-    merge_wait_view: Counter,
     /// Cumulative per-shard busy ns for the routing pass, recorded on
     /// profile-sampled steps only (same cadence as the stage profiler).
     shard_step_ns: Vec<Counter>,
@@ -247,7 +241,6 @@ impl ExecObs {
                 .collect(),
             merge_wait_battery_step: obs.counter("exec.merge_wait.battery_step_ns"),
             merge_wait_fleet_refresh: obs.counter("exec.merge_wait.fleet_refresh_ns"),
-            merge_wait_view: obs.counter("exec.merge_wait.view_ns"),
             shard_step_ns: (0..shards)
                 .map(|s| obs.counter(&format!("exec.shard.{s}.step_ns")))
                 .collect(),
@@ -330,6 +323,10 @@ struct StepScratch {
     /// One step's arrivals, placed as a batch before the misfits join
     /// the pending queue.
     arrivals: PendingQueue<Vm>,
+    /// The policy-facing view, kept across control intervals and
+    /// rewritten in place by [`Simulation::take_view`]. Derived state:
+    /// never snapshotted or hashed, and `None` until the first use.
+    view: Option<SystemView>,
 }
 
 impl Clone for StepScratch {
@@ -1411,12 +1408,15 @@ impl Simulation {
                         self.arrivals_today.pop_front();
                         let vm = self.generator.spawn(arrival.kind);
                         if view.is_none() {
-                            view = Some(self.build_view()?);
+                            view = Some(self.take_view()?);
                         }
-                        let view = view.as_mut().expect("view built above");
+                        let view = view.as_mut().expect("view refreshed above");
                         if let Some(vm) = self.place_vm(vm, arrival.kind, policy, view, obs)? {
                             self.pending.push(arrival.kind, vm);
                         }
+                    }
+                    if view.is_some() {
+                        self.scratch.view = view;
                     }
                 }
                 spec => {
@@ -1472,7 +1472,7 @@ impl Simulation {
             for host in self.cluster.hosts_mut() {
                 host.reap_completed();
             }
-            let view = self.build_view()?;
+            let view = self.take_view()?;
             let actions = {
                 let _t = obs.time(Stage::PolicyControl);
                 let last = std::mem::take(&mut self.last_outcomes);
@@ -1483,6 +1483,7 @@ impl Simulation {
                 };
                 policy.control(&view, &ctx)
             };
+            self.scratch.view = Some(view);
             self.counters.control_intervals.inc();
             self.counters
                 .actions_per_interval
@@ -1865,9 +1866,9 @@ impl Simulation {
     /// loops admit many VMs per step, and between two consecutive
     /// attempts the only simulated state that changes is the admitted
     /// host — so on success this refreshes just that node's entry, which
-    /// is bit-identical to rebuilding the whole view from scratch (every
-    /// other entry is derived from unchanged state, and view construction
-    /// draws no randomness).
+    /// is bit-identical to refreshing the whole view (every other entry
+    /// is derived from unchanged state, and a view refresh draws no
+    /// randomness).
     fn place_vm<P: Policy>(
         &mut self,
         vm: Vm,
@@ -1888,7 +1889,8 @@ impl Simulation {
             let host = self.cluster.host_mut(node)?;
             if host.is_online() && host.fits(request) {
                 host.admit(vm)?;
-                view.nodes[node] = self.node_view(node, view.tod)?;
+                let slot = &mut view.nodes[node];
+                *slot = self.node_view(node, view.tod, std::mem::take(&mut slot.vms))?;
                 return Ok(None);
             }
         }
@@ -2039,13 +2041,14 @@ impl Simulation {
         let spec = policy.placement_spec();
         if spec == PlacementSpec::Custom {
             let _t = obs.time(Stage::Placement);
-            let mut view = self.build_view()?;
+            let mut view = self.take_view()?;
             let mut pending = std::mem::take(&mut self.pending);
             let result = pending.retry_all(|vm| {
                 let kind = vm.kind();
                 self.place_vm(vm, kind, policy, &mut view, obs)
             });
             self.pending = pending;
+            self.scratch.view = Some(view);
             return result;
         }
         {
@@ -2466,8 +2469,32 @@ impl Simulation {
     /// Returns [`SimError`] if the engine's node/bank bookkeeping is
     /// inconsistent with the substrates (an invariant break).
     pub fn build_view(&self) -> Result<SystemView, SimError> {
+        self.refresh_view(None)
+    }
+
+    /// The engine's kept view, refreshed to the current state and lent
+    /// out; the caller puts it back in `scratch.view` once done. The
+    /// first call builds it, every later one rewrites it in place.
+    fn take_view(&mut self) -> Result<SystemView, SimError> {
+        let kept = self.scratch.view.take();
+        self.refresh_view(kept)
+    }
+
+    /// The view of the current state, written over `view`'s node slots
+    /// and their VM buffers when one is given. No dirty tracking: every
+    /// field of every node is rewritten, so a reused slot carries
+    /// nothing stale.
+    fn refresh_view(&self, view: Option<SystemView>) -> Result<SystemView, SimError> {
+        let n = self.config.nodes;
         let tod = self.now.time_of_day();
-        let nodes = self.collect_node_views(tod)?;
+        let mut nodes = view.map_or_else(|| Vec::with_capacity(n), |view| view.nodes);
+        nodes.truncate(n);
+        for i in 0..n {
+            match nodes.get_mut(i) {
+                Some(slot) => *slot = self.node_view(i, tod, std::mem::take(&mut slot.vms))?,
+                None => nodes.push(self.node_view(i, tod, Vec::new())?),
+            }
+        }
         Ok(SystemView {
             now: self.now,
             tod,
@@ -2477,41 +2504,29 @@ impl Simulation {
         })
     }
 
-    /// Node views for `0..nodes` in node order. [`Simulation::node_view`]
-    /// is a pure `&self` read, so with a configured pool (and a fleet
-    /// large enough to amortize dispatch) the views are built over
-    /// contiguous node-range shards and concatenated in shard order —
-    /// the identical vector.
-    fn collect_node_views(&self, tod: TimeOfDay) -> Result<Vec<NodeView>, SimError> {
-        let n = self.config.nodes;
-        let pool = match &self.pool {
-            Some(pool) if n >= PAR_VIEW_MIN_NODES => pool,
-            _ => return (0..n).map(|i| self.node_view(i, tod)).collect(),
-        };
-        let ranges = shard_ranges(n, pool.threads());
-        let chunks: Vec<Result<Vec<NodeView>, SimError>> = pool.run(ranges.len(), |s| {
-            ranges[s].clone().map(|i| self.node_view(i, tod)).collect()
-        });
-        if let Some(exec) = &self.exec_obs {
-            exec.merge_wait_view.add(pool.last_caller_wait_ns());
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for chunk in chunks {
-            nodes.extend(chunk?);
-        }
-        Ok(nodes)
-    }
-
-    /// Builds the read-only view of one node — the unit of incremental
-    /// view maintenance: after a placement admits a VM, only the admitted
-    /// node's entry changes, so the placement loop refreshes that single
-    /// entry instead of rebuilding the whole [`SystemView`].
-    fn node_view(&self, i: usize, tod: TimeOfDay) -> Result<NodeView, SimError> {
+    /// Node `i`'s view at `tod`, listing its VMs in host order into the
+    /// reused buffer `vms`. Also the unit of incremental maintenance:
+    /// after a placement admits a VM, only the admitted node's entry
+    /// changes, so the placement loop refreshes that entry alone.
+    fn node_view(
+        &self,
+        i: usize,
+        tod: TimeOfDay,
+        mut vms: Vec<VmView>,
+    ) -> Result<NodeView, SimError> {
         let bank = self.bank_of[i];
         let share = 1.0 / self.members[bank].len() as f64;
         let battery = self.batteries.unit(bank)?;
         let host = self.cluster.host(i)?;
         let ratings = self.ratings(i)?;
+        let (utilization, server_power) = host.load(tod);
+        vms.clear();
+        vms.extend(host.vms().map(|vm| VmView {
+            id: vm.id(),
+            kind: vm.kind(),
+            state: vm.state(),
+            progress: vm.progress(),
+        }));
         Ok(NodeView {
             node: i,
             soc: battery.soc(),
@@ -2522,21 +2537,13 @@ impl Simulation {
             ),
             damage: battery.total_damage(),
             capacity_fraction: battery.capacity_fraction(),
-            server_power: host.power(tod),
-            utilization: host.utilization(tod),
+            server_power,
+            utilization,
             dvfs: host.dvfs(),
             online: host.is_online(),
             degraded: self.degraded[i],
             free_resources: host.free_resources(),
-            vms: host
-                .vms()
-                .map(|vm| VmView {
-                    id: vm.id(),
-                    kind: vm.kind(),
-                    state: vm.state(),
-                    progress: vm.progress(),
-                })
-                .collect(),
+            vms,
             battery_available: self.floored_available(bank, self.config.dt)? * share,
             battery_capacity_wh: battery.effective_capacity().as_f64()
                 * battery.spec().nominal_voltage().as_f64()
@@ -2728,6 +2735,9 @@ pub fn availability(report: &SimReport, operating: SimDuration) -> Fraction {
 mod tests {
     use super::*;
     use crate::policy::RoundRobinPolicy;
+    use baat_faults::{FaultMix, FaultSpec};
+    use baat_server::DvfsLevel;
+    use baat_workload::VmState;
 
     fn quick_config(weather: Weather) -> SimConfig {
         let mut b = SimConfig::builder();
@@ -2919,6 +2929,153 @@ mod tests {
         assert!(!shutdowns.is_empty(), "a rainy day must shed load");
         // Nodes survive long enough that sheds happen at distinct times.
         assert!(report.total_work > 0.0);
+    }
+
+    /// BAAT's actuation mix on a local policy (the real `Baat` lives
+    /// downstream of this crate): each interval it moves a running VM off
+    /// the emptiest battery onto the fullest, throttles and floors the
+    /// low nodes, and places arrivals fullest battery first through the
+    /// `Custom` view path.
+    struct ViewChurn;
+
+    impl Policy for ViewChurn {
+        fn name(&self) -> &'static str {
+            "view-churn"
+        }
+
+        fn control(&mut self, view: &SystemView, _ctx: &ControlCtx<'_>) -> Vec<Action> {
+            let soc = |n: &&NodeView| n.soc.value();
+            let mut actions = Vec::new();
+            let emptiest = view.online_nodes().min_by(|a, b| soc(a).total_cmp(&soc(b)));
+            let fullest = view.online_nodes().max_by(|a, b| soc(a).total_cmp(&soc(b)));
+            if let (Some(from), Some(to)) = (emptiest, fullest) {
+                if let Some(vm) = from.vms.iter().find(|vm| vm.state == VmState::Running) {
+                    actions.push(Action::Migrate {
+                        vm: vm.id,
+                        target: to.node,
+                    });
+                }
+            }
+            for node in &view.nodes {
+                let (level, floor) = if node.soc.value() < 0.6 {
+                    (DvfsLevel::P2, Soc::saturating(0.2))
+                } else {
+                    (DvfsLevel::P0, Soc::EMPTY)
+                };
+                actions.push(Action::SetDvfs {
+                    node: node.node,
+                    level,
+                });
+                actions.push(Action::SetSocFloor {
+                    node: node.node,
+                    floor,
+                });
+            }
+            actions
+        }
+
+        fn placement_order(&mut self, _kind: WorkloadKind, view: &SystemView) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..view.nodes.len()).collect();
+            order.sort_by(|&a, &b| {
+                let soc = |i: usize| view.nodes[i].soc.value();
+                soc(b).total_cmp(&soc(a))
+            });
+            order
+        }
+    }
+
+    /// Refreshes `sim`'s kept view the way a control interval does and
+    /// asserts it equals a view built from nothing — every `NodeView`
+    /// field, `vms` order included.
+    fn assert_kept_view_is_fresh(sim: &mut Simulation) {
+        let kept = sim.take_view().unwrap();
+        assert_eq!(
+            kept,
+            sim.build_view().unwrap(),
+            "kept view went stale at {}",
+            sim.now
+        );
+        sim.scratch.view = Some(kept);
+    }
+
+    fn step_checking_view(sim: &mut Simulation, policy: &mut ViewChurn, steps: u64) {
+        for _ in 0..steps {
+            sim.step(policy).unwrap();
+            assert_kept_view_is_fresh(sim);
+        }
+    }
+
+    fn churn_config(weather: Weather, topology: crate::config::BatteryTopology) -> SimConfig {
+        let mut b = SimConfig::builder();
+        b.weather_plan(vec![weather])
+            .dt(SimDuration::from_secs(60))
+            .sample_every(10)
+            .topology(topology)
+            .seed(5);
+        let probe = b.build().unwrap();
+        let banks = probe.topology.banks(probe.nodes);
+        let mut plan = FaultPlan::generate(5, 1, probe.nodes, banks, &FaultMix::heavy());
+        // A sensor dropout long enough to put bank 0 in degraded mode.
+        plan.push(FaultSpec {
+            kind: FaultKind::SensorDropout { bank: 0 },
+            start: SimInstant::from_secs(10 * 3600),
+            duration: SimDuration::from_minutes(40),
+        });
+        b.faults(plan);
+        b.build().unwrap()
+    }
+
+    fn count_events(sim: &Simulation, pred: impl Fn(&Event) -> bool) -> usize {
+        sim.events.iter().filter(|e| pred(&e.event)).count()
+    }
+
+    #[test]
+    fn kept_view_matches_a_fresh_build_through_a_faulted_churning_day() {
+        let mut sim = Simulation::new(churn_config(
+            Weather::Rainy,
+            crate::config::BatteryTopology::PerServer,
+        ))
+        .unwrap();
+        let steps = sim.total_steps();
+        step_checking_view(&mut sim, &mut ViewChurn, steps);
+        assert!(count_events(&sim, |e| matches!(e, Event::MigrationStarted { .. })) > 0);
+        assert!(count_events(&sim, |e| matches!(e, Event::ServerShutdown { .. })) > 0);
+        assert!(count_events(&sim, |e| matches!(e, Event::DegradedMode { .. })) > 0);
+    }
+
+    #[test]
+    fn kept_view_matches_a_fresh_build_on_a_shared_pool_day() {
+        let mut sim = Simulation::new(churn_config(
+            Weather::Cloudy,
+            crate::config::BatteryTopology::SharedPool { pools: 2 },
+        ))
+        .unwrap();
+        let steps = sim.total_steps();
+        step_checking_view(&mut sim, &mut ViewChurn, steps);
+        assert!(count_events(&sim, |e| matches!(e, Event::MigrationStarted { .. })) > 0);
+    }
+
+    #[test]
+    fn kept_view_matches_a_fresh_build_after_restore_and_fork() {
+        let config = churn_config(Weather::Rainy, crate::config::BatteryTopology::PerServer);
+        let mut sim = Simulation::new(config.clone()).unwrap();
+        let steps = sim.total_steps();
+        let mut policy = ViewChurn;
+        step_checking_view(&mut sim, &mut policy, steps / 2);
+        assert!(sim.scratch.view.is_some());
+
+        let mut resumed = Simulation::restore(config, &sim.snapshot()).unwrap();
+        assert!(
+            resumed.scratch.view.is_none(),
+            "a restored engine rebuilds its view"
+        );
+        let mut fork = sim.clone();
+        assert!(fork.scratch.view.is_none(), "a clone rebuilds its view");
+        for sim in [&mut sim, &mut resumed, &mut fork] {
+            step_checking_view(sim, &mut ViewChurn, steps - steps / 2);
+        }
+        assert_eq!(resumed.state_hash(), sim.state_hash());
+        assert_eq!(fork.state_hash(), sim.state_hash());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental fleet state for placement: struct-of-arrays score
 //! caches, dirty-node invalidation, and order-stable ranked indices.
 //!
-//! The legacy placement path rebuilds a [`crate::SystemView`] and re-sorts
+//! The legacy placement path refreshes a [`crate::SystemView`] and re-sorts
 //! every node per `placement_order` call — O(n log n) with a weighted-
 //! aging evaluation per comparison. [`FleetView`] replaces that for
 //! policies that declare a [`PlacementSpec`]: per-bank aging scores are

@@ -197,11 +197,11 @@ pub trait Policy {
 
     /// Declares how this policy's placement order is produced. The
     /// default, [`PlacementSpec::Custom`], keeps the legacy path (the
-    /// engine builds a [`SystemView`] and calls
+    /// engine refreshes its [`SystemView`] and calls
     /// [`Policy::placement_order`]). Policies whose order matches a
     /// declarative spec should return it: the engine then ranks from its
     /// incremental [`crate::FleetView`] — bit-identical, without view
-    /// rebuilds or from-scratch sorts. A non-`Custom` spec must describe
+    /// refreshes or from-scratch sorts. A non-`Custom` spec must describe
     /// *exactly* what `placement_order` computes; equality is pinned by
     /// the incremental-vs-scratch test suites.
     fn placement_spec(&self) -> PlacementSpec {
