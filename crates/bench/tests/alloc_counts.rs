@@ -13,37 +13,64 @@
 //!    `to_bytes` allocates once, and decode plus restore cost the same
 //!    at 2 h as at 8 h of one run;
 //! 4. an over-subscribed fleet, whose job queue every control interval
-//!    retries, stays within a per-interval allocation budget.
+//!    retries, stays within a per-interval allocation budget;
+//! 5. a run past both history retention limits stays within a pinned
+//!    peak of live heap bytes.
 #![cfg(feature = "count-allocs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use baat_core::Scheme;
 use baat_obs::{FlightRecorder, HealthConfig, HealthMonitor, NodeHealthSample, Obs, SpanId};
-use baat_sim::{FaultMix, FaultPlan, SimConfig, SimSnapshot, Simulation};
+use baat_sim::{
+    BatteryTopology, FaultMix, FaultPlan, RoundRobinPolicy, SimConfig, SimSnapshot, Simulation,
+};
 use baat_solar::Weather;
 use baat_units::SimDuration;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Highest `LIVE` since [`peak_heap_during`] last reset it.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every method delegates to `System` with unchanged arguments;
-// the counter update has no safety impact.
+// the counter updates have no safety impact.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grew(more),
+                None => {
+                    LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                }
+            }
+        }
+        new
     }
 }
 
@@ -57,12 +84,22 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (after - before, out)
 }
 
+/// The peak of live heap bytes while `f` runs, above those live when it
+/// starts.
+fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let out = f();
+    (PEAK.load(Ordering::Relaxed) - start, out)
+}
+
 /// Allocations per step budgeted for the engine's own step loop (events,
 /// queues, amortized growth) on the faulted BAAT day below, which
-/// measures 0.93/step. Disabled observability must not add to it, the
-/// inline routing pass adds nothing either, and the control interval
-/// refreshes the engine's kept system view in place.
-const STEP_ALLOC_BUDGET: f64 = 1.15;
+/// measures 0.931/step. Disabled observability must not add to it, the
+/// inline routing pass adds nothing either, the control interval
+/// refreshes the engine's kept system view in place, and the history
+/// journals allocate one chunk per 4,096 rows.
+const STEP_ALLOC_BUDGET: f64 = 1.14;
 
 fn faulted_day_config() -> SimConfig {
     faulted_day_config_threads(1)
@@ -94,6 +131,7 @@ fn allocation_budgets() {
     disabled_observability_allocates_nothing();
     checkpoint_allocations_scale_with_nodes_not_rows();
     queue_retries_stay_in_the_interval_budget();
+    history_past_both_limits_stays_in_the_heap_budget();
 }
 
 fn disabled_observability_allocates_nothing() {
@@ -155,14 +193,14 @@ fn disabled_observability_allocates_nothing() {
     // the pool's inherent per-batch dispatch cost (the shard ranges, the
     // task list, the result-slot and result vectors); shards write
     // their outcomes into the shared scratch buffer, so there are no
-    // per-shard output vectors. Measures 4.94/step. The metering itself
+    // per-shard output vectors. Measures 4.93/step. The metering itself
     // must add nothing:
     // worker meters are sized at pool construction, per-shard timing
     // vectors live in the reusable step scratch, and the off path is
     // one relaxed load per batch — any metering allocation would blow
     // the tight margin. The counting allocator is global, so
     // worker-thread allocations are counted too.
-    const SHARDED_STEP_ALLOC_BUDGET: f64 = 5.85;
+    const SHARDED_STEP_ALLOC_BUDGET: f64 = 5.84;
     let config = faulted_day_config_threads(4);
     let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid");
     let mut policy = Scheme::Baat.build();
@@ -261,4 +299,45 @@ fn queue_retries_stay_in_the_interval_budget() {
              (budget {INTERVAL_ALLOC_BUDGET})"
         );
     }
+}
+
+/// Peak live heap budgeted for a four-day run past both history limits
+/// (the shared-pool, heavy-fault run `crates/sim/tests/history_eviction.rs`
+/// pins): six nodes keep 4,096 telemetry samples per bank and 8,192
+/// battery and server rows per node, so the histories dominate the
+/// heap. Measures 3.19 MB; the budget is that plus 10 %.
+const HISTORY_PEAK_HEAP_BYTES: usize = 3_510_000;
+
+fn history_past_both_limits_stays_in_the_heap_budget() {
+    let nodes = 6;
+    let mut cfg = SimConfig::builder();
+    cfg.weather_plan(vec![
+        Weather::Cloudy,
+        Weather::Sunny,
+        Weather::Rainy,
+        Weather::Cloudy,
+    ])
+    .nodes(nodes)
+    .workload_mix(nodes, 60)
+    .topology(BatteryTopology::SharedPool { pools: 2 })
+    .dt(SimDuration::from_secs(30))
+    .control_interval(SimDuration::from_secs(300))
+    .sample_every(40)
+    .seed(2)
+    .faults(FaultPlan::generate(2, 4, nodes, 2, &FaultMix::heavy()));
+    let config = cfg.build().expect("valid");
+    let (peak, sim) = peak_heap_during(|| {
+        let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid");
+        let steps = sim.total_steps();
+        sim.run_steps(&mut RoundRobinPolicy::new(), steps)
+            .expect("runs");
+        sim
+    });
+    let rows = sim.snapshot().state.power_table[0].0.len();
+    assert_eq!(rows, 8_192, "the run must reach the power table's limit");
+    println!("peak live heap, four days past both history limits: {peak} bytes (budget {HISTORY_PEAK_HEAP_BYTES})");
+    assert!(
+        peak <= HISTORY_PEAK_HEAP_BYTES,
+        "four-day run peaked at {peak} live heap bytes (budget {HISTORY_PEAK_HEAP_BYTES})"
+    );
 }

@@ -26,8 +26,7 @@ use baat_workload::{DemandClass, EnergyDemand, PowerDemand, VmId, WorkloadKind};
 
 use crate::policy::baat_s::SlowdownThresholds;
 use crate::policy::common::{
-    best_migration_target, classify_workload, heaviest_movable_vm, rank_by_weighted_aging,
-    ClassRanks,
+    classify_workload, heaviest_movable_vm, rank_by_weighted_aging, ClassRanks,
 };
 
 /// Planned-aging configuration (§IV.D).
@@ -266,14 +265,9 @@ impl Policy for Baat {
                         return None;
                     }
                     let class = classify_workload(vm.kind, &self.config.server_power);
-                    best_migration_target(
-                        view,
-                        ranks.get(class).nodes(),
-                        node.node,
-                        vm.kind,
-                        self.config.min_target_soc,
-                    )
-                    .map(|target| (vm.id, target))
+                    ranks
+                        .migration_target(class, node.node, vm.kind, self.config.min_target_soc)
+                        .map(|target| (vm.id, target))
                 });
                 if let Some((vm, target)) = migration {
                     self.counters.slowdown_migrations.inc();
@@ -321,9 +315,8 @@ impl Policy for Baat {
                         self.counters.rejected_backoffs.inc();
                     } else if !migrated_vms.contains(&vm.id) {
                         let class = classify_workload(vm.kind, &self.config.server_power);
-                        if let Some(target) = best_migration_target(
-                            view,
-                            ranks.get(class).nodes(),
+                        if let Some(target) = ranks.migration_target(
+                            class,
                             worst.node,
                             vm.kind,
                             self.config.min_target_soc,

@@ -67,7 +67,13 @@ pub fn rank_by_weighted_aging(view: &SystemView, class: DemandClass) -> Vec<usiz
 pub(crate) struct ClassRanks<'v> {
     view: &'v SystemView,
     ranks: [Option<AgingRank>; 4],
+    /// Migration-target searches, per class and workload kind.
+    targets: [[Option<TargetSearch>; WorkloadKind::ALL.len()]; 4],
 }
+
+/// The minimum target SoC (as bits) a search ran with, and the first
+/// two qualifying nodes it found in rank order.
+type TargetSearch = (u64, [Option<usize>; 2]);
 
 impl<'v> ClassRanks<'v> {
     /// An empty cache over `view`.
@@ -75,6 +81,7 @@ impl<'v> ClassRanks<'v> {
         Self {
             view,
             ranks: Default::default(),
+            targets: Default::default(),
         }
     }
 
@@ -82,6 +89,41 @@ impl<'v> ClassRanks<'v> {
     pub(crate) fn get(&mut self, class: DemandClass) -> &AgingRank {
         let view = self.view;
         self.ranks[class_index(class)].get_or_insert_with(|| AgingRank::of(view, class))
+    }
+
+    /// [`best_migration_target`] over `class`'s ranking. The first two
+    /// qualifying nodes are found once per class and workload kind; the
+    /// source can be only one of them, so the answer is the first one
+    /// unless that is the source.
+    pub(crate) fn migration_target(
+        &mut self,
+        class: DemandClass,
+        source: usize,
+        kind: WorkloadKind,
+        min_target_soc: f64,
+    ) -> Option<usize> {
+        let soc_bits = min_target_soc.to_bits();
+        let [first, second] = match self.targets[class_index(class)][kind as usize] {
+            Some((bits, firsts)) if bits == soc_bits => firsts,
+            _ => {
+                let view = self.view;
+                let request = kind.resource_request();
+                let firsts = {
+                    let mut fit = self
+                        .get(class)
+                        .nodes()
+                        .filter(|&n| can_host(&view.nodes[n], request, min_target_soc));
+                    [fit.next(), fit.next()]
+                };
+                self.targets[class_index(class)][kind as usize] = Some((soc_bits, firsts));
+                firsts
+            }
+        };
+        if first == Some(source) {
+            second
+        } else {
+            first
+        }
     }
 }
 
@@ -100,16 +142,18 @@ pub fn best_migration_target(
 ) -> Option<usize> {
     let request = kind.resource_request();
     ranked.into_iter().find(|&candidate| {
-        if candidate == source {
-            return false;
-        }
-        let node = &view.nodes[candidate];
-        node.online
-            && !node.degraded
-            && node.soc.value() >= min_target_soc
-            && node.free_resources.0 >= request.0
-            && node.free_resources.1 >= request.1
+        candidate != source && can_host(&view.nodes[candidate], request, min_target_soc)
     })
+}
+
+/// Whether `node` can take a migrated VM asking for `request`: online,
+/// not degraded, charged to at least `min_target_soc`, with the room.
+fn can_host(node: &NodeView, request: (u32, u32), min_target_soc: f64) -> bool {
+    node.online
+        && !node.degraded
+        && node.soc.value() >= min_target_soc
+        && node.free_resources.0 >= request.0
+        && node.free_resources.1 >= request.1
 }
 
 /// Selects the most demanding movable (running, non-service) VM on a
@@ -269,6 +313,57 @@ mod tests {
             best_migration_target(&v, ranked, 0, WorkloadKind::KMeans, 0.6),
             None
         );
+    }
+
+    /// Seeded random views — degraded, offline, low-SoC and full nodes,
+    /// with shared metric templates for score ties — and every source,
+    /// kind and class: the memoized search answers exactly what a fresh
+    /// [`best_migration_target`] scan of the class ranking does.
+    #[test]
+    fn memoized_migration_targets_match_the_scan() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let classes: Vec<DemandClass> = [PowerDemand::Small, PowerDemand::Large]
+            .into_iter()
+            .flat_map(|power| {
+                [EnergyDemand::Less, EnergyDemand::More].map(|energy| DemandClass { power, energy })
+            })
+            .collect();
+        let templates = [metrics(0.0, 0.9), metrics(30.0, 0.5), metrics(120.0, 0.2)];
+        for _ in 0..300 {
+            let n = 1 + (next() % 12) as usize;
+            let nodes = (0..n)
+                .map(|i| {
+                    let m = templates[(next() % 3) as usize];
+                    let soc = [0.1, 0.5, 0.59, 0.6, 0.95][(next() % 5) as usize];
+                    let free = [(0, 0), (1, 2), (2, 4), (8, 16)][(next() % 4) as usize];
+                    let mut node = node(i, m, soc, free);
+                    node.online = next() % 6 != 0;
+                    node.degraded = next() % 6 == 0;
+                    node
+                })
+                .collect();
+            let v = view(nodes);
+            let mut ranks = ClassRanks::new(&v);
+            for _ in 0..40 {
+                let class = classes[(next() % 4) as usize];
+                let kind = WorkloadKind::ALL[(next() % WorkloadKind::ALL.len() as u64) as usize];
+                let source = (next() % n as u64) as usize;
+                let min_soc = [0.0, 0.6][(next() % 2) as usize];
+                let ranked = rank_by_weighted_aging(&v, class);
+                assert_eq!(
+                    ranks.migration_target(class, source, kind, min_soc),
+                    best_migration_target(&v, ranked, source, kind, min_soc),
+                    "{n} nodes, source {source}, {kind:?}, {class:?}, min SoC {min_soc}"
+                );
+            }
+        }
     }
 
     #[test]

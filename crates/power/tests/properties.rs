@@ -142,16 +142,19 @@ proptest! {
 
     /// Seeded sequences of pushes, with keys dropping out for stretches
     /// (ragged rows) or logging bursts alone, restores from over-long,
-    /// short and empty rows, and captures, run long enough to cross
-    /// compaction and eviction: the journal keeps exactly the rows
-    /// per-key rings keep, at limit 1, a small limit and the engine's
-    /// real limits.
+    /// short and empty rows, and captures, run long enough to retire
+    /// chunks and evict: the journal keeps exactly the rows per-key
+    /// rings keep, at limit 1, a small limit, two middling limits and
+    /// the engine's real limits. Below 16,384 retained rows a chunk is
+    /// a quarter of them, so every limit but 8,192 also draws chunks
+    /// smaller than 4,096 rows, and the small limits chunks of a few
+    /// rows.
     #[test]
     fn journal_keeps_what_per_key_rings_keep(
         seed in 0u64..u64::MAX,
-        pick in 0usize..4,
+        pick in 0usize..6,
     ) {
-        let limit = [1, 3, 4_096, 8_192][pick];
+        let limit = [1, 3, 50, 700, 4_096, 8_192][pick];
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = rng.random_range(1..=8usize);
         let mut journal = Journal::new(keys, limit);
@@ -168,7 +171,7 @@ proptest! {
         for _ in 0..rounds {
             if rng.random::<f64>() < rare {
                 // One key alone logs a burst, enough to evict some of
-                // its own logged rows before the next compaction.
+                // its own logged rows before their chunk retires.
                 let key = rng.random_range(0..keys);
                 for _ in 0..rng.random_range(1..=2 * limit + 2) {
                     push(&mut journal, &mut rings[key], key);

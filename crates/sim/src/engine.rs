@@ -1431,7 +1431,9 @@ impl Simulation {
                     if !batch.is_empty() {
                         {
                             let _t = obs.time(Stage::PlacementRank);
-                            self.refresh_fleet()?;
+                            if spec.ranks_fleet() {
+                                self.refresh_fleet()?;
+                            }
                         }
                         self.place_fast(&mut batch, spec)?;
                         self.pending.append(&mut batch);
@@ -2053,7 +2055,9 @@ impl Simulation {
         }
         {
             let _t = obs.time(Stage::PlacementRank);
-            self.refresh_fleet()?;
+            if spec.ranks_fleet() {
+                self.refresh_fleet()?;
+            }
         }
         let _t = obs.time(Stage::Placement);
         let mut pending = std::mem::take(&mut self.pending);

@@ -75,6 +75,16 @@ pub enum PlacementSpec {
     LifetimeNat,
 }
 
+impl PlacementSpec {
+    /// `true` for the specs that rank nodes by fleet scores. The others
+    /// walk the cluster in index order and never read a score, so
+    /// placing under them leaves the dirty set for the next ranked
+    /// query.
+    pub(crate) fn ranks_fleet(self) -> bool {
+        matches!(self, Self::WeightedAging { .. } | Self::LifetimeNat)
+    }
+}
+
 /// Why a node was marked dirty. The per-node reason set is a monotone
 /// union over the run — observability for tests and diagnostics; the
 /// drainable dirty *list* is what drives re-scoring.
@@ -471,7 +481,8 @@ impl FleetView {
     }
 
     /// Per-node battery state of charge (refreshed lazily; current as of
-    /// the last placement query).
+    /// the last placement under a ranking spec or the last
+    /// [`crate::Simulation::placement_rank`] call).
     pub fn socs(&self) -> &[f64] {
         &self.soc
     }
