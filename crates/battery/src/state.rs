@@ -40,7 +40,7 @@ pub struct BatteryUnitState {
     pub temperature: Celsius,
     /// Per-mechanism accumulated aging damage, chemistry-labelled.
     pub aging: AgingBreakdown,
-    /// Telemetry contents (sample history + usage accumulators).
+    /// Telemetry contents (latest sample + usage accumulators).
     pub telemetry: TelemetryState,
 }
 
@@ -50,10 +50,10 @@ pub struct TelemetryState {
     /// Most samples the history may hold (the log's configured
     /// capacity).
     pub max_samples: usize,
-    /// Retained sensor samples, oldest first. A unit's own capture holds
-    /// at most its latest sample; the simulation engine fills in the
-    /// history its telemetry journal retained.
-    pub samples: Vec<SensorSample>,
+    /// The latest sensor sample, if any. The sample history a
+    /// checkpoint carries is retained by whoever steps the unit, not by
+    /// the unit itself.
+    pub latest: Option<SensorSample>,
     /// Lifetime usage counters.
     pub lifetime: UsageAccumulator,
     /// Current-window usage counters.

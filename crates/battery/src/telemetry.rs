@@ -209,22 +209,22 @@ impl TelemetryLog {
         std::mem::take(&mut self.window)
     }
 
-    /// Captures the log for a checkpoint: its latest sample (if any) as
-    /// the only retained sample, plus the accumulators.
+    /// Captures the log for a checkpoint: its latest sample (if any)
+    /// and the accumulators.
     pub fn capture(&self) -> crate::state::TelemetryState {
         crate::state::TelemetryState {
             max_samples: self.max_samples,
-            samples: self.latest.into_iter().collect(),
+            latest: self.latest,
             lifetime: self.lifetime,
             window: self.window,
         }
     }
 
-    /// Rebuilds a log from captured contents: the newest captured sample
+    /// Rebuilds a log from captured contents: the captured sample
     /// becomes the latest one, unless `max_samples` is 0.
     pub fn restore(state: &crate::state::TelemetryState) -> Self {
         let mut log = Self::new(state.max_samples);
-        if let Some(&sample) = state.samples.last() {
+        if let Some(sample) = state.latest {
             log.push_sample(sample);
         }
         log.lifetime = state.lifetime;
@@ -356,9 +356,9 @@ mod tests {
         log.push_sample(sample(2));
         assert_eq!(log.latest(), Some(&sample(2)));
         let mut state = log.capture();
-        assert_eq!(state.samples, vec![sample(2)]);
+        assert_eq!(state.latest, Some(sample(2)));
         assert_eq!(TelemetryLog::restore(&state), log);
-        state.samples = (0..6).map(sample).collect();
+        state.latest = Some(sample(5));
         assert_eq!(TelemetryLog::restore(&state).latest(), Some(&sample(5)));
         state.max_samples = 0;
         let mut log = TelemetryLog::restore(&state);

@@ -235,18 +235,27 @@ fn checkpoint_allocations_scale_with_nodes_not_rows() {
         let target = hours * steps_per_hour;
         sim.run_steps(&mut policy, target - sim.step_index())
             .expect("runs");
-        let snapshot = sim.snapshot_with_policy(&policy);
-        let (encode, bytes) = allocs_during(|| snapshot.to_bytes());
-        assert_eq!(encode, 1, "to_bytes at {hours} h allocated {encode} times");
-        let (resume, restored) = allocs_during(|| {
-            let decoded = SimSnapshot::from_bytes(&bytes).expect("decodes");
-            Simulation::restore(config.clone(), &decoded).expect("restores")
+        let (peak, (encode, resume, len, rows, restored)) = peak_heap_during(|| {
+            let snapshot = sim.snapshot_with_policy(&policy);
+            let (encode, bytes) = allocs_during(|| snapshot.to_bytes());
+            let (resume, restored) = allocs_during(|| {
+                let decoded = SimSnapshot::from_bytes(&bytes).expect("decodes");
+                Simulation::restore(config.clone(), &decoded).expect("restores")
+            });
+            let rows = snapshot.state.battery_rows.len(0);
+            (encode, resume, bytes.len(), rows, restored)
         });
+        assert_eq!(encode, 1, "to_bytes at {hours} h allocated {encode} times");
         assert_eq!(restored.state_hash(), sim.state_hash());
-        (resume, snapshot.state.power_table[0].0.len())
+        println!(
+            "peak live heap over capture, encode, decode and restore at {hours} h: \
+             {peak} bytes, {:.2} x the {len} encoded",
+            peak as f64 / len as f64
+        );
+        (resume, rows, peak, len)
     };
-    let (early, early_rows) = round_trip(2);
-    let (late, late_rows) = round_trip(8);
+    let (early, early_rows, ..) = round_trip(2);
+    let (late, late_rows, peak, len) = round_trip(8);
     println!(
         "from_bytes + restore allocations: {early} at 2 h ({early_rows} rows/node), \
          {late} at 8 h ({late_rows} rows/node)"
@@ -259,7 +268,20 @@ fn checkpoint_allocations_scale_with_nodes_not_rows() {
         early, late,
         "decode + restore allocations grew with logged rows"
     );
+    // The capture shares the engine's history and the restore adopts
+    // the decoded rows, so the round trip holds two copies of the
+    // history (the bytes and the decoded rows) where it held four.
+    assert!(
+        peak as f64 <= ROUND_TRIP_PEAK_PER_BYTE * len as f64,
+        "round trip at 8 h peaked at {peak} live heap bytes, over \
+         {ROUND_TRIP_PEAK_PER_BYTE} x the {len} encoded"
+    );
 }
+
+/// Peak live heap budgeted for one checkpoint round trip (capture,
+/// `to_bytes`, `from_bytes`, restore), per encoded byte, above the heap
+/// live before the capture.
+const ROUND_TRIP_PEAK_PER_BYTE: f64 = 2.2;
 
 /// Allocations per control interval budgeted for an over-subscribed
 /// fleet: four hosts through two rainy days under a mix far beyond
@@ -333,7 +355,7 @@ fn history_past_both_limits_stays_in_the_heap_budget() {
             .expect("runs");
         sim
     });
-    let rows = sim.snapshot().state.power_table[0].0.len();
+    let rows = sim.snapshot().state.battery_rows.len(0);
     assert_eq!(rows, 8_192, "the run must reach the power table's limit");
     println!("peak live heap, four days past both history limits: {peak} bytes (budget {HISTORY_PEAK_HEAP_BYTES})");
     assert!(

@@ -1,4 +1,4 @@
-//! Append-only history journals.
+//! Append-only history journals and the shared histories they capture.
 //!
 //! A [`Journal`] keeps, for each of a fixed set of keys (nodes or
 //! banks), the newest `limit` rows recorded under that key, the same
@@ -10,10 +10,22 @@
 //! every key's retained rows, the oldest chunk holds only evicted rows
 //! and is retired without reading one. A retired row that its key still
 //! retains (the key lagged the others, or the journal was restored)
-//! moves to that key's *base*. The per-key view is built only when it is
-//! read, by [`Journal::capture`] for a checkpoint.
+//! moves to that key's *base*.
+//!
+//! Stored rows never change: a sealed chunk is immutable behind an
+//! [`Arc`], and the base is one `Arc`-shared block that retirement edits
+//! through [`Arc::make_mut`]. So [`Journal::capture`] returns a
+//! [`History`] that shares the journal's segments instead of copying
+//! them, copying only the head chunk pushes still write to, and
+//! [`Journal::restore`] adopts a history's segments the same way. Both
+//! cost O(keys + chunks), whatever the rows. The one copy left is the
+//! base's: retiring a chunk while a captured history still holds the
+//! base copies the base once.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Rows per log chunk at most; a quarter of the retained rows caps it
 /// for small journals. A chunk is allocated whole, so a push never
@@ -24,17 +36,24 @@ const CHUNK: usize = 4_096;
 /// settled.
 const SETTLED: u32 = 1 << 31;
 
+/// Keys a block walk covers at most.
+const BLOCK: usize = 64;
+
+/// Per-key rows retained up to `limit` each, oldest first: restored
+/// rows, or rows moved in from retired chunks.
+type Base<T> = Vec<VecDeque<T>>;
+
 /// Per-key rows retained up to `limit` each, recorded through an
 /// append-only log.
 #[derive(Debug, Clone)]
 pub struct Journal<T> {
     /// Rows restored, or moved in from retired chunks, per key, oldest
-    /// first; each deque is reserved exactly and holds at most `limit`.
-    base: Vec<VecDeque<T>>,
+    /// first; shared with the histories captured since it last changed.
+    base: Arc<Base<T>>,
     /// Capacity of `base`, summed over keys.
     base_capacity: usize,
-    /// Sealed chunks, oldest first.
-    sealed: VecDeque<Chunk<T>>,
+    /// Sealed chunks, oldest first, shared with captured histories.
+    sealed: VecDeque<Arc<Chunk<T>>>,
     /// Rows in `sealed`.
     sealed_rows: usize,
     /// The chunk pushes write to, newer than every sealed one.
@@ -90,40 +109,95 @@ impl<T> Chunk<T> {
             })
         })
     }
+
+    /// Calls `f(key - keys.start, row)` for each row of the keys in
+    /// `keys`, in order, for a journal over `stride` keys. Within a run,
+    /// the rows of neighbouring keys lie side by side, so the block's
+    /// rows are read as one stretch per sweep over the keys.
+    fn for_each_in(&self, keys: &Range<usize>, stride: usize, mut f: impl FnMut(usize, &T)) {
+        let block = keys.len();
+        let mut start = 0;
+        for &(first, len) in &self.runs {
+            let run = &self.rows[start..start + len as usize];
+            start += run.len();
+            // The block index of the run's first key: `block` or more
+            // lies outside the block.
+            let first = (first as usize + stride - keys.start) % stride;
+            let mut at = 0;
+            while at < run.len() {
+                let i = (first + at) % stride;
+                if i >= block {
+                    at += stride - i;
+                    continue;
+                }
+                let n = (block - i).min(run.len() - at);
+                for (j, row) in run[at..at + n].iter().enumerate() {
+                    f(i + j, row);
+                }
+                at += n;
+            }
+        }
+    }
+
+    /// The newest row of `key`, if the chunk holds one.
+    fn last(&self, key: usize, keys: usize) -> Option<&T> {
+        let mut end = self.rows.len();
+        for &(first, len) in self.runs.iter().rev() {
+            let start = end - len as usize;
+            let offset = (key + keys - first as usize) % keys;
+            if let Some(after) = (len as usize).checked_sub(offset + 1) {
+                return Some(&self.rows[start + offset + after / keys * keys]);
+            }
+            end = start;
+        }
+        None
+    }
+}
+
+/// Rows per chunk for `keys` keys retaining `limit` rows each.
+fn chunk_rows(keys: usize, limit: usize) -> usize {
+    CHUNK.min(keys.saturating_mul(limit) / 4).max(1)
 }
 
 impl<T: Copy> Journal<T> {
     /// An empty journal over `keys` keys retaining `limit` rows each.
-    pub fn new(keys: usize, limit: usize) -> Self {
-        Self::restore((0..keys).map(|_| &[][..]), limit)
-    }
-
-    /// A journal holding `rows`, one oldest-first slice per key. Each
-    /// key keeps its newest `limit` rows, exactly as pushing the rows
-    /// one by one would.
     ///
     /// # Panics
     ///
     /// Panics if there are more than `u32::MAX` keys.
-    pub fn restore<'a>(rows: impl Iterator<Item = &'a [T]>, limit: usize) -> Self
-    where
-        T: 'a,
-    {
-        let base: Vec<VecDeque<T>> = rows
-            .map(|rows| rows[rows.len().saturating_sub(limit)..].to_vec().into())
-            .collect();
-        let keys = base.len();
+    pub fn new(keys: usize, limit: usize) -> Self {
         assert!(u32::try_from(keys).is_ok(), "journal keys fit a u32");
+        let base = Arc::new((0..keys).map(|_| VecDeque::new()).collect());
+        Self::from_parts(base, VecDeque::new(), vec![0; keys], limit)
+    }
+
+    /// A journal holding `history`'s rows at its limit, recording on
+    /// exactly as the journal it was captured from would. The journal
+    /// shares the history's segments: O(keys + chunks), whatever the
+    /// rows.
+    pub fn restore(history: &History<T>) -> Self {
+        let sealed = history.chunks.iter().cloned().collect();
+        let base = Arc::clone(&history.base);
+        Self::from_parts(base, sealed, history.held.clone(), history.limit)
+    }
+
+    /// A journal over `base` and `sealed` with an empty head.
+    fn from_parts(
+        base: Arc<Base<T>>,
+        sealed: VecDeque<Arc<Chunk<T>>>,
+        held: Vec<usize>,
+        limit: usize,
+    ) -> Self {
         Self {
             base_capacity: base.iter().map(VecDeque::capacity).sum(),
-            held: base.iter().map(VecDeque::len).collect(),
             base,
-            sealed: VecDeque::new(),
-            sealed_rows: 0,
+            sealed_rows: sealed.iter().map(|c| c.rows.len()).sum(),
+            sealed,
             head: Chunk::new(0),
             next: 0,
+            chunk_rows: chunk_rows(held.len(), limit),
+            held,
             scratch: Vec::new(),
-            chunk_rows: CHUNK.min(keys.saturating_mul(limit) / 4).max(1),
             limit,
             #[cfg(test)]
             moved: 0,
@@ -158,15 +232,15 @@ impl<T: Copy> Journal<T> {
     /// Seals the full head into the log, retires the oldest chunks for
     /// as long as the base and the newer chunks still have room for
     /// every retained row, and starts a new head, reusing a retired
-    /// chunk when there is one. Out of line, so that `push` stays small
-    /// enough to inline.
+    /// chunk that no history shares. Out of line, so that `push` stays
+    /// small enough to inline.
     #[cold]
     #[inline(never)]
     fn seal(&mut self) {
         let head = std::mem::replace(&mut self.head, Chunk::new(0));
         if !head.rows.is_empty() {
             self.sealed_rows += head.rows.len();
-            self.sealed.push_back(head);
+            self.sealed.push_back(Arc::new(head));
         }
         let retained = self.held.len().saturating_mul(self.limit);
         let mut spare = None;
@@ -176,16 +250,35 @@ impl<T: Copy> Journal<T> {
             }
             let oldest = self.sealed.pop_front().expect("front exists");
             self.sealed_rows -= oldest.rows.len();
-            spare = Some(self.retire(oldest));
+            self.retire(&oldest);
+            spare = Arc::try_unwrap(oldest).ok().or(spare);
         }
-        self.head = spare.unwrap_or_else(|| Chunk::new(self.chunk_rows));
+        self.head = match spare {
+            Some(mut chunk) => {
+                chunk.rows.clear();
+                chunk.runs.clear();
+                chunk
+            }
+            None => Chunk::new(self.chunk_rows),
+        };
+    }
+
+    /// The base, for an edit: copied first if a captured history still
+    /// shares it.
+    fn base_mut(&mut self) -> &mut Base<T> {
+        let shared = Arc::get_mut(&mut self.base).is_none();
+        let base = Arc::make_mut(&mut self.base);
+        if shared {
+            self.base_capacity = base.iter().map(VecDeque::capacity).sum();
+        }
+        base
     }
 
     /// Takes the oldest chunk out of the log. The evicted rows of each
     /// key in it are dropped, base rows first; rows the key still
-    /// retains move to its base, reserved exactly once. Returns the
-    /// chunk emptied.
-    fn retire(&mut self, mut chunk: Chunk<T>) -> Chunk<T> {
+    /// retains move to its base, reserved exactly once. A key whose base
+    /// needs no edit leaves the base shared.
+    fn retire(&mut self, chunk: &Chunk<T>) {
         let keys = self.held.len();
         self.scratch.resize(keys, 0);
         for key in chunk.keys(keys) {
@@ -198,31 +291,38 @@ impl<T: Copy> Journal<T> {
                 continue;
             }
             let rows = rows as usize;
-            let base = &mut self.base[key];
-            let newer = self.held[key] - base.len() - rows;
+            let base = &self.base[key];
+            let len = base.len();
+            let newer = self.held[key] - len - rows;
             let room = self.limit.saturating_sub(newer);
             let keep = rows.min(room);
-            let keep_base = base.len().min(room - keep);
-            base.drain(..base.len() - keep_base);
-            let before = base.capacity();
-            if keep > 0 {
-                base.reserve_exact(keep);
-                moves = true;
-            } else if base.is_empty() {
-                *base = VecDeque::new();
+            let keep_base = len.min(room - keep);
+            if keep > 0 || keep_base < len || (len == 0 && base.capacity() > 0) {
+                let base = &mut self.base_mut()[key];
+                let before = base.capacity();
+                base.drain(..len - keep_base);
+                if keep > 0 {
+                    base.reserve_exact(keep);
+                    moves = true;
+                } else if base.is_empty() {
+                    *base = VecDeque::new();
+                }
+                let after = base.capacity();
+                self.base_capacity = self.base_capacity + after - before;
             }
-            self.base_capacity = self.base_capacity + base.capacity() - before;
             self.held[key] = newer + keep_base + keep;
             // A chunk holds at most `CHUNK` rows, far below the flag.
             self.scratch[key] = SETTLED | (rows - keep) as u32;
         }
         if moves {
+            // Reserving for a moved row made the base unshared.
+            let base = Arc::get_mut(&mut self.base).expect("base unshared by retirement");
             for (key, &row) in chunk.keys(keys).zip(&chunk.rows) {
                 let skip = &mut self.scratch[key];
                 if *skip & !SETTLED > 0 {
                     *skip -= 1;
                 } else {
-                    self.base[key].push_back(row);
+                    base[key].push_back(row);
                     #[cfg(test)]
                     {
                         self.moved += 1;
@@ -233,40 +333,23 @@ impl<T: Copy> Journal<T> {
         for key in chunk.keys(keys) {
             self.scratch[key] = 0;
         }
-        chunk.rows.clear();
-        chunk.runs.clear();
-        chunk
     }
 
-    /// Every key's retained rows, oldest first, each in a `Vec` of
-    /// exactly its length.
-    pub fn capture(&self) -> Vec<Vec<T>> {
-        // A key's oldest `held - limit` rows are evicted: its base rows
-        // first, then its oldest logged ones.
-        let mut skip = Vec::with_capacity(self.held.len());
-        let mut rows: Vec<Vec<T>> = self
-            .base
-            .iter()
-            .zip(&self.held)
-            .map(|(base, &held)| {
-                let evicted = held.saturating_sub(self.limit);
-                let base_evicted = evicted.min(base.len());
-                skip.push(evicted - base_evicted);
-                let mut kept = Vec::with_capacity(held - evicted);
-                kept.extend(base.range(base_evicted..));
-                kept
-            })
-            .collect();
-        for chunk in self.sealed.iter().chain([&self.head]) {
-            for (key, &row) in chunk.keys(self.held.len()).zip(&chunk.rows) {
-                if skip[key] > 0 {
-                    skip[key] -= 1;
-                } else {
-                    rows[key].push(row);
-                }
-            }
+    /// Every key's retained rows, as a history sharing the journal's
+    /// base and sealed chunks and holding a copy of its head: O(keys +
+    /// chunks), whatever the rows.
+    pub fn capture(&self) -> History<T> {
+        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
+        chunks.extend(self.sealed.iter().cloned());
+        if !self.head.rows.is_empty() {
+            chunks.push(Arc::new(self.head.clone()));
         }
-        rows
+        History {
+            base: Arc::clone(&self.base),
+            chunks,
+            held: self.held.clone(),
+            limit: self.limit,
+        }
     }
 
     /// Rows held in memory, counting allocated but unused capacity.
@@ -274,8 +357,146 @@ impl<T: Copy> Journal<T> {
     fn allocated(&self) -> usize {
         let base: usize = self.base.iter().map(VecDeque::capacity).sum();
         assert_eq!(base, self.base_capacity);
-        let log = self.sealed.iter().chain([&self.head]);
-        base + log.map(|chunk| chunk.rows.capacity()).sum::<usize>()
+        let sealed = self.sealed.iter().map(|chunk| chunk.rows.capacity());
+        base + sealed.sum::<usize>() + self.head.rows.capacity()
+    }
+}
+
+/// An immutable per-key view of a [`Journal`]'s retained rows: its
+/// shared base and chunks, a copy of its head, and each key's count of
+/// rows held, from which the evicted ones follow. Cloning shares the
+/// segments too.
+///
+/// Two histories are equal when they retain the same rows per key at
+/// the same limit, however their segments are laid out.
+#[derive(Clone)]
+pub struct History<T> {
+    base: Arc<Base<T>>,
+    /// Sealed chunks, oldest first, then the head's copy.
+    chunks: Vec<Arc<Chunk<T>>>,
+    /// Rows each key holds in `base` and `chunks`, evicted ones
+    /// included: a key's oldest `held - limit` rows are evicted, its
+    /// base rows first.
+    held: Vec<usize>,
+    limit: usize,
+}
+
+impl<T> History<T> {
+    /// Keys [`History::for_each_row`] walks at a time at most.
+    pub const BLOCK: usize = BLOCK;
+
+    /// A history holding `rows`, one oldest-first `Vec` per key, at
+    /// retention `limit`: each key keeps its newest `limit` rows, as
+    /// recording the rows one by one would. The `Vec`s become the
+    /// history's base as they are, without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` keys.
+    pub fn from_rows(rows: Vec<Vec<T>>, limit: usize) -> Self {
+        assert!(u32::try_from(rows.len()).is_ok(), "history keys fit a u32");
+        Self {
+            held: rows.iter().map(Vec::len).collect(),
+            base: Arc::new(rows.into_iter().map(VecDeque::from).collect()),
+            chunks: Vec::new(),
+            limit,
+        }
+    }
+
+    /// Number of keys.
+    pub fn keys(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Rows retained per key at most.
+    pub fn limit(&self) -> usize {
+        self.limit
+    }
+
+    /// Rows `key` retains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is out of range.
+    pub fn len(&self, key: usize) -> usize {
+        self.held[key].min(self.limit)
+    }
+
+    /// Calls `f(key - keys.start, row)` for every row the keys in `keys`
+    /// retain, each key's rows oldest first. A lockstep chunk holds a
+    /// key's rows a whole sweep apart, so the keys are walked together,
+    /// chunk by chunk, their rows interleaved: a block of neighbouring
+    /// keys reads each sweep's stretch of their rows once, not once per
+    /// key, and the walk costs O(rows + sweeps + chunks). At most
+    /// [`History::BLOCK`] keys a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` is out of range or longer than `BLOCK`.
+    pub fn for_each_row(&self, keys: Range<usize>, mut f: impl FnMut(usize, &T)) {
+        assert!(keys.len() <= Self::BLOCK, "at most {} keys", Self::BLOCK);
+        let stride = self.keys();
+        // Evicted base rows go first, then the oldest logged ones.
+        let mut skip = [0; BLOCK];
+        for (i, key) in keys.clone().enumerate() {
+            let evicted = self.held[key] - self.len(key);
+            let base = &self.base[key];
+            skip[i] = evicted.saturating_sub(base.len());
+            base.range(evicted.min(base.len())..)
+                .for_each(|row| f(i, row));
+        }
+        if keys.is_empty() {
+            return;
+        }
+        for chunk in &self.chunks {
+            chunk.for_each_in(&keys, stride, |i, row| match &mut skip[i] {
+                0 => f(i, row),
+                evicted => *evicted -= 1,
+            });
+        }
+    }
+
+    /// The newest row `key` retains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is out of range.
+    pub fn last(&self, key: usize) -> Option<&T> {
+        if self.len(key) == 0 {
+            return None;
+        }
+        let keys = self.keys();
+        let logged = self.chunks.iter().rev().find_map(|c| c.last(key, keys));
+        logged.or_else(|| self.base[key].back())
+    }
+}
+
+impl<T: Copy> History<T> {
+    /// Every key's retained rows, oldest first, each in a `Vec` of
+    /// exactly its length.
+    pub fn to_rows(&self) -> Vec<Vec<T>> {
+        (0..self.keys())
+            .map(|key| {
+                let mut rows = Vec::with_capacity(self.len(key));
+                self.for_each_row(key..key + 1, |_, &row| rows.push(row));
+                rows
+            })
+            .collect()
+    }
+}
+
+impl<T: Copy + PartialEq> PartialEq for History<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.limit == other.limit && self.to_rows() == other.to_rows()
+    }
+}
+
+impl<T: Copy + fmt::Debug> fmt::Debug for History<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("History")
+            .field("limit", &self.limit)
+            .field("rows", &self.to_rows())
+            .finish()
     }
 }
 
@@ -310,7 +531,7 @@ mod tests {
             assert!(peak <= bound, "{keys} keys x {limit}: {peak} > {bound}");
             let tight = keys * limit + 2 * journal.chunk_rows;
             assert!(peak <= tight, "{keys} keys x {limit}: {peak} > {tight}");
-            let rows = journal.capture();
+            let rows = journal.capture().to_rows();
             assert!(rows
                 .iter()
                 .all(|r| r.len() == limit && r.capacity() == limit));
@@ -353,8 +574,8 @@ mod tests {
     #[test]
     fn memory_bound_holds_after_restores_and_bursts() {
         for (keys, limit) in [(3, 7), (6, 4_096)] {
-            let full: Vec<Vec<u64>> = (0..keys).map(|_| vec![7; limit]).collect();
-            let mut journal = Journal::restore(full.iter().map(|r| &r[..]), limit);
+            let full = History::from_rows(vec![vec![7; limit]; keys], limit);
+            let mut journal = Journal::restore(&full);
             let bound = keys * limit + 2 * journal.chunk_rows;
             let peak = lockstep(&mut journal, 3 * limit);
             assert!(peak <= bound, "restored {keys} x {limit}: {peak} > {bound}");
@@ -368,8 +589,92 @@ mod tests {
                 }
             }
             assert!(peak <= bound, "bursts {keys} x {limit}: {peak} > {bound}");
-            let rows = journal.capture();
-            assert!(rows.iter().all(|r| r.len() == limit));
+            let history = journal.capture();
+            assert!((0..keys).all(|key| history.len(key) == limit));
+        }
+    }
+
+    /// Capture and restore share every sealed chunk and the base instead
+    /// of copying them; only the head is copied.
+    #[test]
+    fn capture_and_restore_share_the_segments() {
+        let (keys, limit) = (5, 4_096);
+        let mut journal = Journal::new(keys, limit);
+        lockstep(&mut journal, 2_000);
+        let history = journal.capture();
+        assert!(Arc::ptr_eq(&history.base, &journal.base));
+        assert_eq!(history.chunks.len(), journal.sealed.len() + 1);
+        for (shared, sealed) in history.chunks.iter().zip(&journal.sealed) {
+            assert!(Arc::ptr_eq(shared, sealed));
+        }
+        let restored = Journal::restore(&history);
+        assert!(Arc::ptr_eq(&restored.base, &history.base));
+        for (sealed, shared) in restored.sealed.iter().zip(&history.chunks) {
+            assert!(Arc::ptr_eq(sealed, shared));
+        }
+        assert_eq!(restored.capture(), history);
+    }
+
+    /// A retired chunk that a history still shares is left to it, and
+    /// the base is copied once for the retirement's edit, its capacity
+    /// counted anew (the rows came with spare capacity, the copy has
+    /// none); a chunk no one shares becomes the next head.
+    #[test]
+    fn retirement_copies_only_what_a_history_shares() {
+        let (keys, limit) = (2, 64);
+        let rows: Vec<Vec<u64>> = (0..keys as u64)
+            .map(|k| {
+                let mut rows = Vec::with_capacity(2 * limit);
+                rows.resize(limit, k);
+                rows
+            })
+            .collect();
+        let history = History::from_rows(rows, limit);
+        let mut journal = Journal::restore(&history);
+        lockstep(&mut journal, 3 * limit);
+        assert!(!Arc::ptr_eq(&journal.base, &history.base));
+        assert_eq!(Arc::strong_count(&history.base), 1);
+        let kept = journal.capture();
+        let before = kept.to_rows();
+        lockstep(&mut journal, 3 * limit);
+        assert_eq!(kept.to_rows(), before);
+        assert!(kept.chunks.iter().all(|c| Arc::strong_count(c) == 1));
+    }
+
+    /// The walk of one key or of several at once, the newest row and the
+    /// per-key lengths agree with each key's pushes, for lockstep,
+    /// lagging and lone keys.
+    #[test]
+    fn row_walks_match_each_keys_pushes() {
+        let (keys, limit) = (4, 50);
+        let mut journal = Journal::new(keys, limit);
+        let mut expected = vec![Vec::new(); keys];
+        let mut next = 0u64;
+        for round in 0..400 {
+            for (key, rows) in expected.iter_mut().enumerate() {
+                // Key 1 lags every third round, and key 3 bursts alone.
+                let times = match key {
+                    1 if round % 3 == 0 => 0,
+                    3 if round % 50 == 7 => 30,
+                    _ => 1,
+                };
+                for _ in 0..times {
+                    journal.push(key, next);
+                    rows.push(next);
+                    next += 1;
+                }
+            }
+        }
+        let history = journal.capture();
+        let kept: Vec<_> = expected.iter().map(|r| &r[r.len() - limit..]).collect();
+        for (key, rows) in kept.iter().enumerate() {
+            assert_eq!(history.len(key), limit);
+            assert_eq!(history.last(key), rows.last());
+        }
+        for block in [0..keys, 1..3, 3..4, 2..2] {
+            let mut walked = vec![Vec::new(); block.len()];
+            history.for_each_row(block.clone(), |i, &row| walked[i].push(row));
+            assert_eq!(walked, kept[block]);
         }
     }
 }

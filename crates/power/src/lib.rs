@@ -12,7 +12,8 @@
 //! * [`Charger`] — three-stage (bulk/absorption/float) lead-acid charging;
 //! * [`BatterySensor`] — noisy voltage/current/temperature sampling;
 //! * [`PowerTable`] — the controller-facing per-node history logs;
-//! * [`Journal`] — the append-only per-key history they are kept in.
+//! * [`Journal`] — the append-only per-key history they are kept in, and
+//!   [`History`], the shared view of it a checkpoint carries.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ mod table;
 
 pub use charger::{ChargeStage, Charger, StageTracker};
 pub use error::PowerError;
-pub use journal::Journal;
+pub use journal::{History, Journal};
 pub use sensors::{BatterySensor, NoiseSpec};
 pub use switcher::{PowerSwitcher, Routing};
-pub use table::{NodeLog, NodeRows, PowerTable, ServerPowerRecord};
+pub use table::{NodeLog, PowerTable, ServerPowerRecord};

@@ -9,13 +9,15 @@
 //!
 //! The controller reads only each node's latest rows, which
 //! [`NodeLog`] keeps at hand. The history behind them is retained, the
-//! newest 8,192 rows per node and channel, in two [`Journal`]s keyed by
-//! node, and is read back whole only for a checkpoint.
+//! newest [`PowerTable::MAX_ROWS`] rows per node and channel, in two
+//! [`Journal`]s keyed by node. A checkpoint captures each channel as a
+//! [`History`] that shares the journal's rows, and a restore adopts the
+//! histories' rows the same way, so neither copies the history.
 
 use baat_battery::SensorSample;
 use baat_units::{SimInstant, Watts};
 
-use crate::Journal;
+use crate::{History, Journal};
 
 /// One IPDU server-power reading.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,9 +35,6 @@ pub struct NodeLog {
     server: Option<ServerPowerRecord>,
 }
 
-/// Retention limit per node and per channel.
-const MAX_ROWS: usize = 8_192;
-
 impl NodeLog {
     /// The most recent battery row.
     pub fn latest_battery(&self) -> Option<&SensorSample> {
@@ -48,10 +47,6 @@ impl NodeLog {
     }
 }
 
-/// One node's rows for a checkpoint: `(battery rows, server rows)`,
-/// oldest first.
-pub type NodeRows = (Vec<SensorSample>, Vec<ServerPowerRecord>);
-
 /// The monitoring architecture: one [`NodeLog`] per server/battery node
 /// plus the retained history of both channels.
 #[derive(Debug, Clone)]
@@ -62,12 +57,15 @@ pub struct PowerTable {
 }
 
 impl PowerTable {
+    /// Rows retained per node and per channel.
+    pub const MAX_ROWS: usize = 8_192;
+
     /// Creates a table for `nodes` server/battery pairs.
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes: vec![NodeLog::default(); nodes],
-            battery: Journal::new(nodes, MAX_ROWS),
-            server: Journal::new(nodes, MAX_ROWS),
+            battery: Journal::new(nodes, Self::MAX_ROWS),
+            server: Journal::new(nodes, Self::MAX_ROWS),
         }
     }
 
@@ -111,29 +109,30 @@ impl PowerTable {
         self.nodes.iter()
     }
 
-    /// Captures every node's retained rows for a checkpoint.
-    pub fn capture(&self) -> Vec<NodeRows> {
-        self.battery
-            .capture()
-            .into_iter()
-            .zip(self.server.capture())
-            .collect()
+    /// Captures every node's retained rows for a checkpoint: the battery
+    /// and the server channel, each sharing its journal's rows.
+    pub fn capture(&self) -> (History<SensorSample>, History<ServerPowerRecord>) {
+        (self.battery.capture(), self.server.capture())
     }
 
-    /// Rebuilds a table from captured rows, one entry per node. Each
-    /// channel keeps the newest rows within the retention limit, exactly
-    /// as recording the rows one by one would.
-    pub fn restore(nodes: &[NodeRows]) -> Self {
+    /// Rebuilds a table from captured channels, one key per node, each
+    /// adopted at its own retention limit; every node's latest rows are
+    /// the newest its histories retain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channels cover different numbers of nodes.
+    pub fn restore(battery: &History<SensorSample>, server: &History<ServerPowerRecord>) -> Self {
+        assert_eq!(battery.keys(), server.keys(), "channels cover the nodes");
         Self {
-            nodes: nodes
-                .iter()
-                .map(|(battery, server)| NodeLog {
-                    battery: battery.last().copied(),
-                    server: server.last().copied(),
+            nodes: (0..battery.keys())
+                .map(|node| NodeLog {
+                    battery: battery.last(node).copied(),
+                    server: server.last(node).copied(),
                 })
                 .collect(),
-            battery: Journal::restore(nodes.iter().map(|(b, _)| &b[..]), MAX_ROWS),
-            server: Journal::restore(nodes.iter().map(|(_, s)| &s[..]), MAX_ROWS),
+            battery: Journal::restore(battery),
+            server: Journal::restore(server),
         }
     }
 }
@@ -164,9 +163,9 @@ mod tests {
                 power: Watts::new(90.0),
             },
         );
-        let rows = t.capture();
-        assert_eq!(rows[1].0.len(), 1);
-        assert_eq!(rows[0].0.len(), 0);
+        let (battery, _) = t.capture();
+        assert_eq!(battery.len(1), 1);
+        assert_eq!(battery.len(0), 0);
         assert_eq!(
             t.node(1).unwrap().latest_server().unwrap().power,
             Watts::new(90.0)
@@ -185,7 +184,7 @@ mod tests {
     #[test]
     fn restore_rebuilds_latest_rows_and_history() {
         let mut recorded = PowerTable::new(2);
-        let rows = MAX_ROWS as u64 + 5;
+        let rows = PowerTable::MAX_ROWS as u64 + 5;
         for i in 0..rows {
             recorded.record_battery(0, sample(i));
             recorded.record_server(
@@ -196,12 +195,12 @@ mod tests {
                 },
             );
         }
-        let captured = recorded.capture();
-        assert_eq!(captured[0].0.len(), MAX_ROWS);
-        assert_eq!(captured[0].0[0].at, SimInstant::from_secs(5));
-        assert_eq!(captured[1].1.len(), MAX_ROWS);
-        let restored = PowerTable::restore(&captured);
-        assert_eq!(restored.capture(), captured);
+        let (battery, server) = recorded.capture();
+        assert_eq!(battery.len(0), PowerTable::MAX_ROWS);
+        assert_eq!(battery.to_rows()[0][0].at, SimInstant::from_secs(5));
+        assert_eq!(server.len(1), PowerTable::MAX_ROWS);
+        let restored = PowerTable::restore(&battery, &server);
+        assert_eq!(restored.capture(), (battery, server));
         assert!(restored.iter().eq(recorded.iter()));
         assert_eq!(
             restored.node(0).unwrap().latest_battery(),

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use baat_power::{Charger, Journal, PowerSwitcher};
+use baat_power::{Charger, History, Journal, PowerSwitcher};
 use baat_rng::StdRng;
 use baat_testkit::prelude::*;
 use baat_units::{Soc, Watts};
@@ -126,15 +126,27 @@ mod ring {
     }
 }
 
-/// Checks a capture against the rings: same rows, each `Vec` exact-size.
-fn matches_rings(journal: &Journal<u64>, rings: &[VecDeque<u64>]) -> Result<(), TestCaseError> {
-    let captured = journal.capture();
-    prop_assert_eq!(captured.len(), rings.len());
-    for (rows, ring) in captured.iter().zip(rings) {
+/// Checks a captured history against the rings: same rows per key,
+/// walked whole, counted, and newest first, each `Vec` exact-size.
+fn history_matches_rings(
+    history: &History<u64>,
+    rings: &[VecDeque<u64>],
+) -> Result<(), TestCaseError> {
+    let rows = history.to_rows();
+    prop_assert_eq!(rows.len(), rings.len());
+    prop_assert_eq!(history.keys(), rings.len());
+    for (key, (rows, ring)) in rows.iter().zip(rings).enumerate() {
         prop_assert_eq!(rows, &ring::rows(ring));
         prop_assert_eq!(rows.capacity(), rows.len());
+        prop_assert_eq!(history.len(key), ring.len());
+        prop_assert_eq!(history.last(key), ring.back());
     }
     Ok(())
+}
+
+/// Checks a journal's capture against the rings.
+fn matches_rings(journal: &Journal<u64>, rings: &[VecDeque<u64>]) -> Result<(), TestCaseError> {
+    history_matches_rings(&journal.capture(), rings)
 }
 
 proptest! {
@@ -207,10 +219,116 @@ proptest! {
                         rows
                     })
                     .collect();
-                journal = Journal::restore(rows.iter().map(|r| &r[..]), limit);
                 rings = rows.iter().map(|r| ring::restore(r, limit)).collect();
+                journal = Journal::restore(&History::from_rows(rows, limit));
             }
         }
         matches_rings(&journal, &rings)?;
+    }
+}
+
+/// The order a journal's keys push in.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// Every key once per round, in key order, as the engine records.
+    Lockstep,
+    /// Every key per round, but one key skips about two rounds of three.
+    Lagging,
+    /// Lockstep, with one key now and then logging a burst alone.
+    Burst,
+}
+
+/// One round of pushes in `order` to the journal and its twin, mirrored
+/// on the rings.
+fn round(
+    order: Order,
+    rng: &mut StdRng,
+    journals: &mut [&mut Journal<u64>; 2],
+    rings: &mut [VecDeque<u64>],
+    next: &mut u64,
+    limit: usize,
+) {
+    let keys = rings.len();
+    let mut push = |key: usize, rings: &mut [VecDeque<u64>]| {
+        for journal in journals.iter_mut() {
+            journal.push(key, *next);
+        }
+        ring::push(&mut rings[key], *next, limit);
+        *next += 1;
+    };
+    if let Order::Burst = order {
+        if rng.random::<f64>() < 1.0 / (limit as f64 / 8.0 + 4.0) {
+            let key = rng.random_range(0..keys);
+            for _ in 0..rng.random_range(1..=2 * limit + 2) {
+                push(key, rings);
+            }
+        }
+    }
+    for key in 0..keys {
+        // The lagging key is pushed in about one round of three.
+        if matches!(order, Order::Lagging) && key == keys / 2 && rng.random_range(0..3) != 0 {
+            continue;
+        }
+        push(key, rings);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A history captured at a random point stays unchanged, and equal
+    /// to the rings' rows at that point, through every later push,
+    /// chunk retirement and restore of the journal it came from. A
+    /// journal restored from that history, given the same pushes and
+    /// restores as the original, keeps recording exactly like it. Under
+    /// lockstep, lagging-key and lone-key-burst orders at limits 50,
+    /// 700 and 4,096, so chunks of 12 to 4,096 rows retire, some shared
+    /// with the history and some not.
+    #[test]
+    fn captured_history_is_isolated_from_later_changes(
+        seed in 0u64..u64::MAX,
+        pick in 0usize..3,
+        order in 0usize..3,
+    ) {
+        let limit = [50, 700, 4_096][pick];
+        let order = [Order::Lockstep, Order::Lagging, Order::Burst][order];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = rng.random_range(1..=8usize);
+        let mut journal = Journal::new(keys, limit);
+        let mut rings = vec![VecDeque::new(); keys];
+        let mut next = 0u64;
+        let before = rng.random_range(0..2 * limit + 100);
+        let mut unused = Journal::new(keys, limit);
+        for _ in 0..before {
+            round(order, &mut rng, &mut [&mut journal, &mut unused], &mut rings, &mut next, limit);
+        }
+        let captured = journal.capture();
+        let expected: Vec<Vec<u64>> = rings.iter().map(ring::rows).collect();
+        history_matches_rings(&captured, &rings)?;
+        prop_assert!(captured == History::from_rows(expected.clone(), limit));
+        let mut twin = Journal::restore(&captured);
+        let rare = 1.0 / (limit as f64 + 20.0);
+        for _ in 0..rng.random_range(limit..3 * limit + 200) {
+            round(order, &mut rng, &mut [&mut journal, &mut twin], &mut rings, &mut next, limit);
+            if rng.random::<f64>() < rare {
+                // Each restores from its own capture, which shares its
+                // segments, or both from the rings' rows.
+                if rng.random::<bool>() {
+                    journal = Journal::restore(&journal.capture());
+                    twin = Journal::restore(&twin.capture());
+                } else {
+                    let rows: Vec<Vec<u64>> = rings.iter().map(ring::rows).collect();
+                    journal = Journal::restore(&History::from_rows(rows.clone(), limit));
+                    twin = Journal::restore(&History::from_rows(rows, limit));
+                }
+            }
+            if rng.random::<f64>() < rare {
+                prop_assert_eq!(&captured.to_rows(), &expected);
+            }
+        }
+        prop_assert_eq!(&captured.to_rows(), &expected);
+        matches_rings(&journal, &rings)?;
+        matches_rings(&twin, &rings)?;
+        prop_assert!(twin.capture() == journal.capture());
     }
 }

@@ -1076,6 +1076,7 @@ impl Simulation {
     pub fn snapshot(&self) -> SimSnapshot {
         let (clouds_rng, clouds_ar) = self.clouds.state();
         let (generator_rng, generator_next_id) = self.generator.state();
+        let (battery_rows, server_rows) = self.power_table.capture();
         let state = SimState {
             step_index: self.step_index,
             now: self.now,
@@ -1111,17 +1112,10 @@ impl Simulation {
             recorder_pushes: self.recorder.pushes(),
             recorder_rows: self.recorder.rows().to_vec(),
             cluster: self.cluster.capture_state(),
-            power_table: self.power_table.capture(),
-            batteries: self
-                .batteries
-                .iter()
-                .zip(self.telemetry.capture())
-                .map(|(battery, samples)| {
-                    let mut state = battery.capture_state();
-                    state.telemetry.samples = samples;
-                    state
-                })
-                .collect(),
+            battery_rows,
+            server_rows,
+            batteries: self.batteries.iter().map(|b| b.capture_state()).collect(),
+            telemetry: self.telemetry.capture(),
             policy: None,
         };
         SimSnapshot {
@@ -1224,8 +1218,10 @@ impl Simulation {
             && s.stage_last.len() == banks
             && s.degraded.len() == nodes
             && s.sensor_rngs.len() == banks
-            && s.power_table.len() == nodes
-            && s.batteries.len() == banks;
+            && s.battery_rows.keys() == nodes
+            && s.server_rows.keys() == nodes
+            && s.batteries.len() == banks
+            && s.telemetry.keys() == banks;
         if !fits {
             return Err(SnapshotError::StateMismatch {
                 context: "per-node/per-bank vector lengths",
@@ -1234,14 +1230,22 @@ impl Simulation {
         }
         // A unit's sample history is bounded by its configured capacity;
         // a snapshot must not lift (or drop) the bound.
-        let capacity_fits = self
-            .batteries
-            .iter()
-            .zip(&s.batteries)
-            .all(|(unit, st)| st.telemetry.max_samples == unit.telemetry().max_samples());
+        let capacity_fits = s.telemetry.limit() == TelemetryLog::DEFAULT_MAX_SAMPLES
+            && self
+                .batteries
+                .iter()
+                .zip(&s.batteries)
+                .all(|(unit, st)| st.telemetry.max_samples == unit.telemetry().max_samples());
         if !capacity_fits {
             return Err(SnapshotError::StateMismatch {
                 context: "telemetry capacity",
+            }
+            .into());
+        }
+        let retention = PowerTable::MAX_ROWS;
+        if s.battery_rows.limit() != retention || s.server_rows.limit() != retention {
+            return Err(SnapshotError::StateMismatch {
+                context: "power table retention",
             }
             .into());
         }
@@ -1249,10 +1253,7 @@ impl Simulation {
         for (unit, st) in self.batteries.iter_mut().zip(&s.batteries) {
             unit.restore_state(st);
         }
-        self.telemetry = Journal::restore(
-            s.batteries.iter().map(|st| &st.telemetry.samples[..]),
-            TelemetryLog::DEFAULT_MAX_SAMPLES,
-        );
+        self.telemetry = Journal::restore(&s.telemetry);
         for (sensor, rng) in self.sensors.iter_mut().zip(&s.sensor_rngs) {
             *sensor = BatterySensor::restore(self.config.sensor_noise, *rng);
         }
@@ -1271,7 +1272,7 @@ impl Simulation {
             s.recorder_keep_every,
             s.recorder_pushes,
         );
-        self.power_table = PowerTable::restore(&s.power_table);
+        self.power_table = PowerTable::restore(&s.battery_rows, &s.server_rows);
         for (tracker, last) in self.stage_trackers.iter_mut().zip(&s.stage_last) {
             tracker.set_last(*last);
         }

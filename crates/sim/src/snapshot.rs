@@ -37,15 +37,25 @@
 //! server power rows) go out one `put` per row and come back from one
 //! bounds check per run.
 //!
+//! The three histories (power-table battery and server rows per node,
+//! telemetry samples per bank) travel in [`SimState`] as [`History`]s
+//! that share the engine's journal segments, so capturing a state copies
+//! no retained row. The encoder reads each key's rows across those
+//! segments, at a fixed stride through each lockstep chunk, and fills a
+//! block of keys' runs at a time into `to_bytes`' zeroed buffer. The
+//! decoder parses each key's run straight into that key of one base
+//! block per history, and a restore adopts the block as it is.
+//!
 //! [`Simulation`]: crate::Simulation
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use baat_battery::{
     AgingBreakdown, BatteryUnitState, Chemistry, SensorSample, TelemetryState, UsageAccumulator,
 };
 use baat_faults::{FaultKind, InjectorState};
-use baat_power::{ChargeStage, NodeRows, ServerPowerRecord};
+use baat_power::{ChargeStage, History, PowerTable, ServerPowerRecord};
 use baat_server::{ClusterState, DvfsLevel, HostState, InFlightState, ServerId};
 use baat_solar::Weather;
 use baat_units::{
@@ -245,10 +255,16 @@ pub struct SimState {
     pub recorder_rows: Vec<TraceRow>,
     /// Cluster runtime state (hosts, VMs, in-flight migrations).
     pub cluster: ClusterState,
-    /// Per-node power-table rows: `(battery rows, server rows)`.
-    pub power_table: Vec<NodeRows>,
-    /// Per-bank battery unit state (SoC, thermal, aging, telemetry).
+    /// Per-node power-table battery rows, sharing the engine's journal.
+    pub battery_rows: History<SensorSample>,
+    /// Per-node power-table server rows, sharing the engine's journal.
+    pub server_rows: History<ServerPowerRecord>,
+    /// Per-bank battery unit state (SoC, thermal, aging, latest sample
+    /// and usage accumulators).
     pub batteries: Vec<BatteryUnitState>,
+    /// Per-bank telemetry samples, sharing the engine's journal; encoded
+    /// within each bank's battery state.
+    pub telemetry: History<SensorSample>,
     /// Policy decision state, when captured with a policy in hand.
     pub policy: Option<PolicyState>,
 }
@@ -433,16 +449,58 @@ pub fn config_hash(config: &SimConfig) -> u64 {
 // Byte-level encoder/decoder.
 
 /// Destination of encoded bytes. The format is walked once per
-/// consumer: [`ByteCount`] sizes it, `Vec<u8>` writes it and [`Fnv1a`]
+/// consumer: [`ByteCount`] sizes it, [`Buffer`] writes it and [`Fnv1a`]
 /// hashes it, so all three see exactly the same bytes.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
+
+    /// Passes over `len` bytes that the encoder writes later, through
+    /// [`Sink::written`], and returns where they start; `None` from a
+    /// sink that only streams, to which the encoder puts them in order.
+    fn gap(&mut self, _len: usize) -> Option<usize> {
+        None
+    }
+
+    /// The bytes the sink keeps, gaps included; empty from a sink that
+    /// keeps none, which has no gap to fill.
+    fn written(&mut self) -> &mut [u8] {
+        &mut []
+    }
 }
 
+/// A growable sink for the unit tests' small encodings; it streams.
+#[cfg(test)]
 impl Sink for Vec<u8> {
-    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+}
+
+/// The output of [`SimSnapshot::to_bytes`]: a zeroed buffer of the
+/// exact encoded size, written front to back. A gap is passed over,
+/// already zero, and a zeroed allocation is not touched before it is
+/// written, so no byte is written twice.
+struct Buffer {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Sink for Buffer {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        self.bytes[self.len..end].copy_from_slice(bytes);
+        self.len = end;
+    }
+
+    fn gap(&mut self, len: usize) -> Option<usize> {
+        let start = self.len;
+        self.len += len;
+        Some(start)
+    }
+
+    fn written(&mut self) -> &mut [u8] {
+        &mut self.bytes
     }
 }
 
@@ -454,6 +512,11 @@ impl Sink for ByteCount {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
+    }
+
+    fn gap(&mut self, len: usize) -> Option<usize> {
+        self.0 += len;
+        Some(0)
     }
 }
 
@@ -516,12 +579,45 @@ impl<S: Sink> Enc<S> {
     fn words<const N: usize>(&mut self, words: [u64; N]) {
         self.out.put(words.map(u64::to_le_bytes).as_flattened());
     }
-    /// A length-prefixed run of fixed-width rows, one `put` per row.
-    fn rows<T, const N: usize>(&mut self, rows: &[T], words: impl Fn(&T) -> [u64; N]) {
-        self.usize(rows.len());
-        for row in rows {
-            self.words(words(row));
+    /// `key`'s rows of `history` as a length-prefixed run of
+    /// fixed-width rows. A streaming sink gets them in order, one `put`
+    /// per row; any other sink leaves a gap, whose start is returned,
+    /// for [`Enc::fill`] to write a block of keys' rows into at once.
+    fn run<T, const N: usize>(
+        &mut self,
+        history: &History<T>,
+        key: usize,
+        words: impl Fn(&T) -> [u64; N],
+    ) -> Option<usize> {
+        let len = history.len(key);
+        self.usize(len);
+        let gap = self.out.gap(len * N * width::WORD);
+        if gap.is_none() {
+            history.for_each_row(key..key + 1, |_, row| self.words(words(row)));
         }
+        gap
+    }
+
+    /// Writes the rows of `keys` into the gaps [`Enc::run`] left for
+    /// them, `gaps[i]` for key `keys.start + i`, reading the block's
+    /// rows chunk by chunk ([`History::for_each_row`]).
+    fn fill<T, const N: usize>(
+        &mut self,
+        history: &History<T>,
+        keys: Range<usize>,
+        gaps: &[Option<usize>; BLOCK],
+        words: impl Fn(&T) -> [u64; N],
+    ) {
+        let out = self.out.written();
+        if out.is_empty() {
+            return;
+        }
+        let mut at = gaps.map(|gap| gap.unwrap_or(0));
+        history.for_each_row(keys, |i, row| {
+            let row = words(row).map(u64::to_le_bytes);
+            out[at[i]..at[i] + N * width::WORD].copy_from_slice(row.as_flattened());
+            at[i] += N * width::WORD;
+        });
     }
 }
 
@@ -615,15 +711,20 @@ impl<'a> Dec<'a> {
         ])
     }
 
-    /// A length-prefixed run of fixed-width rows of `N` words: the
-    /// whole run is taken with one bounds check, then parsed row by row.
+    /// A length-prefixed run of at most `max` fixed-width rows of `N`
+    /// words: the whole run is taken with one bounds check, then parsed
+    /// row by row.
     fn rows<T, const N: usize>(
         &mut self,
+        max: usize,
         context: &'static str,
         row: impl Fn([u64; N]) -> T,
     ) -> DecResult<Vec<T>> {
         let width = N * width::WORD;
         let n = self.len(width, context)?;
+        if n > max {
+            return Err(SnapshotError::Corrupt { context });
+        }
         let run = self.take(n * width, context)?;
         Ok(run.chunks_exact(width).map(|r| row(words(r))).collect())
     }
@@ -1208,36 +1309,45 @@ fn dec_breakdown(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<AgingBreakd
     Ok(AgingBreakdown::from_pairs(&pairs))
 }
 
-fn enc_battery<S: Sink>(e: &mut Enc<S>, b: &BatteryUnitState) {
+/// A bank's battery state, with its telemetry samples, key `bank` of
+/// `samples`, in place of its latest sample. Returns the gap
+/// [`Enc::run`] left for the samples.
+fn enc_battery<S: Sink>(
+    e: &mut Enc<S>,
+    b: &BatteryUnitState,
+    samples: &History<SensorSample>,
+    bank: usize,
+) -> Option<usize> {
     e.f64(b.soc.value());
     e.f64(b.hours_since_full);
     e.u64(b.cutoff_events);
     e.f64(b.temperature.as_f64());
     enc_breakdown(e, &b.aging);
     e.usize(b.telemetry.max_samples);
-    e.rows(&b.telemetry.samples, sample_words);
+    let gap = e.run(samples, bank, sample_words);
     enc_accumulator(e, &b.telemetry.lifetime);
     enc_accumulator(e, &b.telemetry.window);
+    gap
 }
 
-fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitState> {
+/// A bank's battery state and its telemetry samples, oldest first; the
+/// newest sample is the unit's latest.
+fn dec_battery(
+    d: &mut Dec<'_>,
+    chemistry: Chemistry,
+) -> DecResult<(BatteryUnitState, Vec<SensorSample>)> {
     let soc = Soc::saturating(d.f64("battery soc")?);
     let hours_since_full = d.f64("battery hours since full")?;
     let cutoff_events = d.u64("battery cutoffs")?;
     let temperature = Celsius::new(d.f64("battery temperature")?);
     let aging = dec_breakdown(d, chemistry)?;
     let max_samples = d.usize("telemetry capacity")?;
-    let samples = d.rows("telemetry samples len", sample_from)?;
     // A history never holds more than its capacity; restoring one that
     // did would never shrink back under it.
-    if samples.len() > max_samples {
-        return Err(SnapshotError::Corrupt {
-            context: "telemetry samples len",
-        });
-    }
+    let samples = d.rows(max_samples, "telemetry samples len", sample_from)?;
     let lifetime = dec_accumulator(d)?;
     let window = dec_accumulator(d)?;
-    Ok(BatteryUnitState {
+    let state = BatteryUnitState {
         soc,
         hours_since_full,
         cutoff_events,
@@ -1245,11 +1355,12 @@ fn dec_battery(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<BatteryUnitSt
         aging,
         telemetry: TelemetryState {
             max_samples,
-            samples,
+            latest: samples.last().copied(),
             lifetime,
             window,
         },
-    })
+    };
+    Ok((state, samples))
 }
 
 fn enc_host<S: Sink>(e: &mut Enc<S>, h: &HostState) {
@@ -1435,6 +1546,16 @@ fn dec_injector(d: &mut Dec<'_>) -> DecResult<InjectorState> {
     })
 }
 
+/// Keys a history's rows are encoded for at a time.
+const BLOCK: usize = History::<SensorSample>::BLOCK;
+
+/// `0..keys` in consecutive blocks of at most [`BLOCK`] keys.
+fn blocks(keys: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..keys)
+        .step_by(BLOCK)
+        .map(move |start| start..keys.min(start + BLOCK))
+}
+
 fn encode_state<S: Sink>(e: &mut Enc<S>, s: &SimState) {
     e.u64(s.step_index);
     e.u64(s.now.as_secs());
@@ -1523,14 +1644,27 @@ fn encode_state<S: Sink>(e: &mut Enc<S>, s: &SimState) {
         enc_trace_row(e, r);
     }
     enc_cluster(e, &s.cluster);
-    e.usize(s.power_table.len());
-    for (battery, server) in &s.power_table {
-        e.rows(battery, sample_words);
-        e.rows(server, server_row_words);
+    let nodes = s.battery_rows.keys();
+    assert_eq!(nodes, s.server_rows.keys(), "power-table channels per node");
+    e.usize(nodes);
+    for block in blocks(nodes) {
+        let mut battery = [None; BLOCK];
+        let mut server = [None; BLOCK];
+        for (i, node) in block.clone().enumerate() {
+            battery[i] = e.run(&s.battery_rows, node, sample_words);
+            server[i] = e.run(&s.server_rows, node, server_row_words);
+        }
+        e.fill(&s.battery_rows, block.clone(), &battery, sample_words);
+        e.fill(&s.server_rows, block, &server, server_row_words);
     }
+    assert_eq!(s.telemetry.keys(), s.batteries.len(), "telemetry per bank");
     e.usize(s.batteries.len());
-    for b in &s.batteries {
-        enc_battery(e, b);
+    for block in blocks(s.batteries.len()) {
+        let mut samples = [None; BLOCK];
+        for (i, bank) in block.clone().enumerate() {
+            samples[i] = enc_battery(e, &s.batteries[bank], &s.telemetry, bank);
+        }
+        e.fill(&s.telemetry, block, &samples, sample_words);
     }
     match &s.policy {
         None => e.u8(0),
@@ -1662,17 +1796,25 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
     }
     let cluster = dec_cluster(d)?;
     let n = d.len(width::POWER_TABLE_NODE, "power table len")?;
-    let mut power_table = Vec::with_capacity(n);
+    let mut battery_rows = Vec::with_capacity(n);
+    let mut server_rows = Vec::with_capacity(n);
+    // A run beyond the retention is refused: a restore adopts the rows
+    // as they are, and a table never holds more.
+    let max = PowerTable::MAX_ROWS;
     for _ in 0..n {
-        let battery = d.rows("power table battery len", sample_from)?;
-        let server = d.rows("power table server len", server_row_from)?;
-        power_table.push((battery, server));
+        battery_rows.push(d.rows(max, "power table battery len", sample_from)?);
+        server_rows.push(d.rows(max, "power table server len", server_row_from)?);
     }
     let n = d.len(width::BATTERY, "batteries len")?;
     let mut batteries = Vec::with_capacity(n);
+    let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
-        batteries.push(dec_battery(d, chemistry)?);
+        let (battery, rows) = dec_battery(d, chemistry)?;
+        batteries.push(battery);
+        samples.push(rows);
     }
+    // Every bank's run fits its own capacity, so the largest keeps all.
+    let capacity = batteries.iter().map(|b| b.telemetry.max_samples).max();
     let policy = match d.u8("policy tag")? {
         0 => None,
         1 => {
@@ -1735,8 +1877,10 @@ fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, Snapshot
         recorder_pushes,
         recorder_rows,
         cluster,
-        power_table,
+        battery_rows: History::from_rows(battery_rows, max),
+        server_rows: History::from_rows(server_rows, max),
         batteries,
+        telemetry: History::from_rows(samples, capacity.unwrap_or(0)),
         policy,
     })
 }
@@ -1745,13 +1889,18 @@ impl SimSnapshot {
     /// Serializes the snapshot to the versioned byte format.
     ///
     /// A counting pass sizes the body first, so header, body and trailer
-    /// are written once into a single exact-size buffer.
+    /// are written once into a single exact-size buffer, zeroed by the
+    /// allocator. The history runs are left as gaps and filled a block of
+    /// keys at a time.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut count = Enc::<ByteCount>::default();
         encode_state(&mut count, &self.state);
         let body_len = count.out.0;
         let mut e = Enc {
-            out: Vec::with_capacity(HEADER_LEN + body_len + TRAILER_LEN),
+            out: Buffer {
+                bytes: vec![0; HEADER_LEN + body_len + TRAILER_LEN],
+                len: 0,
+            },
         };
         e.out.put(&SNAPSHOT_MAGIC);
         e.u32(self.version);
@@ -1759,11 +1908,11 @@ impl SimSnapshot {
         e.u64(self.config_hash);
         e.usize(body_len);
         encode_state(&mut e, &self.state);
-        let mut out = e.out;
-        assert_eq!(out.len(), HEADER_LEN + body_len, "sizing pass disagrees");
-        let check = crc64(&out[HEADER_LEN..]);
-        out.extend_from_slice(&check.to_le_bytes());
-        out
+        let Buffer { mut bytes, len } = e.out;
+        assert_eq!(len, HEADER_LEN + body_len, "sizing pass disagrees");
+        let check = crc64(&bytes[HEADER_LEN..len]);
+        bytes[len..].copy_from_slice(&check.to_le_bytes());
+        bytes
     }
 
     /// Parses a snapshot from bytes, validating magic, version, body
@@ -2076,12 +2225,16 @@ mod tests {
             aging: AgingBreakdown::default(),
             telemetry: TelemetryState {
                 max_samples: 0,
-                samples: Vec::new(),
+                latest: None,
                 lifetime: UsageAccumulator::default(),
                 window: UsageAccumulator::default(),
             },
         };
-        assert_eq!(encoded_len(|e| enc_battery(e, &battery)), width::BATTERY);
+        let samples = History::from_rows(vec![Vec::new()], 0);
+        let len = encoded_len(|e| {
+            enc_battery(e, &battery, &samples, 0);
+        });
+        assert_eq!(len, width::BATTERY);
     }
 
     #[test]

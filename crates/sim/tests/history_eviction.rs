@@ -74,14 +74,15 @@ fn four_day_run_past_retention_matches_its_pin() {
         let mut policy = RoundRobinPolicy::new();
         sim.run_steps(&mut policy, steps).expect("run completes");
         let state = sim.snapshot().state;
-        for battery in &state.batteries {
-            assert_eq!(battery.telemetry.samples.len(), 4_096);
+        for bank in 0..state.batteries.len() {
+            assert_eq!(state.telemetry.len(bank), 4_096);
         }
         // Every node's battery rows are at the limit, but the dropout
         // withheld rows from one pool's nodes, so their retained window
         // reaches further back.
-        let oldest: Vec<_> = state.power_table.iter().map(|(b, _)| b[0].at).collect();
-        assert!(state.power_table.iter().all(|(b, _)| b.len() == 8_192));
+        let rows = state.battery_rows.to_rows();
+        let oldest: Vec<_> = rows.iter().map(|b| b[0].at).collect();
+        assert!(rows.iter().all(|b| b.len() == 8_192));
         assert!(oldest.iter().any(|&at| at != oldest[0]), "{oldest:?}");
         assert_eq!(
             sim.state_hash(),
@@ -119,4 +120,35 @@ fn day_two_checkpoint_resumes_through_eviction() {
     assert_eq!(resumed.state_hash(), EVICTION_HASH);
     let report = resumed.into_report(fresh.name()).expect("report builds");
     assert_eq!(report, straight);
+}
+
+/// A fork shares its original's history: stepping a clone past both
+/// limits retires chunks and edits bases the original still holds, and
+/// must copy them rather than change the original's rows. The clone is
+/// taken on day 1 (before either limit) and at the end of day 2, when
+/// telemetry retirement has already moved the lagging pool's rows into
+/// the base.
+#[test]
+fn a_clone_stepped_past_both_limits_leaves_its_original_unchanged() {
+    let config = config(1);
+    let steps = total_steps(&config);
+    for split in [steps / 4, steps / 2] {
+        let mut sim = Simulation::new(config.clone()).expect("sim builds");
+        let mut policy = RoundRobinPolicy::new();
+        sim.run_steps(&mut policy, split).expect("prefix runs");
+        let captured = sim.snapshot();
+        let bytes = captured.to_bytes();
+        let hash = sim.state_hash();
+
+        let mut fork = sim.clone();
+        let mut fork_policy = RoundRobinPolicy::new();
+        fork_policy.load_state(&policy.save_state());
+        fork.run_steps(&mut fork_policy, steps - split)
+            .expect("fork runs");
+        assert_eq!(fork.state_hash(), EVICTION_HASH, "fork at step {split}");
+
+        assert_eq!(sim.state_hash(), hash, "original moved at step {split}");
+        assert_eq!(sim.snapshot(), captured, "original moved at step {split}");
+        assert_eq!(captured.to_bytes(), bytes, "capture moved at step {split}");
+    }
 }

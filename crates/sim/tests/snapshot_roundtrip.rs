@@ -26,6 +26,7 @@
 use std::path::PathBuf;
 
 use baat_battery::Chemistry;
+use baat_power::{History, PowerTable, ServerPowerRecord};
 use baat_rng::StdRng;
 use baat_sim::{
     config_hash, crc64, fnv1a, ChemistrySpec, FaultMix, FaultPlan, Policy, RoundRobinPolicy,
@@ -33,7 +34,7 @@ use baat_sim::{
 };
 use baat_solar::Weather;
 use baat_testkit::prelude::*;
-use baat_units::SimDuration;
+use baat_units::{SimDuration, SimInstant, Watts};
 
 fn weather_strategy() -> impl Strategy<Value = Weather> {
     prop_oneof![
@@ -426,6 +427,21 @@ fn golden_checkpoint_resumes_identically_across_processes() {
     assert_eq!(straight, report);
 }
 
+/// The committed checkpoint, decoded, restored and captured again from
+/// the restored engine (whose journals adopted the decoded rows), encodes
+/// back to the file's exact bytes.
+#[test]
+fn golden_checkpoint_restores_and_recaptures_to_its_own_bytes() {
+    let golden = read_golden();
+    let snapshot = SimSnapshot::from_bytes(&golden).expect("golden parses");
+    let restored = Simulation::restore(golden_config(), &snapshot).expect("restores");
+    let mut policy = RoundRobinPolicy::new();
+    assert!(snapshot.apply_policy_state(&mut policy));
+    let recaptured = restored.snapshot_with_policy(&policy);
+    assert_eq!(recaptured, snapshot);
+    assert_eq!(recaptured.to_bytes(), golden);
+}
+
 /// The version-1 golden (FNV-1a trailer) is refused by version, and
 /// version 2 changed nothing but the version field and the trailer: its
 /// header and body equal version 1's byte for byte.
@@ -564,9 +580,9 @@ fn edited_golden(edit: impl FnOnce(&mut baat_sim::SimState)) -> Vec<u8> {
 fn telemetry_samples_beyond_capacity_are_corrupt() {
     for capacity in [|n: usize| n - 1, |_| 0] {
         let bytes = edited_golden(|s| {
-            let telemetry = &mut s.batteries[1].telemetry;
-            assert!(!telemetry.samples.is_empty());
-            telemetry.max_samples = capacity(telemetry.samples.len());
+            let samples = s.telemetry.len(1);
+            assert!(samples > 0);
+            s.batteries[1].telemetry.max_samples = capacity(samples);
         });
         assert_eq!(
             SimSnapshot::from_bytes(&bytes),
@@ -577,10 +593,50 @@ fn telemetry_samples_beyond_capacity_are_corrupt() {
     }
     // At capacity exactly, the history is full and still decodes.
     let bytes = edited_golden(|s| {
-        let telemetry = &mut s.batteries[1].telemetry;
-        telemetry.max_samples = telemetry.samples.len();
+        s.batteries[1].telemetry.max_samples = s.telemetry.len(1);
     });
     SimSnapshot::from_bytes(&bytes).expect("full history decodes");
+}
+
+/// A power-table run longer than the table's retention is refused by
+/// the decoder, as an over-long telemetry run is: a restore adopts the
+/// decoded rows as they are, so it would resume a table holding more
+/// rows than recording ever leaves it. A run at the retention exactly
+/// decodes.
+#[test]
+fn power_table_runs_beyond_retention_are_corrupt() {
+    /// `rows` with node 1's run lengthened to `len` by repeating `row`.
+    fn stretched<T: Copy>(rows: &History<T>, row: T, len: usize) -> History<T> {
+        let mut rows = rows.to_rows();
+        let extra = len - rows[1].len();
+        rows[1].splice(0..0, std::iter::repeat_n(row, extra));
+        History::from_rows(rows, len)
+    }
+    let server_row = ServerPowerRecord {
+        at: SimInstant::from_secs(0),
+        power: Watts::new(1.0),
+    };
+    for (len, fits) in [
+        (PowerTable::MAX_ROWS, true),
+        (PowerTable::MAX_ROWS + 1, false),
+    ] {
+        let battery = edited_golden(|s| {
+            let row = s.battery_rows.to_rows()[1][0];
+            s.battery_rows = stretched(&s.battery_rows, row, len);
+        });
+        let server = edited_golden(|s| s.server_rows = stretched(&s.server_rows, server_row, len));
+        for (bytes, context) in [
+            (battery, "power table battery len"),
+            (server, "power table server len"),
+        ] {
+            let decoded = SimSnapshot::from_bytes(&bytes);
+            if fits {
+                assert_eq!(decoded.expect("decodes").to_bytes(), bytes, "{context}");
+            } else {
+                assert_eq!(decoded, Err(SnapshotError::Corrupt { context }));
+            }
+        }
+    }
 }
 
 /// A telemetry capacity other than the unit's configured one decodes
@@ -589,15 +645,15 @@ fn telemetry_samples_beyond_capacity_are_corrupt() {
 #[test]
 fn telemetry_capacity_must_match_the_configured_one() {
     let golden = SimSnapshot::from_bytes(&read_golden()).expect("golden parses");
-    let telemetry = &golden.state.batteries[1].telemetry;
-    let configured = telemetry.max_samples;
+    let configured = golden.state.batteries[1].telemetry.max_samples;
     assert_eq!(configured, 4_096);
     // The last one is a full history that the decoder accepts.
-    for capacity in [configured + 1, 1 << 40, 0, telemetry.samples.len()] {
+    for capacity in [configured + 1, 1 << 40, 0, golden.state.telemetry.len(1)] {
         let bytes = edited_golden(|s| {
-            let telemetry = &mut s.batteries[1].telemetry;
-            telemetry.samples.truncate(capacity);
-            telemetry.max_samples = capacity;
+            let mut samples = s.telemetry.to_rows();
+            samples[1].truncate(capacity);
+            s.telemetry = History::from_rows(samples, s.telemetry.limit());
+            s.batteries[1].telemetry.max_samples = capacity;
         });
         let snapshot = SimSnapshot::from_bytes(&bytes).expect("decodes");
         assert_eq!(
@@ -617,7 +673,14 @@ fn misfit_states_are_refused_on_restore() {
     let mismatch = |context| SimError::Snapshot(SnapshotError::StateMismatch { context });
     let edits: [(fn(&mut baat_sim::SimState), _); 2] = [
         (
-            |s| drop(s.power_table.pop()),
+            |s| {
+                let mut battery = s.battery_rows.to_rows();
+                let mut server = s.server_rows.to_rows();
+                battery.pop();
+                server.pop();
+                s.battery_rows = History::from_rows(battery, s.battery_rows.limit());
+                s.server_rows = History::from_rows(server, s.server_rows.limit());
+            },
             mismatch("per-node/per-bank vector lengths"),
         ),
         (
