@@ -949,12 +949,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("every chemistry is in ALL");
         obs.gauge("run.chemistry").set(index as f64);
     }
+    let faults_before = minor_page_faults();
     let mut sim = Simulation::with_obs(config, obs.clone())?;
     if args.old {
         sim.pre_age_batteries(0.55);
     }
     let mut policy = args.scheme.build_observed(&obs);
     let report = sim.run(&mut policy)?;
+    let run_faults = faults_before
+        .zip(minor_page_faults())
+        .map(|(before, after)| after.saturating_sub(before));
     if let Some(server) = &server {
         // The run is complete: swap the provisional /run payload for
         // the full metadata line a --jsonl export would have written.
@@ -1048,6 +1052,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 s.total_ns as f64 / 1e6,
             );
         }
+        if let Some(faults) = run_faults {
+            println!("minor page faults {faults} (build, steps and report)");
+        }
         print_exec_profile(&obs);
     }
 
@@ -1113,6 +1120,20 @@ fn pre_run_metadata(args: &Args) -> String {
         line.u64_field("fleet", n as u64);
     }
     line.finish()
+}
+
+/// The process's minor page faults so far, from `/proc/self/stat`;
+/// `None` where that file does not exist (outside Linux). First touches
+/// of freshly mapped memory (history journal chunks, checkpoint
+/// buffers) each cost one fault, which the stage timings include but
+/// do not name.
+fn minor_page_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // `minflt` is field 10; the command name (field 2) is parenthesised
+    // and may hold spaces, so count from the last `)`: field 3 is the
+    // first after it.
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(10 - 3)?.parse().ok()
 }
 
 /// Renders the `exec.*` pool summary under `--profile`: where the

@@ -7,8 +7,10 @@
 //! `--ignored` tests are the CI fleet gate — a seeded 1000-host run
 //! whose in-window control steps must fit a wall-clock budget (at the
 //! engine thread count from `BAAT_ENGINE_THREADS`), an 8-thread
-//! sharding speedup gate, a 10 000-host wall-clock smoke, and
-//! byte-identity across runner thread counts. Run them release-mode:
+//! sharding speedup gate, a 10 000-host wall-clock smoke,
+//! byte-identity across runner thread counts, and state-hash identity
+//! across engine thread counts on a 5 000-host morning. Run them
+//! release-mode:
 //!
 //! ```text
 //! cargo test --release -p baat-bench --test fleet -- --ignored
@@ -21,6 +23,7 @@ use baat_core::Scheme;
 use baat_obs::Obs;
 use baat_sim::{EngineThreads, SimConfig, Simulation};
 use baat_solar::Weather;
+use baat_units::TimeOfDay;
 
 /// Wall-clock budget for the timed 1000-host control-interval window,
 /// overridable for slow CI hosts via `BAAT_FLEET_BUDGET_SECS`.
@@ -175,5 +178,30 @@ fn fleet_1k_day_is_thread_invariant() {
     assert_eq!(
         sequential, parallel,
         "1000-host fleet reports diverged between 1 and 8 worker threads"
+    );
+}
+
+/// The sharded engine at fleet scale: the 5 000-host cloudy e-Buff
+/// morning, midnight to 10:00, ends in the same state hash at 1 and 2
+/// engine threads. The 12-bank invariance matrix in `baat-sim` cannot
+/// show what only thousands of banks exercise: shards of thousands of
+/// banks, the concurrent append stage writing journals across many
+/// chunks, and the pooled fleet refresh.
+#[test]
+#[ignore = "release-mode fleet gate: run with --ignored"]
+fn fleet_5k_morning_is_engine_thread_invariant() {
+    let state_hash = |threads| {
+        let config = with_engine_threads(fleet_config(5000, Weather::Cloudy, 7), threads);
+        let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid fleet config");
+        let steps = u64::from(TimeOfDay::from_hm(10, 0).as_secs()) / sim.config().dt.as_secs();
+        let mut policy = Scheme::EBuff.build();
+        sim.run_steps(&mut policy, steps).expect("morning runs");
+        sim.state_hash()
+    };
+    let sequential = state_hash(1);
+    let sharded = state_hash(2);
+    assert_eq!(
+        sequential, sharded,
+        "5000-host morning state hash diverged between 1 and 2 engine threads"
     );
 }

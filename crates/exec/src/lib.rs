@@ -54,6 +54,7 @@
 
 #![deny(missing_docs)]
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -66,12 +67,12 @@ use std::time::Instant;
 const SPIN_BUDGET: u32 = 4_096;
 
 /// Lifetime-erased reference to the current batch's task closure. The
-/// `'static` is a lie told once, inside [`ExecPool::run`]: the pointee
-/// lives on `run`'s stack, and the erasure is sound because a worker
-/// only obtains a `Job` under the batch mutex in the same critical
-/// section that claims a task index — so it is always the *current*
-/// batch's closure — and `run` blocks on the completion counter until
-/// every claimed task has executed before letting the closure drop.
+/// `'static` is a lie told once, inside `ExecPool::dispatch`: the
+/// pointee lives on the caller's stack, and the erasure is sound
+/// because a worker only obtains a `Job` under the batch mutex in the
+/// same critical section that claims a task index — so it is always the
+/// *current* batch's closure — and `dispatch` blocks on the completion
+/// counter until every claimed task has executed before returning.
 #[derive(Clone, Copy)]
 struct Job(&'static (dyn Fn(usize) + Sync));
 
@@ -79,7 +80,7 @@ struct Job(&'static (dyn Fn(usize) + Sync));
 /// claim indices only under this lock, so a worker can never run a
 /// stale job against a new batch's cursor.
 struct Batch {
-    /// Monotonic batch id; bumped by every [`ExecPool::run`].
+    /// Monotonic batch id; bumped by every pooled batch.
     epoch: u64,
     /// The batch's task closure; `None` once the cursor drains.
     job: Option<Job>,
@@ -269,43 +270,91 @@ impl ExecPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+        self.run_each(&mut slots, |i, slot| *slot = Some(f(i)));
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every task ran"))
+            .collect()
+    }
+
+    /// Runs `f(i, &mut items[i])` for every item across the pool, one
+    /// task per item, and blocks until every task completed. Tasks
+    /// report through their own slot, so a batch allocates nothing:
+    /// the slots are the caller's, and each task claims the next one
+    /// from an iterator over them. If any task panicked, the first
+    /// panic (by item index) is re-thrown here after the batch drains,
+    /// leaving the pool reusable.
+    pub fn run_each<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let tasks = items.len();
         if tasks == 0 {
-            return Vec::new();
+            return;
         }
-        let meter = self.shared.meter.load(Ordering::Relaxed);
         if self.workers.is_empty() || tasks == 1 {
-            if !meter {
-                return (0..tasks).map(f).collect();
+            let started = self.inline_started();
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
             }
-            // Inline batch: all work is caller busy time, no merge wait.
-            let started = Instant::now();
-            let out = (0..tasks).map(f).collect();
-            let elapsed = started.elapsed().as_nanos() as u64;
-            self.shared.batches.fetch_add(1, Ordering::Relaxed);
-            self.shared.wall_ns.fetch_add(elapsed, Ordering::Relaxed);
-            self.shared.meters[0]
-                .busy_ns
-                .fetch_add(elapsed, Ordering::Relaxed);
-            self.shared.meters[0]
-                .tasks
-                .fetch_add(tasks as u64, Ordering::Relaxed);
-            self.shared.last_caller_wait_ns.store(0, Ordering::Relaxed);
-            return out;
+            self.record_inline(started, tasks);
+            return;
         }
-        // One slot per task; each index is claimed exactly once, so
-        // every lock below is uncontended.
-        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..tasks).map(|_| Mutex::new(None)).collect();
-        let call = |i: usize| {
-            let result = catch_unwind(AssertUnwindSafe(|| f(i)));
-            *slots[i].lock().expect("slot lock") = Some(result);
-        };
+        let claims = Mutex::new(items.iter_mut().enumerate());
+        let panicked: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+        self.dispatch(tasks, &|_| {
+            let (i, item) = claims
+                .lock()
+                .expect("claim lock")
+                .next()
+                .expect("one item per task");
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                let mut first = panicked.lock().expect("panic lock");
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *first = Some((i, payload));
+                }
+            }
+        });
+        if let Some((_, payload)) = panicked.into_inner().expect("panic lock") {
+            resume_unwind(payload);
+        }
+    }
+
+    /// The start of an inline batch, when metering is on.
+    fn inline_started(&self) -> Option<Instant> {
+        self.shared.meter.load(Ordering::Relaxed).then(Instant::now)
+    }
+
+    /// Meters an inline batch of `tasks` that began at `started`: all
+    /// of it is caller busy time, with no merge wait.
+    fn record_inline(&self, started: Option<Instant>, tasks: usize) {
+        let Some(started) = started else { return };
+        let elapsed = started.elapsed().as_nanos() as u64;
+        self.shared.batches.fetch_add(1, Ordering::Relaxed);
+        self.shared.wall_ns.fetch_add(elapsed, Ordering::Relaxed);
+        self.shared.meters[0]
+            .busy_ns
+            .fetch_add(elapsed, Ordering::Relaxed);
+        self.shared.meters[0]
+            .tasks
+            .fetch_add(tasks as u64, Ordering::Relaxed);
+        self.shared.last_caller_wait_ns.store(0, Ordering::Relaxed);
+    }
+
+    /// Runs `call(0..tasks)` on the workers and the caller and returns
+    /// once every task has executed. `call` must catch its own panics:
+    /// an unwinding task would leave the completion count short. No
+    /// allocation.
+    fn dispatch(&self, tasks: usize, call: &(dyn Fn(usize) + Sync)) {
+        let meter = self.shared.meter.load(Ordering::Relaxed);
         // SAFETY: erases the closure's stack lifetime so workers can
         // hold the pointer. The pointee stays alive and unmoved until
         // this function returns, and the completion-counter wait below
         // guarantees no worker dereferences it after that.
         let job = Job(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&call)
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(call)
         });
 
         let guard = self.run_lock.lock().expect("run lock");
@@ -382,21 +431,6 @@ impl ExecPool {
                 .fetch_add(caller_tasks, Ordering::Relaxed);
         }
         drop(guard);
-
-        let mut out = Vec::with_capacity(tasks);
-        let mut panicked = None;
-        for slot in slots {
-            match slot.into_inner().expect("slot lock").expect("task ran") {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    panicked.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
-        }
-        out
     }
 
     /// Consumes `items`, applying `f` to each across the pool; results
@@ -408,15 +442,15 @@ impl ExecPool {
         U: Send,
         F: Fn(T) -> U + Sync,
     {
-        let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-        self.run(cells.len(), |i| {
-            let item = cells[i]
-                .lock()
-                .expect("item lock")
-                .take()
-                .expect("each index is claimed exactly once");
-            f(item)
-        })
+        let mut slots: Vec<(Option<T>, Option<U>)> =
+            items.into_iter().map(|item| (Some(item), None)).collect();
+        self.run_each(&mut slots, |_, (item, out)| {
+            *out = Some(f(item.take().expect("each item is mapped once")));
+        });
+        slots
+            .into_iter()
+            .map(|(_, out)| out.expect("every task ran"))
+            .collect()
     }
 }
 
@@ -555,6 +589,41 @@ mod tests {
         });
         drop(chunks);
         assert_eq!(data, (0..40).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn run_each_hands_every_task_its_own_slot() {
+        for threads in [1, 2, 4] {
+            let pool = ExecPool::new(threads);
+            let mut slots = vec![0usize; 13];
+            for round in 0..50 {
+                pool.run_each(&mut slots, |i, slot| *slot = i * round);
+                assert_eq!(slots, (0..13).map(|i| i * round).collect::<Vec<_>>());
+            }
+            pool.run_each(&mut [] as &mut [u8], |_, _| unreachable!("no items"));
+        }
+    }
+
+    #[test]
+    fn run_each_rethrows_the_first_panic_by_index() {
+        let pool = ExecPool::new(4);
+        let mut slots = [0u8; 8];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_each(&mut slots, |i, slot| {
+                assert!(i != 6, "task six exploded");
+                assert!(i != 2, "task two exploded");
+                *slot = 1;
+            })
+        }));
+        let payload = result.expect_err("two tasks panicked");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("task two exploded"));
+        // Every other task still ran, and the pool is still usable.
+        assert_eq!(slots, [1, 1, 0, 1, 1, 1, 0, 1]);
+        assert_eq!(pool.run(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

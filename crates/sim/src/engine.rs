@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use baat_battery::{
@@ -30,7 +30,7 @@ use baat_battery::{
     TelemetryLog,
 };
 use baat_exec::ExecPool;
-use baat_faults::{FaultInjector, FaultKind, FaultPlan};
+use baat_faults::{BankFaults, FaultInjector, FaultKind, FaultPlan};
 use baat_metrics::{class_index, AgingMetrics, BatteryRatings};
 use baat_obs::{
     Counter, FlightRecorder, Gauge, HealthConfig, HealthMonitor, Histogram, NodeHealthSample, Obs,
@@ -307,14 +307,18 @@ impl ExecObs {
 /// snapshot comparisons and reset to empty on clone.
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Charger pre-pass, one per bank: pre-step SoC and the grid-charge
-    /// power (night) or effective charger acceptance (day).
-    charge: Vec<(Soc, Watts)>,
     /// Per-node server demand snapshot.
     demands: Vec<Watts>,
     /// Per-bank routing results, written in place by the shards and
-    /// read back by the bank-order merge.
+    /// read back by the append stage.
     outcomes: Vec<BankOutcome>,
+    /// The routing pass's shard layout with a pool: `(banks, member
+    /// nodes)` per contiguous shard, in bank order. Computed on the
+    /// first pooled pass; banks, members and pool never change after.
+    layout: Vec<(usize, usize)>,
+    /// The shard slots' allocation, empty between passes (see
+    /// [`recycle`]).
+    shards: Vec<BankShard<'static>>,
     /// Per-shard busy ns of the latest sharded routing pass (exec
     /// observability; all zeros on unsampled steps).
     shard_ns: Vec<u64>,
@@ -337,11 +341,43 @@ impl Clone for StepScratch {
     }
 }
 
+/// Re-types an emptied shard buffer to another borrow, keeping its
+/// allocation: the shard slots of one pass borrow the engine, so only
+/// the buffer outlives the pass. `Vec`'s in-place collection reuses the
+/// buffer when the element layouts match, as they do for one type at
+/// two lifetimes (`alloc_counts` pins that the pass allocates nothing).
+fn recycle<'b>(mut shards: Vec<BankShard<'_>>) -> Vec<BankShard<'b>> {
+    shards.clear();
+    shards
+        .into_iter()
+        .map(|_| unreachable!("the buffer is empty"))
+        .collect()
+}
+
+/// Busy nanoseconds per profiler stage of one routing task on a
+/// profiled step; zeros otherwise.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageNs {
+    charger: u64,
+    switcher: u64,
+    battery: u64,
+}
+
+impl std::ops::AddAssign for StageNs {
+    fn add_assign(&mut self, other: Self) {
+        self.charger += other.charger;
+        self.switcher += other.switcher;
+        self.battery += other.battery;
+    }
+}
+
 /// One bank's result of a routing pass, carried from [`route_banks`]
-/// to the bank-order merge in [`Simulation::route_power`].
+/// to the append stage of [`Simulation::route_power`].
 #[derive(Debug, Clone, Copy)]
 struct BankOutcome {
-    /// Energy the battery accepted (the night merge's grid charge).
+    /// The pre-step SoC, for the charger's stage observation.
+    soc: Soc,
+    /// Energy the battery accepted (the night fold's grid charge).
     accepted: WattHours,
     cutoff: bool,
     unserved: WattHours,
@@ -358,6 +394,7 @@ struct BankOutcome {
 impl BankOutcome {
     /// Filler for a slot the next routing pass overwrites unread.
     const EMPTY: Self = Self {
+        soc: Soc::EMPTY,
         accepted: WattHours::ZERO,
         cutoff: false,
         unserved: WattHours::ZERO,
@@ -383,11 +420,10 @@ struct RouteCtx<'a> {
     now: SimInstant,
     dt: SimDuration,
     ambient: Celsius,
-    /// Lap the switcher and battery halves of each bank (sampled steps).
+    /// Lap the charger, switcher and battery parts of each bank
+    /// (sampled steps).
     profile: bool,
-    members: &'a [Vec<usize>],
-    /// The charger pre-pass ([`StepScratch::charge`]).
-    charge: &'a [(Soc, Watts)],
+    members: &'a [Range<usize>],
     solar_shares: &'a [f64],
     soc_floors: &'a [Soc],
     chargers: &'a [Charger],
@@ -398,7 +434,9 @@ struct RouteCtx<'a> {
 
 /// The mutable per-bank state of the contiguous bank range `banks`,
 /// plus the demand slots of its member nodes (members of consecutive
-/// banks are consecutive nodes, so they form one range from `node0`).
+/// banks are consecutive nodes, so they form one range from `node0`),
+/// and the slot a pooled pass leaves the shard's result in.
+#[derive(Debug)]
 struct BankShard<'a> {
     banks: Range<usize>,
     node0: usize,
@@ -409,6 +447,7 @@ struct BankShard<'a> {
     streaks: &'a mut [u32],
     demands: &'a mut [Watts],
     outcomes: &'a mut [BankOutcome],
+    result: Result<StageNs, SimError>,
 }
 
 impl<'a> BankShard<'a> {
@@ -429,6 +468,7 @@ impl<'a> BankShard<'a> {
             streaks: take(&mut self.streaks, banks),
             demands: take(&mut self.demands, nodes),
             outcomes: take(&mut self.outcomes, banks),
+            result: Ok(StageNs::default()),
         };
         self.banks.start += banks;
         self.node0 += nodes;
@@ -453,6 +493,29 @@ fn floored_power(battery: &AnyBattery, floor: Soc, open_circuit: bool, dt: SimDu
     battery.available_discharge_power().min(cap)
 }
 
+/// The charger's figure for one bank at pre-step `soc`: the grid-charge
+/// power by night, the effective acceptance by day. The switcher sees
+/// the *effective* acceptance, so a failed charger's surplus is
+/// curtailed, not lost to an inconsistent charge pass. A mode-stuck
+/// charger is latched in float trickle: its budget is the float-stage
+/// acceptance.
+fn charger_power(charger: &Charger, faults: BankFaults, soc: Soc, night: bool) -> Watts {
+    if faults.charger_failed || faults.open_circuit {
+        Watts::ZERO
+    } else if night {
+        let budget = if faults.charger_stuck {
+            charger.acceptance(Soc::FULL)
+        } else {
+            charger.max_power()
+        };
+        charger.charge_power(soc, budget)
+    } else if faults.charger_stuck {
+        charger.acceptance(Soc::FULL)
+    } else {
+        charger.acceptance(soc)
+    }
+}
+
 /// A charge of `power`, or idle when there is none to give.
 fn charge_op(power: Watts) -> BatteryOp {
     if power.as_f64() > 0.0 {
@@ -473,44 +536,53 @@ fn lap(acc: &mut u64, mark: &mut Option<Instant>) {
 }
 
 /// The routing kernel: one step of power through the banks of `shard`.
-/// By day it snapshots the members' demand, routes each bank's PV share
-/// and floored battery power through the switcher, charges or
+/// By day it snapshots the members' demand, then per bank computes the
+/// charger's acceptance from the pre-step SoC, routes the bank's PV
+/// share and floored battery power through the switcher, charges or
 /// discharges the battery, samples its sensor and decides shedding; by
-/// night it applies the pre-pass grid charge and samples the sensor.
+/// night it applies the grid charge and samples the sensor.
 ///
 /// It touches only the shard's own banks and member nodes (the cluster
-/// reads are its members' hosts, which only this bank's merge powers
+/// reads are its members' hosts, which only this bank's fold powers
 /// off), so shards run on any thread in any order. Everything
-/// order-sensitive is left in `shard.outcomes` for the bank-order
-/// merge. Returns the switcher and battery nanoseconds when
+/// order-sensitive is left in `shard.outcomes` for the append stage.
+/// Returns the charger, switcher and battery nanoseconds when
 /// `ctx.profile` is set, zeros otherwise.
-fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u64), SimError> {
+fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<StageNs, SimError> {
     let mut mark = ctx.profile.then(Instant::now);
-    let (mut switcher_ns, mut battery_ns) = (0u64, 0u64);
+    let mut ns = StageNs::default();
     let node0 = shard.node0;
     if !ctx.night {
         for (j, demand) in shard.demands.iter_mut().enumerate() {
             *demand = ctx.cluster.host(node0 + j)?.power(ctx.tod);
         }
+        lap(&mut ns.switcher, &mut mark);
     }
     for (k, b) in shard.banks.clone().enumerate() {
-        let (soc, charge) = ctx.charge[b];
+        let soc = shard.units[k].soc();
+        let faults = ctx.injector.bank(b);
+        let charge = charger_power(&ctx.chargers[b], faults, soc, ctx.night);
+        lap(&mut ns.charger, &mut mark);
         let (op, routed) = if ctx.night {
             (charge_op(charge), None)
         } else {
-            let open_circuit = ctx.injector.bank(b).open_circuit;
             let demand: Watts = ctx.members[b]
-                .iter()
-                .map(|&m| shard.demands[m - node0])
+                .clone()
+                .map(|m| shard.demands[m - node0])
                 .sum();
             let solar = ctx.solar_total * ctx.solar_shares[b];
-            let available = floored_power(&shard.units[k], ctx.soc_floors[b], open_circuit, ctx.dt);
+            let available = floored_power(
+                &shard.units[k],
+                ctx.soc_floors[b],
+                faults.open_circuit,
+                ctx.dt,
+            );
             let routing = ctx.switcher.route(demand, solar, available, charge);
-            lap(&mut switcher_ns, &mut mark);
+            lap(&mut ns.switcher, &mut mark);
             // An open-circuit string can neither charge nor discharge
             // (the switcher already saw zero availability and zero
             // acceptance).
-            let op = if open_circuit {
+            let op = if faults.open_circuit {
                 BatteryOp::Idle
             } else if routing.battery_to_load.as_f64() > 0.0 {
                 BatteryOp::Discharge(routing.battery_to_load)
@@ -529,10 +601,11 @@ fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u6
             ctx.now,
         );
         // A successful step logs exactly one telemetry sample, stamped
-        // `now`; the merge appends it to the telemetry journal.
+        // `now`; the fold appends it to the telemetry journal.
         let logged = shard.units[k].telemetry().latest().copied();
         debug_assert!(logged.is_none_or(|s| s.at == ctx.now));
         let mut outcome = BankOutcome {
+            soc,
             accepted: result.accepted * ctx.dt,
             cutoff: result.cutoff,
             fresh,
@@ -549,7 +622,7 @@ fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u6
                 if routing.unserved.as_f64() > 0.05 * demand.as_f64() {
                     shard.streaks[k] += 1;
                     if shard.streaks[k] >= SHUTDOWN_STREAK {
-                        for &m in &ctx.members[b] {
+                        for m in ctx.members[b].clone() {
                             if !ctx.cluster.host(m)?.is_online() {
                                 continue;
                             }
@@ -568,10 +641,184 @@ fn route_banks(ctx: &RouteCtx<'_>, shard: &mut BankShard<'_>) -> Result<(u64, u6
                 }
             }
         }
-        lap(&mut battery_ns, &mut mark);
+        lap(&mut ns.battery, &mut mark);
         shard.outcomes[k] = outcome;
     }
-    Ok((switcher_ns, battery_ns))
+    Ok(ns)
+}
+
+/// What every task of the routing pass's append stage reads: the
+/// kernel's per-bank outcomes and the members' demand snapshot.
+struct AppendInput<'a> {
+    night: bool,
+    now: SimInstant,
+    profile: bool,
+    members: &'a [Range<usize>],
+    outcomes: &'a [BankOutcome],
+    demands: &'a [Watts],
+}
+
+/// One task of the routing pass's append stage. The tasks write
+/// disjoint engine state, each in bank order, so they run concurrently
+/// and in any order with the same result.
+enum AppendTask<'a> {
+    /// The telemetry journal plus every order-sensitive fold.
+    Fold(Fold<'a>),
+    /// The sensor rows through the fault injector into the power table,
+    /// and (by day) the server rows.
+    Rows(PowerRows<'a>),
+}
+
+impl AppendTask<'_> {
+    fn run(&mut self, input: &AppendInput<'_>) -> Result<StageNs, SimError> {
+        match self {
+            Self::Fold(fold) => fold.run(input),
+            Self::Rows(rows) => Ok(rows.run(input)),
+        }
+    }
+}
+
+/// The append stage's order-sensitive half: the telemetry journal, the
+/// charge-stage observation, float energy sums (one association
+/// order), cutoff and shutdown events, and applying the shedding
+/// decisions — all in bank order.
+struct Fold<'a> {
+    telemetry: &'a mut Journal<SensorSample>,
+    chargers: &'a [Charger],
+    stage_trackers: &'a mut [StageTracker],
+    mode_switches: &'a mut [u64],
+    tracer: &'a Tracer,
+    fleet: &'a mut FleetView,
+    cluster: &'a mut Cluster,
+    offline_since: &'a mut [Option<SimInstant>],
+    events: &'a mut EventLog,
+    flight: &'a mut FlightRecorder,
+    counters: &'a EngineCounters,
+    grid_charge: &'a mut WattHours,
+    unserved: &'a mut WattHours,
+    curtailed: &'a mut WattHours,
+}
+
+impl Fold<'_> {
+    /// Folds every bank's outcome, then marks the whole fleet for
+    /// re-scoring: every bank stepped, so SoC, headroom and aging
+    /// metrics all moved. Stage observation is charged to `Charger`,
+    /// the rest to `BatteryStep`.
+    fn run(&mut self, input: &AppendInput<'_>) -> Result<StageNs, SimError> {
+        let mut mark = input.profile.then(Instant::now);
+        let mut ns = StageNs::default();
+        for (b, o) in input.outcomes.iter().enumerate() {
+            self.observe_charge_stage(b, o.soc, input);
+            lap(&mut ns.charger, &mut mark);
+            if input.night {
+                *self.grid_charge += o.accepted;
+            } else {
+                if o.cutoff {
+                    self.counters.battery_cutoffs.inc();
+                    Simulation::log_event(
+                        self.events,
+                        self.flight,
+                        input.now,
+                        Event::BatteryCutoff {
+                            node: input.members[b].start,
+                        },
+                    );
+                }
+                *self.unserved += o.unserved;
+                *self.curtailed += o.curtailed;
+            }
+            if let Some(logged) = o.logged {
+                self.telemetry.push(b, logged);
+            }
+            if let Some(victim) = o.victim {
+                self.cluster.host_mut(victim)?.power_off();
+                self.offline_since[victim] = Some(input.now);
+                self.fleet.mark(victim, DirtyReason::Power);
+                self.counters.shutdowns.inc();
+                Simulation::log_event(
+                    self.events,
+                    self.flight,
+                    input.now,
+                    Event::ServerShutdown { node: victim },
+                );
+            }
+            lap(&mut ns.battery, &mut mark);
+        }
+        self.fleet.mark_all(DirtyReason::Battery);
+        lap(&mut ns.battery, &mut mark);
+        Ok(ns)
+    }
+
+    /// Observes bank `b`'s charge stage at its pre-step SoC, counting
+    /// mode switches (input to the health monitor's thrash check) and
+    /// emitting a `charger.mode` span per transition.
+    fn observe_charge_stage(&mut self, b: usize, soc: Soc, input: &AppendInput<'_>) {
+        let stage = self.chargers[b].stage(soc);
+        let prev = self.stage_trackers[b].last();
+        self.stage_trackers[b].observe(stage);
+        if let Some(prev) = prev {
+            if prev != stage {
+                self.mode_switches[b] += 1;
+                for m in input.members[b].clone() {
+                    self.fleet.mark(m, DirtyReason::ModeSwitch);
+                }
+                let now = input.now.as_secs();
+                let span = self.tracer.start("charger.mode", SpanId::NONE, now);
+                if !span.is_none() {
+                    self.tracer.attr_u64(span, "bank", b as u64);
+                    self.tracer.attr_str(span, "from", prev.name());
+                    self.tracer.attr_str(span, "to", stage.name());
+                    self.tracer.end(span, now);
+                }
+            }
+        }
+    }
+}
+
+/// The append stage's power-table half. Every member node sees its
+/// bank's telemetry, like rack members sharing a UPS monitor. The
+/// injector's clean path is the identity and draws no randomness;
+/// under sensor faults the battery row is perturbed or (dropout)
+/// withheld, so the injector sees the banks in bank order. The server
+/// power meter is a separate instrument and keeps flowing; at night
+/// there is no load to meter.
+struct PowerRows<'a> {
+    injector: &'a mut FaultInjector,
+    power_table: &'a mut PowerTable,
+}
+
+impl PowerRows<'_> {
+    fn run(&mut self, input: &AppendInput<'_>) -> StageNs {
+        let started = input.profile.then(Instant::now);
+        // Without a fault plan the injector is the identity: skip the
+        // call per bank.
+        let clean = self.injector.is_idle();
+        for (b, o) in input.outcomes.iter().enumerate() {
+            let sample = if clean {
+                Some(o.fresh)
+            } else {
+                self.injector.observe_sample(b, o.fresh, input.now)
+            };
+            for node in input.members[b].clone() {
+                if let Some(sample) = sample {
+                    self.power_table.record_battery(node, sample);
+                }
+                if !input.night {
+                    self.power_table.record_server(
+                        node,
+                        ServerPowerRecord {
+                            at: input.now,
+                            power: input.demands[node],
+                        },
+                    );
+                }
+            }
+        }
+        StageNs {
+            battery: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            ..StageNs::default()
+        }
+    }
 }
 
 /// One green-datacenter simulation instance.
@@ -583,8 +830,9 @@ pub struct Simulation {
     banks: usize,
     /// Node → bank mapping.
     bank_of: Vec<usize>,
-    /// Bank → member nodes.
-    members: Vec<Vec<usize>>,
+    /// Bank → member nodes: consecutive banks own consecutive node
+    /// ranges (`bank_of` never decreases).
+    members: Vec<Range<usize>>,
     cluster: Cluster,
     batteries: BatteryPack,
     sensors: Vec<BatterySensor>,
@@ -720,9 +968,17 @@ impl Simulation {
         let bank_of: Vec<usize> = (0..config.nodes)
             .map(|i| config.topology.bank_of(i, config.nodes))
             .collect();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); banks];
+        let mut members: Vec<Range<usize>> = vec![0..0; banks];
         for (node, &bank) in bank_of.iter().enumerate() {
-            members[bank].push(node);
+            let range = &mut members[bank];
+            if range.end == 0 {
+                range.start = node;
+            }
+            debug_assert!(
+                range.end == 0 || range.end == node,
+                "bank members are consecutive"
+            );
+            range.end = node + 1;
         }
         // A shared pool aggregates the per-node bank: k× capacity and
         // current limits, 1/k internal resistance.
@@ -874,7 +1130,7 @@ impl Simulation {
     /// Returns [`SimError::Battery`] if `bank` is out of range.
     pub fn pre_age_bank(&mut self, bank: usize, damage: f64) -> Result<(), SimError> {
         self.batteries.unit_mut(bank)?.pre_age(damage);
-        for &m in &self.members[bank] {
+        for m in self.members[bank].clone() {
             self.fleet.mark(m, DirtyReason::Battery);
         }
         Ok(())
@@ -1618,7 +1874,7 @@ impl Simulation {
                 }
                 kind => match kind.target() {
                     Some(bank) if bank < self.members.len() => {
-                        for &m in &self.members[bank] {
+                        for m in self.members[bank].clone() {
                             self.fleet.mark(m, DirtyReason::Fault);
                         }
                     }
@@ -2025,7 +2281,7 @@ impl Simulation {
 
     /// One bank's placement scores, from its pre-step battery state.
     fn score_bank(&self, bank: usize) -> Result<BankScore, SimError> {
-        let ratings = self.ratings(self.members[bank][0])?;
+        let ratings = self.ratings(self.members[bank].start)?;
         let headroom = self.floored_available(bank, self.config.dt)?;
         let battery = self.batteries.unit(bank)?;
         Ok(BankScore {
@@ -2129,7 +2385,7 @@ impl Simulation {
                                 Event::SocFloorChanged { node, floor },
                             );
                         }
-                        for &m in &self.members[bank] {
+                        for m in self.members[bank].clone() {
                             self.fleet.mark(m, DirtyReason::Action);
                         }
                         ActionResult::Applied
@@ -2163,32 +2419,6 @@ impl Simulation {
             self.injector.bank(bank).open_circuit,
             dt,
         ))
-    }
-
-    /// Observes bank `b`'s charge stage, counting mode switches (input
-    /// to the health monitor's thrash check) and emitting a
-    /// `charger.mode` span per transition.
-    fn observe_charge_stage(&mut self, b: usize, soc: Soc) {
-        let stage = self.chargers[b].stage(soc);
-        let prev = self.stage_trackers[b].last();
-        self.stage_trackers[b].observe(stage);
-        if let Some(prev) = prev {
-            if prev != stage {
-                self.mode_switches[b] += 1;
-                for &m in &self.members[b] {
-                    self.fleet.mark(m, DirtyReason::ModeSwitch);
-                }
-                let span = self
-                    .tracer
-                    .start("charger.mode", SpanId::NONE, self.now.as_secs());
-                if !span.is_none() {
-                    self.tracer.attr_u64(span, "bank", b as u64);
-                    self.tracer.attr_str(span, "from", prev.name());
-                    self.tracer.attr_str(span, "to", stage.name());
-                    self.tracer.end(span, self.now.as_secs());
-                }
-            }
-        }
     }
 
     /// Feeds the health monitor one sample per node and evaluates the
@@ -2225,27 +2455,29 @@ impl Simulation {
     ///
     /// Banks are independent within a step (demands are snapshotted,
     /// acceptance and availability read only the bank's own pre-step
-    /// state), so the pass runs in three phases:
+    /// state), so the pass runs in two stages:
     ///
-    /// 1. **Sequential charger pre-pass**, bank order: stage observation
-    ///    (tracer spans, mode-switch counters and fleet marks are
-    ///    order-sensitive cross-bank seams) and one charger figure per
-    ///    bank — the grid-charge power by night, the effective acceptance
-    ///    by day.
-    /// 2. **[`route_banks`]** over contiguous bank-range shards: inline
+    /// 1. **[`route_banks`]** over contiguous bank-range shards: inline
     ///    as one shard over every bank without a pool (or with a single
-    ///    bank), one shard per pool thread otherwise.
-    /// 3. **Sequential merge**, bank order: energy folds (float sums keep
-    ///    one association order), fault-injector sample observation
-    ///    (shared RNG), telemetry-journal and power-table rows,
-    ///    `BatteryCutoff` and `ServerShutdown` events, and applying the
-    ///    shedding decisions.
+    ///    bank), one shard per pool thread otherwise. Each shard computes
+    ///    its banks' charger figures, routes and steps them, and leaves
+    ///    one [`BankOutcome`] per bank.
+    /// 2. **The append stage**: two [`AppendTask`]s over the outcomes,
+    ///    concurrent with a pool, one after the other without. The
+    ///    [`Fold`] appends the telemetry journal and does everything
+    ///    order-sensitive across banks — charge-stage observation
+    ///    (tracker, mode-switch counts, fleet marks, tracer spans), float
+    ///    energy sums, `BatteryCutoff` and `ServerShutdown` events,
+    ///    applying the shedding decisions — in bank order. The
+    ///    [`PowerRows`] feed the fault injector (a shared RNG under
+    ///    sensor faults) and the power table in bank order. They write
+    ///    disjoint state, so which runs first changes nothing.
     ///
-    /// Stage timing: the pre-pass is charged to `Charger`; the kernel's
-    /// per-bank laps to `Switcher` and `BatteryStep`, summed over shards
-    /// (CPU time, not wall time, with a pool); the merge to
-    /// `BatteryStep`. Inline, the three rows together cover the pass's
-    /// wall time.
+    /// Stage timing: each task's laps go to `Charger` (acceptance and
+    /// stage observation), `Switcher` and `BatteryStep` (the battery
+    /// step and the appends), summed over shards and tasks — CPU time,
+    /// not wall time, with a pool. Inline, the three rows together cover
+    /// the pass's wall time.
     fn route_power(
         &mut self,
         pool: Option<&ExecPool>,
@@ -2260,34 +2492,8 @@ impl Simulation {
         // starts from full charge and batteries never sulphate at low
         // SoC overnight.
         let night = !self.in_window;
-        self.scratch.charge.clear();
-        for b in 0..self.banks {
-            let soc = self.batteries.unit(b)?.soc();
-            self.observe_charge_stage(b, soc);
-            let faults = self.injector.bank(b);
-            let charger = &self.chargers[b];
-            // The switcher sees the *effective* acceptance, so a failed
-            // charger's surplus is curtailed, not lost to an inconsistent
-            // charge pass. A mode-stuck charger is latched in float
-            // trickle: its budget is the float-stage acceptance.
-            let power = if faults.charger_failed || faults.open_circuit {
-                Watts::ZERO
-            } else if night {
-                let budget = if faults.charger_stuck {
-                    charger.acceptance(Soc::FULL)
-                } else {
-                    charger.max_power()
-                };
-                charger.charge_power(soc, budget)
-            } else if faults.charger_stuck {
-                charger.acceptance(Soc::FULL)
-            } else {
-                charger.acceptance(soc)
-            };
-            self.scratch.charge.push((soc, power));
-        }
-        clock.lap(Stage::Charger);
-
+        let profile = clock.is_active();
+        let pool = pool.filter(|_| self.banks > 1);
         self.scratch.demands.resize(self.config.nodes, Watts::ZERO);
         self.scratch.outcomes.resize(self.banks, BankOutcome::EMPTY);
         let ctx = RouteCtx {
@@ -2297,9 +2503,8 @@ impl Simulation {
             now: self.now,
             dt,
             ambient: self.config.ambient,
-            profile: clock.is_active(),
+            profile,
             members: &self.members,
-            charge: &self.scratch.charge,
             solar_shares: &self.solar_shares,
             soc_floors: &self.soc_floors,
             chargers: &self.chargers,
@@ -2317,107 +2522,103 @@ impl Simulation {
             streaks: &mut self.unserved_streak,
             demands: &mut self.scratch.demands,
             outcomes: &mut self.scratch.outcomes,
+            result: Ok(StageNs::default()),
         };
-        let (mut switcher_ns, mut battery_ns) = (0u64, 0u64);
+        let mut ns = StageNs::default();
         match pool {
-            Some(pool) if self.banks > 1 => {
-                let tasks: Vec<Mutex<Option<BankShard<'_>>>> =
-                    shard_ranges(self.banks, pool.threads())
-                        .into_iter()
-                        .map(|r| {
-                            let nodes = ctx.members[r.clone()].iter().map(Vec::len).sum();
-                            Mutex::new(Some(all.split_front(r.len(), nodes)))
-                        })
-                        .collect();
-                let results = pool.run(tasks.len(), |s| {
-                    let mut shard = tasks[s]
-                        .lock()
-                        .expect("shard state")
-                        .take()
-                        .expect("each shard is taken exactly once");
-                    route_banks(&ctx, &mut shard)
-                });
-                self.scratch.shard_ns.clear();
-                for result in results {
-                    let (sw, bat) = result?;
-                    switcher_ns += sw;
-                    battery_ns += bat;
-                    self.scratch.shard_ns.push(sw + bat);
+            Some(pool) => {
+                let layout = &mut self.scratch.layout;
+                if layout.is_empty() {
+                    layout.extend(
+                        shard_ranges(self.banks, pool.threads())
+                            .into_iter()
+                            .map(|r| {
+                                let nodes = ctx.members[r.clone()].iter().map(|m| m.len()).sum();
+                                (r.len(), nodes)
+                            }),
+                    );
                 }
+                let mut shards = recycle(std::mem::take(&mut self.scratch.shards));
+                shards.extend(
+                    layout
+                        .iter()
+                        .map(|&(banks, nodes)| all.split_front(banks, nodes)),
+                );
+                pool.run_each(&mut shards, |_, shard| {
+                    shard.result = route_banks(&ctx, shard)
+                });
+                let wait_ns = pool.last_caller_wait_ns();
+                self.scratch.shard_ns.clear();
+                for shard in &shards {
+                    let shard_ns = shard.result.clone()?;
+                    ns += shard_ns;
+                    self.scratch
+                        .shard_ns
+                        .push(shard_ns.charger + shard_ns.switcher + shard_ns.battery);
+                }
+                self.scratch.shards = recycle(shards);
                 if let Some(exec) = &self.exec_obs {
                     exec.record_shards(&self.scratch.shard_ns);
+                    exec.merge_wait_battery_step.add(wait_ns);
+                }
+            }
+            None => ns = route_banks(&ctx, &mut all)?,
+        }
+
+        let input = AppendInput {
+            night,
+            now: self.now,
+            profile,
+            members: &self.members,
+            outcomes: &self.scratch.outcomes,
+            demands: &self.scratch.demands,
+        };
+        let fold = Fold {
+            telemetry: &mut self.telemetry,
+            chargers: &self.chargers,
+            stage_trackers: &mut self.stage_trackers,
+            mode_switches: &mut self.mode_switches,
+            tracer: &self.tracer,
+            fleet: &mut self.fleet,
+            cluster: &mut self.cluster,
+            offline_since: &mut self.offline_since,
+            events: &mut self.events,
+            flight: &mut self.flight,
+            counters: &self.counters,
+            grid_charge: &mut self.grid_charge_energy,
+            unserved: &mut self.unserved_energy,
+            curtailed: &mut self.curtailed_energy,
+        };
+        let rows = PowerRows {
+            injector: &mut self.injector,
+            power_table: &mut self.power_table,
+        };
+        // Each task with the slot its result lands in.
+        let mut tasks = [
+            (AppendTask::Fold(fold), Ok(StageNs::default())),
+            (AppendTask::Rows(rows), Ok(StageNs::default())),
+        ];
+        let run = |(task, result): &mut (AppendTask<'_>, Result<StageNs, SimError>)| {
+            *result = task.run(&input);
+        };
+        match pool {
+            Some(pool) => {
+                pool.run_each(&mut tasks, |_, slot| run(slot));
+                if let Some(exec) = &self.exec_obs {
                     exec.merge_wait_battery_step.add(pool.last_caller_wait_ns());
                 }
             }
-            _ => (switcher_ns, battery_ns) = route_banks(&ctx, &mut all)?,
+            None => tasks.iter_mut().for_each(run),
         }
-
-        let merge_started = clock.is_active().then(Instant::now);
-        for b in 0..self.banks {
-            let o = self.scratch.outcomes[b];
-            if night {
-                self.grid_charge_energy += o.accepted;
-            } else {
-                if o.cutoff {
-                    self.counters.battery_cutoffs.inc();
-                    Self::log_event(
-                        &mut self.events,
-                        &mut self.flight,
-                        self.now,
-                        Event::BatteryCutoff {
-                            node: self.members[b][0],
-                        },
-                    );
-                }
-                self.unserved_energy += o.unserved;
-                self.curtailed_energy += o.curtailed;
-            }
-            if let Some(logged) = o.logged {
-                self.telemetry.push(b, logged);
-            }
-            // Every member node sees its bank's telemetry, like rack
-            // members sharing a UPS monitor. The injector's clean path is
-            // the identity and draws no randomness; under sensor faults
-            // the battery row is perturbed or (dropout) withheld. The
-            // server power meter is a separate instrument and keeps
-            // flowing; at night there is no load to meter.
-            let sample = self.injector.observe_sample(b, o.fresh, self.now);
-            for &node in &self.members[b] {
-                if let Some(sample) = sample {
-                    self.power_table.record_battery(node, sample);
-                }
-                if !night {
-                    self.power_table.record_server(
-                        node,
-                        ServerPowerRecord {
-                            at: self.now,
-                            power: self.scratch.demands[node],
-                        },
-                    );
-                }
-            }
-            if let Some(victim) = o.victim {
-                self.cluster.host_mut(victim)?.power_off();
-                self.offline_since[victim] = Some(self.now);
-                self.fleet.mark(victim, DirtyReason::Power);
-                self.counters.shutdowns.inc();
-                Self::log_event(
-                    &mut self.events,
-                    &mut self.flight,
-                    self.now,
-                    Event::ServerShutdown { node: victim },
-                );
-            }
+        for (_, result) in tasks {
+            ns += result?;
         }
-        // Every bank stepped: SoC, headroom, and aging metrics all moved,
-        // so the whole fleet re-scores before the next placement.
-        self.fleet.mark_all(DirtyReason::Battery);
-        let merge_ns = merge_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         clock.skip();
+        clock.add(Stage::Charger, ns.charger);
         if !night {
-            clock.add(Stage::Switcher, switcher_ns);
+            clock.add(Stage::Switcher, ns.switcher);
         }
-        clock.add(Stage::BatteryStep, battery_ns + merge_ns);
+        clock.add(Stage::BatteryStep, ns.battery);
         Ok(())
     }
 

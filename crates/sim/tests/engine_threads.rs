@@ -19,11 +19,11 @@
 use baat_battery::Chemistry;
 use baat_obs::Obs;
 use baat_sim::{
-    BatteryTopology, ChemistrySpec, FaultMix, FaultPlan, Policy, RoundRobinPolicy, SimConfig,
-    SimReport, SimSnapshot, Simulation,
+    BatteryTopology, ChemistrySpec, FaultKind, FaultMix, FaultPlan, FaultSpec, Policy,
+    RoundRobinPolicy, SimConfig, SimConfigBuilder, SimReport, SimSnapshot, Simulation,
 };
 use baat_solar::Weather;
-use baat_units::SimDuration;
+use baat_units::{SimDuration, SimInstant};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -36,27 +36,42 @@ const MATRIX_HASHES: [(Chemistry, bool, u64); 4] = [
     (Chemistry::LiIon, true, 0xd16e_389f_049e_3c37),
 ];
 
+/// Pinned final state hash of the sensor-fault cell.
+const SENSOR_FAULT_HASH: u64 = 0x1974_70c8_cb5c_d9a9;
+
 /// Pinned final state hash of the shared-pool topology run.
 const SHARED_POOL_HASH: u64 = 0x2505_28a8_af8c_a2d3;
 
 /// A 12-node per-server fleet (12 banks — enough for uneven shard
 /// splits at every count in the matrix) on a coarse timestep.
 fn matrix_config(chemistry: Chemistry, light_faults: bool, threads: usize) -> SimConfig {
-    let nodes = 12;
+    let mut b = matrix_builder(chemistry, threads);
+    if light_faults {
+        b.faults(FaultPlan::generate(
+            97,
+            1,
+            MATRIX_NODES,
+            MATRIX_NODES,
+            &FaultMix::light(),
+        ));
+    }
+    b.build().expect("matrix config is valid")
+}
+
+const MATRIX_NODES: usize = 12;
+
+fn matrix_builder(chemistry: Chemistry, threads: usize) -> SimConfigBuilder {
     let mut b = SimConfig::builder();
     b.weather_plan(vec![Weather::Cloudy])
-        .nodes(nodes)
-        .workload_mix(nodes, 60)
+        .nodes(MATRIX_NODES)
+        .workload_mix(MATRIX_NODES, 60)
         .dt(SimDuration::from_secs(120))
         .control_interval(SimDuration::from_secs(600))
         .sample_every(4)
         .seed(97)
         .chemistry(ChemistrySpec::new(chemistry))
         .threads(threads);
-    if light_faults {
-        b.faults(FaultPlan::generate(97, 1, nodes, nodes, &FaultMix::light()));
-    }
-    b.build().expect("matrix config is valid")
+    b
 }
 
 fn total_steps(config: &SimConfig) -> u64 {
@@ -166,6 +181,120 @@ fn observed_runs_export_identical_metrics_at_any_thread_count() {
                 .any(|s| s.name.starts_with("exec.worker.") && s.name.ends_with(".busy_ns")),
             "sharded run at {threads} threads exports no per-worker meters"
         );
+    }
+}
+
+/// Every sensor fault on the first and the last bank, overlapping in
+/// time across the night and the operating window. Two noise faults
+/// draw from the injector's one RNG in bank order, stuck-at and thermal
+/// loss hold samples, and dropout withholds rows, all while the power
+/// table's rows are appended concurrently with the fold.
+fn sensor_fault_plan(last: usize) -> FaultPlan {
+    let at = |h: u64, m: u64| SimInstant::from_secs(h * 3600 + m * 60);
+    let mut plan = FaultPlan::new();
+    for (kind, start, minutes) in [
+        (
+            FaultKind::SensorNoise {
+                bank: 0,
+                sigma: 0.05,
+            },
+            at(5, 0),
+            6 * 60,
+        ),
+        (
+            FaultKind::SensorNoise {
+                bank: last,
+                sigma: 0.08,
+            },
+            at(7, 0),
+            6 * 60,
+        ),
+        (
+            FaultKind::SensorDrift {
+                bank: last,
+                volts_per_hour: 0.02,
+            },
+            at(6, 0),
+            8 * 60,
+        ),
+        (
+            FaultKind::SensorDrift {
+                bank: 0,
+                volts_per_hour: -0.01,
+            },
+            at(9, 0),
+            3 * 60,
+        ),
+        (FaultKind::ThermalSensorLoss { bank: 0 }, at(8, 0), 4 * 60),
+        (
+            FaultKind::ThermalSensorLoss { bank: last },
+            at(11, 0),
+            2 * 60,
+        ),
+        (FaultKind::SensorStuckAt { bank: 0 }, at(10, 0), 40),
+        (FaultKind::SensorStuckAt { bank: last }, at(12, 0), 30),
+        (FaultKind::SensorDropout { bank: last }, at(10, 30), 30),
+        (FaultKind::SensorDropout { bank: 0 }, at(12, 0), 20),
+    ] {
+        plan.push(FaultSpec {
+            kind,
+            start,
+            duration: SimDuration::from_minutes(minutes),
+        });
+    }
+    plan
+}
+
+/// The sensor-fault cell: 1/2/4/8 threads give the pinned state hash
+/// and byte-identical event and trace JSONL and reports, and the noise
+/// faults did draw from the injector's RNG.
+#[test]
+fn sensor_faults_are_thread_invariant() {
+    let build = |threads: usize| {
+        let mut b = matrix_builder(Chemistry::LeadAcid, threads);
+        b.faults(sensor_fault_plan(MATRIX_NODES - 1));
+        b.build().expect("sensor-fault config is valid")
+    };
+    let unstepped = Simulation::new(build(1)).expect("sim builds");
+    let (_, reference) = run_hashed(build(1));
+    let ref_events = reference.events.to_jsonl();
+    let ref_trace = reference.recorder.to_jsonl();
+    for kind in [
+        "sensor_noise",
+        "sensor_drift",
+        "sensor_stuck_at",
+        "sensor_dropout",
+    ] {
+        assert!(ref_events.contains(kind), "the cell never injected {kind}");
+    }
+    for threads in SHARD_COUNTS {
+        let config = build(threads);
+        let steps = total_steps(&config);
+        let mut sim = Simulation::new(config).expect("sim builds");
+        let mut policy = RoundRobinPolicy::new();
+        sim.run_steps(&mut policy, steps).expect("run completes");
+        assert_ne!(
+            sim.snapshot().state.injector.rng_state,
+            unstepped.snapshot().state.injector.rng_state,
+            "the noise faults never drew from the injector's RNG"
+        );
+        assert_eq!(
+            sim.state_hash(),
+            SENSOR_FAULT_HASH,
+            "state hash moved off its pin at {threads} threads"
+        );
+        let report = sim.into_report(policy.name()).expect("report builds");
+        assert_eq!(
+            report.events.to_jsonl(),
+            ref_events,
+            "event JSONL diverged at {threads} threads"
+        );
+        assert_eq!(
+            report.recorder.to_jsonl(),
+            ref_trace,
+            "trace JSONL diverged at {threads} threads"
+        );
+        assert_eq!(report, reference, "report diverged at {threads} threads");
     }
 }
 
