@@ -229,8 +229,6 @@ pub(crate) mod tests_support {
             battery_capacity_ah: 70.0,
             battery_lifetime_throughput_ah: 35_000.0,
             soc_floor: Soc::EMPTY,
-            cutoff_events: 0,
-            hours_since_full: 0.0,
         }
     }
 

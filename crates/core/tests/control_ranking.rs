@@ -119,8 +119,6 @@ fn random_view(rng: &mut Rng) -> SystemView {
                 battery_capacity_ah: 70.0,
                 battery_lifetime_throughput_ah: 35_000.0,
                 soc_floor: Soc::saturating(rng.range(0.0, 0.2)),
-                cutoff_events: 0,
-                hours_since_full: rng.range(0.0, 24.0),
             }
         })
         .collect();

@@ -31,10 +31,11 @@ pub enum Stage {
     BatteryStep,
     /// Policy `control` invocation (the BAAT decision pass).
     PolicyControl,
-    /// Placement-order production: incremental fleet-score refresh and
-    /// ranked-order maintenance (or, for custom policies, the
-    /// `placement_order` call itself). Split out of `Placement` so
-    /// ranking cost and admission cost report separately.
+    /// Placement-order production: the fleet re-scoring behind the
+    /// ranked specs (or, for custom policies, the `placement_order`
+    /// call itself). Split out of `Placement` so ranking cost and
+    /// admission cost report separately. A ranked mode re-sorts lazily
+    /// at the first admission walk that reads it, inside `Placement`.
     PlacementRank,
     /// VM arrival placement and pending-queue retries (admission walks;
     /// order production is timed as [`Stage::PlacementRank`]).

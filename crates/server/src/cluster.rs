@@ -67,15 +67,6 @@ pub struct ClusterState {
     pub migrations_started: u64,
 }
 
-/// Aggregate outcome of one cluster step.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClusterStep {
-    /// Useful work done this step (core-hours).
-    pub work: f64,
-    /// Migrations that completed this step.
-    pub migrations_completed: usize,
-}
-
 /// A cluster of virtualized servers with live migration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
@@ -270,9 +261,9 @@ impl Cluster {
     }
 
     /// Advances the whole cluster one step: completes due migrations,
-    /// then steps every host.
-    pub fn step(&mut self, now: SimInstant, tod: TimeOfDay, dt: SimDuration) -> ClusterStep {
-        let mut completed = 0;
+    /// then steps every host. Work done accrues on each host
+    /// ([`Host::work_done`], summed by [`Self::total_work_done`]).
+    pub fn step(&mut self, now: SimInstant, tod: TimeOfDay, dt: SimDuration) {
         let mut remaining = Vec::with_capacity(self.in_flight.len());
         for mut mig in self.in_flight.drain(..) {
             if mig.completes_at <= now {
@@ -282,7 +273,6 @@ impl Cluster {
                 if let Some(host) = self.hosts.get_mut(mig.to.0) {
                     mig.vm.resume();
                     host.admit_unchecked(mig.vm);
-                    completed += 1;
                 } else {
                     remaining.push(mig);
                 }
@@ -292,10 +282,8 @@ impl Cluster {
         }
         self.in_flight = remaining;
 
-        let work = self.hosts.iter_mut().map(|h| h.step(tod, dt)).sum();
-        ClusterStep {
-            work,
-            migrations_completed: completed,
+        for host in &mut self.hosts {
+            host.step(tod, dt);
         }
     }
 
@@ -442,8 +430,8 @@ mod tests {
         }
         assert_eq!(c.migrations_in_flight(), 1, "not yet complete");
         now += dt;
-        let report = c.step(now, TimeOfDay::NOON, dt);
-        assert_eq!(report.migrations_completed, 1);
+        c.step(now, TimeOfDay::NOON, dt);
+        assert_eq!(c.migrations_in_flight(), 0, "complete");
         assert_eq!(c.locate(VmId(1)), Some(ServerId(3)));
         assert_eq!(
             c.host(3).unwrap().vm(VmId(1)).unwrap().state(),
@@ -515,12 +503,12 @@ mod tests {
             .unwrap();
         c.begin_migration(VmId(1), ServerId(1), SimInstant::START)
             .unwrap();
-        let report = c.step(
+        c.step(
             SimInstant::from_secs(10),
             TimeOfDay::NOON,
             SimDuration::from_secs(10),
         );
-        assert_eq!(report.work, 0.0, "migrating VM does no work");
+        assert_eq!(c.total_work_done(), 0.0, "migrating VM does no work");
     }
 
     #[test]

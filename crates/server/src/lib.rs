@@ -27,12 +27,12 @@
 //! cluster
 //!     .host_mut(0)?
 //!     .admit(Vm::new(VmId(0), WorkloadKind::KMeans))?;
-//! let report = cluster.step(
+//! cluster.step(
 //!     SimInstant::from_secs(10),
 //!     TimeOfDay::NOON,
 //!     SimDuration::from_secs(10),
 //! );
-//! assert!(report.work > 0.0);
+//! assert!(cluster.host(0)?.work_done() > 0.0);
 //! # Ok::<(), baat_server::ServerError>(())
 //! ```
 
@@ -45,7 +45,7 @@ mod error;
 mod hypervisor;
 mod power_model;
 
-pub use cluster::{Cluster, ClusterState, ClusterStep, InFlightState, MigrationSpec};
+pub use cluster::{Cluster, ClusterState, InFlightState, MigrationSpec};
 pub use dvfs::DvfsLevel;
 pub use error::{MigrationBlock, ServerError};
 pub use hypervisor::{Host, HostState, ServerCapacity, ServerId, BOOT_DELAY};

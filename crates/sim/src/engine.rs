@@ -50,7 +50,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog, TimedEvent};
 use crate::fallback::{FallbackInput, FallbackScheme};
-use crate::fleet::{demand_class, BankScore, DirtyReason, FleetView, PlacementSpec, NAT_MODE};
+use crate::fleet::{demand_class, FleetView, PlacementSpec, NAT_MODE};
 use crate::pending::PendingQueue;
 use crate::policy::{Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason};
 use crate::recorder::{Recorder, TraceRow};
@@ -82,8 +82,8 @@ const RESTART_SOC_MARGIN: f64 = 0.45;
 /// events and health transitions preceding a post-mortem trigger).
 const FLIGHT_RING_CAP: usize = 256;
 
-/// Minimum dirty-node count before a configured pool shards the fleet
-/// refresh's bank scoring.
+/// Minimum fleet size before a configured pool shards the bank scoring
+/// of a fleet refresh.
 const PAR_REFRESH_MIN_NODES: usize = 64;
 
 /// Splits `0..total` into at most `parts` contiguous, balanced ranges
@@ -105,6 +105,20 @@ fn shard_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
         start += len;
     }
     out
+}
+
+/// One bank's lifetime aging metrics: the only battery input of a
+/// placement rank key, computed as the scratch path's view does.
+fn lifetime_metrics(batteries: &BatteryPack, bank: usize) -> Result<AgingMetrics, SimError> {
+    let battery = batteries.unit(bank)?;
+    let ratings = BatteryRatings {
+        capacity: battery.spec().capacity(),
+        lifetime_throughput: battery.spec().lifetime_throughput(),
+    };
+    Ok(AgingMetrics::from_accumulator(
+        battery.telemetry().lifetime(),
+        &ratings,
+    ))
 }
 
 /// Engine-level metric handles, all inert when observation is disabled.
@@ -297,8 +311,8 @@ impl ExecObs {
     }
 }
 
-/// Reusable hot-loop buffers for [`Simulation::route_power`] and
-/// [`Simulation::refresh_fleet`].
+/// Reusable hot-loop buffers for [`Simulation::route_power`] and the
+/// placement passes.
 ///
 /// The step loop runs tens of thousands of times per simulated day; these
 /// buffers are refilled in place so the steady-state loop performs no
@@ -322,8 +336,6 @@ struct StepScratch {
     /// Per-shard busy ns of the latest sharded routing pass (exec
     /// observability; all zeros on unsampled steps).
     shard_ns: Vec<u64>,
-    /// Banks re-scored by the current fleet refresh, first-seen order.
-    dirty_banks: Vec<usize>,
     /// One step's arrivals, placed as a batch before the misfits join
     /// the pending queue.
     arrivals: PendingQueue<Vm>,
@@ -688,7 +700,6 @@ struct Fold<'a> {
     stage_trackers: &'a mut [StageTracker],
     mode_switches: &'a mut [u64],
     tracer: &'a Tracer,
-    fleet: &'a mut FleetView,
     cluster: &'a mut Cluster,
     offline_since: &'a mut [Option<SimInstant>],
     events: &'a mut EventLog,
@@ -700,10 +711,8 @@ struct Fold<'a> {
 }
 
 impl Fold<'_> {
-    /// Folds every bank's outcome, then marks the whole fleet for
-    /// re-scoring: every bank stepped, so SoC, headroom and aging
-    /// metrics all moved. Stage observation is charged to `Charger`,
-    /// the rest to `BatteryStep`.
+    /// Folds every bank's outcome. Stage observation is charged to
+    /// `Charger`, the rest to `BatteryStep`.
     fn run(&mut self, input: &AppendInput<'_>) -> Result<StageNs, SimError> {
         let mut mark = input.profile.then(Instant::now);
         let mut ns = StageNs::default();
@@ -733,7 +742,6 @@ impl Fold<'_> {
             if let Some(victim) = o.victim {
                 self.cluster.host_mut(victim)?.power_off();
                 self.offline_since[victim] = Some(input.now);
-                self.fleet.mark(victim, DirtyReason::Power);
                 self.counters.shutdowns.inc();
                 Simulation::log_event(
                     self.events,
@@ -744,8 +752,6 @@ impl Fold<'_> {
             }
             lap(&mut ns.battery, &mut mark);
         }
-        self.fleet.mark_all(DirtyReason::Battery);
-        lap(&mut ns.battery, &mut mark);
         Ok(ns)
     }
 
@@ -759,9 +765,6 @@ impl Fold<'_> {
         if let Some(prev) = prev {
             if prev != stage {
                 self.mode_switches[b] += 1;
-                for m in input.members[b].clone() {
-                    self.fleet.mark(m, DirtyReason::ModeSwitch);
-                }
                 let now = input.now.as_secs();
                 let span = self.tracer.start("charger.mode", SpanId::NONE, now);
                 if !span.is_none() {
@@ -912,10 +915,10 @@ pub struct Simulation {
     solar_shares: Vec<f64>,
     /// Reusable hot-loop buffers (no simulated state).
     scratch: StepScratch,
-    /// Incremental placement state: struct-of-arrays score caches,
-    /// dirty-node invalidation, and ranked orders for declarative
-    /// [`PlacementSpec`]s. Never influences simulated state directly —
-    /// ranks are bit-identical to the legacy recompute path.
+    /// Placement rank cache for declarative [`PlacementSpec`]s: bank
+    /// scores and sorted orders, invalidated wherever a rank key moves.
+    /// Never influences simulated state directly; ranks are
+    /// bit-identical to the legacy recompute path.
     fleet: FleetView,
     /// Scoped worker pool for intra-step sharding; `None` when the
     /// configured [`crate::EngineThreads`] count is 1 (the reference
@@ -1041,7 +1044,7 @@ impl Simulation {
         let flight = FlightRecorder::new(FLIGHT_RING_CAP, obs.is_enabled());
         let total_steps = config.days() as u64 * 86_400 / config.dt.as_secs();
         let rows_hint = (total_steps / config.sample_every as u64).saturating_add(1) as usize;
-        let fleet = FleetView::new(nodes, banks, bank_of.clone());
+        let fleet = FleetView::new(banks, bank_of.clone());
         let pool = match config.threads.get() {
             0 | 1 => None,
             t => Some(Arc::new(ExecPool::new(t))),
@@ -1118,7 +1121,7 @@ impl Simulation {
         for b in self.batteries.iter_mut() {
             b.pre_age(damage);
         }
-        self.fleet.mark_all(DirtyReason::Battery);
+        self.fleet.invalidate();
     }
 
     /// Pre-ages a single battery bank — fault injection for the paper's
@@ -1130,9 +1133,7 @@ impl Simulation {
     /// Returns [`SimError::Battery`] if `bank` is out of range.
     pub fn pre_age_bank(&mut self, bank: usize, damage: f64) -> Result<(), SimError> {
         self.batteries.unit_mut(bank)?.pre_age(damage);
-        for m in self.members[bank].clone() {
-            self.fleet.mark(m, DirtyReason::Battery);
-        }
+        self.fleet.invalidate();
         Ok(())
     }
 
@@ -1167,18 +1168,13 @@ impl Simulation {
         &self.health
     }
 
-    /// The incremental placement state: per-node score arrays and the
-    /// dirty-reason masks recording which mutation seams have fired.
-    /// Read-only observability for tests and diagnostics.
-    pub fn fleet(&self) -> &FleetView {
-        &self.fleet
-    }
-
-    /// The placement order the incremental fleet ranker produces for
-    /// `spec` right now, after refreshing any dirty nodes. Sequential
-    /// specs return their static order; `RoundRobin` peeks the cursor
-    /// without advancing it; `Custom` falls back to ascending indices
-    /// (the caller owns its own `placement_order`).
+    /// The placement order the engine's rank cache produces for `spec`
+    /// right now. The ranked specs re-score every bank and re-sort their
+    /// mode if a battery stepped or aged, or a degraded flag flipped,
+    /// since the cache last served them. Sequential specs return their
+    /// static order; `RoundRobin` peeks the cursor without advancing it;
+    /// `Custom` falls back to ascending indices (the caller owns its own
+    /// `placement_order`).
     ///
     /// # Errors
     ///
@@ -1190,7 +1186,6 @@ impl Simulation {
         kind: WorkloadKind,
     ) -> Result<Vec<usize>, SimError> {
         let n = self.config.nodes;
-        self.refresh_fleet()?;
         let mode = match spec {
             PlacementSpec::Custom | PlacementSpec::FirstFit => return Ok((0..n).collect()),
             PlacementSpec::RoundRobin => {
@@ -1202,7 +1197,8 @@ impl Simulation {
             }
             PlacementSpec::LifetimeNat => NAT_MODE,
         };
-        self.fleet.ensure_mode(mode);
+        self.refresh_fleet()?;
+        self.fleet.ensure_sorted(mode, &self.degraded);
         Ok((0..n).map(|r| self.fleet.ranked_node(mode, r)).collect())
     }
 
@@ -1622,10 +1618,8 @@ impl Simulation {
             for since in &mut self.offline_since {
                 *since = None;
             }
-            self.fleet.mark_all(DirtyReason::Power);
         } else if !in_window && self.in_window {
             self.cluster.power_off_all();
-            self.fleet.mark_all(DirtyReason::Power);
         }
         self.in_window = in_window;
 
@@ -1649,8 +1643,8 @@ impl Simulation {
         };
 
         // Workload arrivals. Policies with a declarative placement spec
-        // place from the incremental fleet ranker (refreshed once per
-        // batch — dirty nodes only); custom policies keep the legacy
+        // place from the rank cache (re-scored once per batch when a key
+        // moved since it last served); custom policies keep the legacy
         // path, where the system view is built lazily (most steps see no
         // arrival), shared across the batch, and placement refreshes
         // only the admitted node's entry per VM.
@@ -1863,25 +1857,6 @@ impl Simulation {
     /// faults by powering the afflicted servers off.
     fn process_faults(&mut self) -> Result<(), SimError> {
         for t in self.injector.begin_step(self.now) {
-            // Either edge of a fault window can change a node's score
-            // inputs (headroom, telemetry, admission), so both dirty the
-            // affected nodes.
-            match t.kind {
-                FaultKind::HostFailure { node } => {
-                    if node < self.config.nodes {
-                        self.fleet.mark(node, DirtyReason::Fault);
-                    }
-                }
-                kind => match kind.target() {
-                    Some(bank) if bank < self.members.len() => {
-                        for m in self.members[bank].clone() {
-                            self.fleet.mark(m, DirtyReason::Fault);
-                        }
-                    }
-                    Some(_) => {}
-                    None => self.fleet.mark_all(DirtyReason::Fault),
-                },
-            }
             if t.entered {
                 self.fault_counters.injected.inc();
                 // Root span of the causal chain: degraded-mode and
@@ -1930,7 +1905,6 @@ impl Simulation {
             if self.injector.host_down(i) && self.cluster.host(i)?.is_online() {
                 self.cluster.host_mut(i)?.power_off();
                 self.offline_since[i] = Some(self.now);
-                self.fleet.mark(i, DirtyReason::Power);
                 self.counters.shutdowns.inc();
                 Self::log_event(
                     &mut self.events,
@@ -1956,7 +1930,7 @@ impl Simulation {
             };
             if stale != self.degraded[i] {
                 self.degraded[i] = stale;
-                self.fleet.mark(i, DirtyReason::Degraded);
+                self.fleet.invalidate();
                 if stale {
                     self.open_degraded_span(i);
                 } else {
@@ -2181,8 +2155,9 @@ impl Simulation {
     /// Walks `spec`'s host order for a VM of `kind` and admits it to the
     /// first online host with room, or hands it back. `start` is where a
     /// round-robin walk begins (other specs ignore it). Ranked specs
-    /// build their ranking mode on first use: it is a cache over the
-    /// refreshed fleet, so building it later in a pass gives the same
+    /// sort their mode on its first read since the caller's refresh: it
+    /// is a cache over the scores and degraded flags, which no
+    /// admission changes, so sorting it later in a pass gives the same
     /// order.
     fn admit_fast(
         &mut self,
@@ -2197,15 +2172,15 @@ impl Simulation {
             PlacementSpec::FirstFit => (0, None),
             PlacementSpec::RoundRobin => (start, None),
             PlacementSpec::WeightedAging { server_power } => {
-                // Untimed: after the caller's refresh this is a no-op
-                // check; per-VM timer guards here would cost more clock
-                // reads than the work they measure.
+                // Untimed: the mode sorts here at most once per
+                // invalidation, and per-VM timer guards would cost more
+                // clock reads than the check they measure.
                 let mode = class_index(demand_class(kind, &server_power));
-                self.fleet.ensure_mode(mode);
+                self.fleet.ensure_sorted(mode, &self.degraded);
                 (0, Some(mode))
             }
             PlacementSpec::LifetimeNat => {
-                self.fleet.ensure_mode(NAT_MODE);
+                self.fleet.ensure_sorted(NAT_MODE, &self.degraded);
                 (0, Some(NAT_MODE))
             }
         };
@@ -2224,72 +2199,36 @@ impl Simulation {
         Ok(Some(vm))
     }
 
-    /// Re-scores exactly the dirty nodes and folds their keys back into
-    /// the ranked orders. Bank-level quantities (aging metrics, SoC,
-    /// headroom) are scored once per dirty bank per pass — fanned out
-    /// over the pool when one is configured and at least
-    /// [`PAR_REFRESH_MIN_NODES`] nodes are dirty — then scattered to
-    /// member nodes.
+    /// Re-scores every bank if the rank cache was invalidated, fanned
+    /// out over the pool when one is configured and the fleet has at
+    /// least [`PAR_REFRESH_MIN_NODES`] nodes. The modes re-sort lazily,
+    /// at their first query.
     fn refresh_fleet(&mut self) -> Result<(), SimError> {
-        if self.fleet.is_clean() {
+        if self.fleet.is_scored() {
             return Ok(());
         }
-        let dirty = self.fleet.take_dirty();
-        let mut banks = std::mem::take(&mut self.scratch.dirty_banks);
-        banks.clear();
-        for &node in &dirty {
-            let bank = self.bank_of[node as usize];
-            if self.fleet.bank_needs_refresh(bank) {
-                banks.push(bank);
-            }
-        }
+        let batteries = &self.batteries;
         match &self.pool {
-            Some(pool) if dirty.len() >= PAR_REFRESH_MIN_NODES => {
-                let ranges = shard_ranges(banks.len(), pool.threads());
-                let chunks: Vec<Result<Vec<BankScore>, SimError>> = pool.run(ranges.len(), |s| {
-                    banks[ranges[s].clone()]
-                        .iter()
-                        .map(|&bank| self.score_bank(bank))
-                        .collect()
-                });
+            Some(pool) if self.config.nodes >= PAR_REFRESH_MIN_NODES => {
+                let ranges = shard_ranges(self.banks, pool.threads());
+                let chunks: Vec<Result<Vec<AgingMetrics>, SimError>> =
+                    pool.run(ranges.len(), |s| {
+                        ranges[s]
+                            .clone()
+                            .map(|bank| lifetime_metrics(batteries, bank))
+                            .collect()
+                    });
                 if let Some(exec) = &self.exec_obs {
                     exec.merge_wait_fleet_refresh
                         .add(pool.last_caller_wait_ns());
                 }
-                for (chunk, range) in chunks.into_iter().zip(ranges) {
-                    for (score, &bank) in chunk?.iter().zip(&banks[range]) {
-                        self.fleet.update_bank(bank, score);
-                    }
-                }
+                let chunks = chunks.into_iter().collect::<Result<Vec<_>, _>>()?;
+                self.fleet.rescore(chunks.into_iter().flatten().map(Ok))
             }
-            _ => {
-                for &bank in &banks {
-                    let score = self.score_bank(bank)?;
-                    self.fleet.update_bank(bank, &score);
-                }
-            }
+            _ => self
+                .fleet
+                .rescore((0..self.banks).map(|bank| lifetime_metrics(batteries, bank))),
         }
-        for &node in &dirty {
-            let i = node as usize;
-            let online = self.cluster.host(i)?.is_online();
-            self.fleet.update_node(i, self.degraded[i], online);
-        }
-        self.fleet.commit_refresh(dirty);
-        self.scratch.dirty_banks = banks;
-        Ok(())
-    }
-
-    /// One bank's placement scores, from its pre-step battery state.
-    fn score_bank(&self, bank: usize) -> Result<BankScore, SimError> {
-        let ratings = self.ratings(self.members[bank].start)?;
-        let headroom = self.floored_available(bank, self.config.dt)?;
-        let battery = self.batteries.unit(bank)?;
-        Ok(BankScore {
-            metrics: AgingMetrics::from_accumulator(battery.telemetry().lifetime(), &ratings),
-            soc: battery.soc().value(),
-            headroom: headroom.as_f64(),
-            damage: battery.total_damage(),
-        })
     }
 
     /// Retries queued jobs in arrival order.
@@ -2341,7 +2280,6 @@ impl Simulation {
                                 Event::DvfsChanged { node, level },
                             );
                         }
-                        self.fleet.mark(node, DirtyReason::Action);
                         ActionResult::Applied
                     }
                     Err(_) => ActionResult::Rejected(RejectReason::UnknownNode),
@@ -2364,10 +2302,6 @@ impl Simulation {
                                     to: target,
                                 },
                             );
-                            if let Some(from) = from {
-                                self.fleet.mark(from, DirtyReason::Action);
-                            }
-                            self.fleet.mark(target, DirtyReason::Action);
                             ActionResult::Applied
                         }
                         Err(e) => ActionResult::Rejected(RejectReason::from_server_error(&e)),
@@ -2384,9 +2318,6 @@ impl Simulation {
                                 self.now,
                                 Event::SocFloorChanged { node, floor },
                             );
-                        }
-                        for m in self.members[bank].clone() {
-                            self.fleet.mark(m, DirtyReason::Action);
                         }
                         ActionResult::Applied
                     } else {
@@ -2579,7 +2510,6 @@ impl Simulation {
             stage_trackers: &mut self.stage_trackers,
             mode_switches: &mut self.mode_switches,
             tracer: &self.tracer,
-            fleet: &mut self.fleet,
             cluster: &mut self.cluster,
             offline_since: &mut self.offline_since,
             events: &mut self.events,
@@ -2613,6 +2543,8 @@ impl Simulation {
         for (_, result) in tasks {
             ns += result?;
         }
+        // Every bank stepped, so every bank's aging scores moved.
+        self.fleet.invalidate();
         clock.skip();
         clock.add(Stage::Charger, ns.charger);
         if !night {
@@ -2647,7 +2579,6 @@ impl Simulation {
                 host.power_on();
                 host.resume_all();
                 self.offline_since[i] = None;
-                self.fleet.mark(i, DirtyReason::Power);
                 self.counters.restarts.inc();
                 Self::log_event(
                     &mut self.events,
@@ -2757,8 +2688,6 @@ impl Simulation {
             battery_capacity_ah: battery.spec().capacity().as_f64() * share,
             battery_lifetime_throughput_ah: battery.spec().lifetime_throughput().as_f64() * share,
             soc_floor: self.soc_floors[bank],
-            cutoff_events: battery.cutoff_events(),
-            hours_since_full: battery.hours_since_full(),
         })
     }
 
@@ -3282,6 +3211,73 @@ mod tests {
         }
         assert_eq!(resumed.state_hash(), sim.state_hash());
         assert_eq!(fork.state_hash(), sim.state_hash());
+    }
+
+    /// One ranked spec per rank-key shape: weighted (with the degraded
+    /// tier) and lifetime NAT.
+    fn ranked_specs(sim: &Simulation) -> [PlacementSpec; 2] {
+        [
+            PlacementSpec::WeightedAging {
+                server_power: sim.config.server_power,
+            },
+            PlacementSpec::LifetimeNat,
+        ]
+    }
+
+    /// Pre-aging drops the rank cache. It writes aging damage and no
+    /// telemetry, so no rank key reads what it moves today; the drop
+    /// keeps a key that ever reads damage from serving a stale order.
+    #[test]
+    fn pre_aging_invalidates_the_rank_cache() {
+        let mut sim = Simulation::new(quick_config(Weather::Cloudy)).unwrap();
+        sim.run_steps(&mut RoundRobinPolicy::new(), 1_300).unwrap();
+        let kind = WorkloadKind::WebServing;
+        for spec in ranked_specs(&sim) {
+            sim.placement_rank(spec, kind).unwrap();
+            assert!(sim.fleet.is_scored());
+            sim.pre_age_bank(2, 0.4).unwrap();
+            assert!(!sim.fleet.is_scored(), "pre_age_bank keeps a stale cache");
+            sim.placement_rank(spec, kind).unwrap();
+            sim.pre_age_batteries(0.5);
+            assert!(
+                !sim.fleet.is_scored(),
+                "pre_age_batteries keeps a stale cache"
+            );
+        }
+    }
+
+    /// A degraded flip re-ranks before the next query in the same step:
+    /// with no battery step in between, the flipped node moves to the
+    /// back of the weighted order at once.
+    #[test]
+    fn a_degraded_flip_reranks_without_a_battery_step() {
+        let mut plan = FaultPlan::new();
+        plan.push(FaultSpec {
+            kind: FaultKind::SensorDropout { bank: 0 },
+            start: SimInstant::from_secs(10 * 3600 + 300),
+            duration: SimDuration::from_minutes(30),
+        });
+        let mut b = SimConfig::builder();
+        b.weather_plan(vec![Weather::Sunny])
+            .dt(SimDuration::from_secs(60))
+            .control_interval(SimDuration::from_secs(3600))
+            .seed(21)
+            .faults(plan);
+        let mut sim = Simulation::new(b.build().unwrap()).unwrap();
+        // 10:20: bank 0's telemetry went stale after the 10:00 control
+        // interval, so no degradation check has flagged it yet.
+        sim.run_steps(&mut RoundRobinPolicy::new(), 620).unwrap();
+        let spec = ranked_specs(&sim)[0];
+        let kind = WorkloadKind::WebServing;
+        let before = sim.placement_rank(spec, kind).unwrap();
+        assert!(!sim.degraded[0]);
+        assert_ne!(before.last(), Some(&0), "node 0 must have room to move");
+        sim.update_degradation();
+        assert!(sim.degraded[0], "the dropout leaves node 0 stale");
+        let mut expect = before;
+        expect.retain(|&n| n != 0);
+        expect.push(0);
+        assert_eq!(sim.placement_rank(spec, kind).unwrap(), expect);
     }
 
     #[test]

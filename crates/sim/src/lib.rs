@@ -57,7 +57,7 @@ pub use engine::{availability, run_simulation, run_simulation_observed, Simulati
 pub use error::SimError;
 pub use events::{Event, EventLog, TimedEvent};
 pub use fallback::{FallbackInput, FallbackScheme, FALLBACK_DVFS, FALLBACK_SOC_FLOOR};
-pub use fleet::{DirtyReason, FleetView, PlacementSpec};
+pub use fleet::PlacementSpec;
 pub use pending::PendingQueue;
 pub use policy::{
     Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason, RoundRobinPolicy,

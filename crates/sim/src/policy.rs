@@ -200,8 +200,8 @@ pub trait Policy {
     /// engine refreshes its [`SystemView`] and calls
     /// [`Policy::placement_order`]). Policies whose order matches a
     /// declarative spec should return it: the engine then ranks from its
-    /// incremental [`crate::FleetView`] — bit-identical, without view
-    /// refreshes or from-scratch sorts. A non-`Custom` spec must describe
+    /// placement rank cache — bit-identical, without view refreshes or
+    /// a sort per placement. A non-`Custom` spec must describe
     /// *exactly* what `placement_order` computes; equality is pinned by
     /// the incremental-vs-scratch test suites.
     fn placement_spec(&self) -> PlacementSpec {
@@ -376,8 +376,6 @@ mod tests {
                     battery_capacity_ah: 70.0,
                     battery_lifetime_throughput_ah: 35_000.0,
                     soc_floor: Soc::EMPTY,
-                    cutoff_events: 0,
-                    hours_since_full: 0.0,
                 })
                 .collect(),
         }

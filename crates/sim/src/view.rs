@@ -62,10 +62,6 @@ pub struct NodeView {
     pub battery_lifetime_throughput_ah: f64,
     /// The policy-set SoC floor currently in force.
     pub soc_floor: Soc,
-    /// Cumulative under-voltage/empty cutoff events.
-    pub cutoff_events: u64,
-    /// Hours since the battery last reached full charge.
-    pub hours_since_full: f64,
 }
 
 /// Snapshot of the whole system at a control instant.
@@ -84,14 +80,6 @@ pub struct SystemView {
 }
 
 impl SystemView {
-    /// Index of the node whose battery holds the least charge.
-    pub fn lowest_soc_node(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .min_by(|a, b| a.soc.value().total_cmp(&b.soc.value()))
-            .map(|n| n.node)
-    }
-
     /// Nodes that are online, sorted by index.
     pub fn online_nodes(&self) -> impl Iterator<Item = &NodeView> {
         self.nodes.iter().filter(|n| n.online)
@@ -139,13 +127,11 @@ mod tests {
             battery_capacity_ah: 70.0,
             battery_lifetime_throughput_ah: 35_000.0,
             soc_floor: Soc::EMPTY,
-            cutoff_events: 0,
-            hours_since_full: 0.0,
         }
     }
 
     #[test]
-    fn lowest_soc_node_found() {
+    fn online_nodes_and_total_demand() {
         let view = SystemView {
             now: SimInstant::START,
             tod: TimeOfDay::NOON,
@@ -153,13 +139,12 @@ mod tests {
             solar: Watts::new(500.0),
             nodes: vec![node(0, 0.9, true), node(1, 0.2, true), node(2, 0.5, false)],
         };
-        assert_eq!(view.lowest_soc_node(), Some(1));
         assert_eq!(view.online_nodes().count(), 2);
         assert_eq!(view.total_demand(), Watts::new(300.0));
     }
 
     #[test]
-    fn empty_view_has_no_lowest() {
+    fn empty_view_has_no_demand() {
         let view = SystemView {
             now: SimInstant::START,
             tod: TimeOfDay::NOON,
@@ -167,6 +152,7 @@ mod tests {
             solar: Watts::ZERO,
             nodes: vec![],
         };
-        assert_eq!(view.lowest_soc_node(), None);
+        assert_eq!(view.online_nodes().count(), 0);
+        assert_eq!(view.total_demand(), Watts::ZERO);
     }
 }

@@ -447,97 +447,3 @@ fn a_dying_battery_is_visible_and_survivable() {
     assert!(report.nodes[2].capacity_fraction < 0.82);
     assert!(report.total_work > 0.0, "the fleet keeps computing");
 }
-
-/// A policy that throttles node 0 once and never touches anything else —
-/// the probe for per-node dirty-mark targeting.
-struct DvfsOnce {
-    issued: bool,
-}
-
-impl Policy for DvfsOnce {
-    fn name(&self) -> &'static str {
-        "dvfs-once"
-    }
-
-    fn control(&mut self, _view: &SystemView, _ctx: &ControlCtx<'_>) -> Vec<Action> {
-        if self.issued {
-            return Vec::new();
-        }
-        self.issued = true;
-        vec![Action::SetDvfs {
-            node: 0,
-            level: DvfsLevel::P3,
-        }]
-    }
-
-    fn placement_order(&mut self, _kind: WorkloadKind, view: &SystemView) -> Vec<usize> {
-        (0..view.nodes.len()).collect()
-    }
-}
-
-/// Applied actions dirty exactly the acted-on node: after a lone DVFS
-/// throttle of node 0, the action seam has fired once, node 0 carries
-/// the action-dirty bit, and an untouched node does not.
-#[test]
-fn applied_actions_dirty_only_their_target_node() {
-    use baat_sim::DirtyReason;
-    let mut sim = Simulation::new(config(Weather::Sunny, 31)).expect("config valid");
-    let mut policy = DvfsOnce { issued: false };
-    // Control intervals only run in-window: step past 08:30 (step 510
-    // at dt=60) with room for several 300 s control intervals, so the
-    // single throttle has certainly been applied.
-    sim.run_steps(&mut policy, 530).expect("prefix runs");
-    let fleet = sim.fleet();
-    assert_eq!(
-        fleet.reason_marks(DirtyReason::Action),
-        1,
-        "exactly one action mark for the lone DVFS throttle"
-    );
-    // DvfsOnce has no placement spec, so the legacy path never drains
-    // the dirty set: the accumulated reason bits are inspectable.
-    assert_ne!(
-        fleet.dirty_reasons(0) & DirtyReason::Action.bit(),
-        0,
-        "node 0 must carry the action-dirty bit"
-    );
-    assert_eq!(
-        fleet.dirty_reasons(3) & DirtyReason::Action.bit(),
-        0,
-        "node 3 was never acted on"
-    );
-}
-
-/// Fault injection AND clearing both invalidate the afflicted bank's
-/// members, and the staleness-driven degraded flips mark the node too.
-#[test]
-fn fault_edges_and_degraded_flips_mark_the_dirty_set() {
-    use baat_sim::{DirtyReason, FaultKind, RoundRobinPolicy};
-    let config = one_fault_config(FaultKind::SensorDropout { bank: 2 }, 10 * 3600, 20);
-    let steps = 86_400 / config.dt.as_secs();
-    let mut sim = Simulation::new(config).expect("config valid");
-    sim.run_steps(&mut RoundRobinPolicy::new(), steps)
-        .expect("day runs");
-    let fleet = sim.fleet();
-    assert_eq!(
-        fleet.reason_marks(DirtyReason::Fault),
-        2,
-        "one mark at injection, one at clearing (per-server bank 2 has one member)"
-    );
-    assert!(
-        fleet.reason_marks(DirtyReason::Degraded) >= 2,
-        "node 2 entered and left degraded mode"
-    );
-    // The always-on seams fired throughout the day.
-    assert!(
-        fleet.reason_marks(DirtyReason::Battery) >= steps,
-        "every battery step re-dirties the fleet"
-    );
-    assert!(
-        fleet.reason_marks(DirtyReason::ModeSwitch) > 0,
-        "charger stage transitions must mark their bank's members"
-    );
-    assert!(
-        fleet.reason_marks(DirtyReason::Power) > 0,
-        "window edges and shutdowns mark power transitions"
-    );
-}

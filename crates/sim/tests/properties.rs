@@ -395,6 +395,38 @@ fn placement_memo_matches_scratch_on_an_oversubscribed_fleet() {
     }
 }
 
+/// The engine's rank equals the scratch sort over a fresh view right
+/// after a mid-run `pre_age_bank` and `pre_age_batteries`, with no step
+/// in between, for both ranked specs and every workload kind.
+#[test]
+fn placement_rank_matches_scratch_right_after_pre_aging() {
+    let config = faulted_config(Weather::Cloudy, 7, 6);
+    let server_power = config.server_power;
+    let specs = [
+        PlacementSpec::WeightedAging { server_power },
+        PlacementSpec::LifetimeNat,
+    ];
+    let mut sim = Simulation::new(config).expect("sim builds");
+    let assert_ranks_match = |sim: &mut Simulation, when: &str| {
+        let view = sim.build_view().expect("view builds");
+        for spec in specs {
+            for kind in WorkloadKind::ALL {
+                let rank = sim.placement_rank(spec, kind).expect("rank computes");
+                let scratch = SpecPolicy(spec).placement_order(kind, &view);
+                assert_eq!(rank, scratch, "{spec:?}/{kind:?} {when}");
+            }
+        }
+    };
+    // 12:30 at dt = 300 s: the batteries have cycled and aged unevenly.
+    sim.run_steps(&mut SpecPolicy(specs[0]), 150)
+        .expect("prefix runs");
+    assert_ranks_match(&mut sim, "before pre-aging");
+    sim.pre_age_bank(2, 0.6).expect("bank exists");
+    assert_ranks_match(&mut sim, "after pre_age_bank");
+    sim.pre_age_batteries(0.7);
+    assert_ranks_match(&mut sim, "after pre_age_batteries");
+}
+
 /// How one queue retry orders the hosts, mirroring the four declarative
 /// placement specs: first-fit walks from host 0, round-robin from its
 /// start, and the two ranked specs walk a ranking (weighted aging ranks
