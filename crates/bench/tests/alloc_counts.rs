@@ -95,11 +95,12 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 /// Allocations per step budgeted for the engine's own step loop (events,
 /// queues, amortized growth) on the faulted BAAT day below, which
-/// measures 0.931/step. Disabled observability must not add to it, the
+/// measures 0.920/step. Disabled observability must not add to it, the
 /// inline routing pass adds nothing either, the control interval
-/// refreshes the engine's kept system view in place, and the history
-/// journals allocate one chunk per 4,096 rows.
-const STEP_ALLOC_BUDGET: f64 = 1.14;
+/// refreshes the engine's kept system view in place, the cluster step
+/// lands due migrations in place, and the history journals allocate one
+/// chunk per 4,096 rows.
+const STEP_ALLOC_BUDGET: f64 = 1.13;
 
 fn faulted_day_config() -> SimConfig {
     faulted_day_config_threads(1)
@@ -194,13 +195,13 @@ fn disabled_observability_allocates_nothing() {
     // the shard slots' buffer live in the reusable step scratch, the
     // append stage's tasks sit on the stack, and `ExecPool::run_each`
     // hands each task its slot without a per-batch vector. Measures
-    // 0.935/step, against 0.933 inline. The metering itself must add
+    // 0.923/step, against 0.920 inline. The metering itself must add
     // nothing: worker meters are sized at pool construction, per-shard
     // timing vectors live in the reusable step scratch, and the off
     // path is one relaxed load per batch — any metering allocation
     // would blow the tight margin. The counting allocator is global, so
     // worker-thread allocations are counted too.
-    const SHARDED_STEP_ALLOC_BUDGET: f64 = 1.15;
+    const SHARDED_STEP_ALLOC_BUDGET: f64 = 1.14;
     let config = faulted_day_config_threads(4);
     let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid");
     let mut policy = Scheme::Baat.build();

@@ -2,7 +2,7 @@
 //!
 //! The simulation step is a fixed pipeline (solar → switcher → charger →
 //! battery-step → policy-control → placement-rank → placement →
-//! recorder). Each stage is
+//! cluster-step → recorder). Each stage is
 //! timed with an RAII guard: [`Obs::time`] returns a [`StageTimer`]
 //! whose `Drop` records the elapsed wall-clock nanoseconds and bumps the
 //! call count. When the context is disabled the guard is empty and
@@ -40,13 +40,17 @@ pub enum Stage {
     /// VM arrival placement and pending-queue retries (admission walks;
     /// order production is timed as [`Stage::PlacementRank`]).
     Placement,
+    /// The cluster step: due migrations land, then every host advances
+    /// its VMs (skipped outside the operating window, where every host
+    /// is off).
+    ClusterStep,
     /// Trace-row sampling into the `Recorder`.
     Recorder,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 9;
 
     /// All stages, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -57,6 +61,7 @@ impl Stage {
         Stage::PolicyControl,
         Stage::PlacementRank,
         Stage::Placement,
+        Stage::ClusterStep,
         Stage::Recorder,
     ];
 
@@ -70,6 +75,7 @@ impl Stage {
             Stage::PolicyControl => "policy_control",
             Stage::PlacementRank => "placement_rank",
             Stage::Placement => "placement",
+            Stage::ClusterStep => "cluster_step",
             Stage::Recorder => "recorder",
         }
     }

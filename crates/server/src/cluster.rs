@@ -261,29 +261,45 @@ impl Cluster {
     }
 
     /// Advances the whole cluster one step: completes due migrations,
-    /// then steps every host. Work done accrues on each host
-    /// ([`Host::work_done`], summed by [`Self::total_work_done`]).
-    pub fn step(&mut self, now: SimInstant, tod: TimeOfDay, dt: SimDuration) {
-        let mut remaining = Vec::with_capacity(self.in_flight.len());
-        for mut mig in self.in_flight.drain(..) {
-            if mig.completes_at <= now {
-                // Capacity was reserved when the migration started; a
-                // target that has somehow vanished keeps the VM in
-                // flight rather than dropping it (or panicking).
-                if let Some(host) = self.hosts.get_mut(mig.to.0) {
-                    mig.vm.resume();
-                    host.admit_unchecked(mig.vm);
-                } else {
-                    remaining.push(mig);
-                }
-            } else {
-                remaining.push(mig);
-            }
-        }
-        self.in_flight = remaining;
-
+    /// then steps every host and hands it, stepped, to `stepped`. Work
+    /// done accrues on each host ([`Host::work_done`], summed by
+    /// [`Self::total_work_done`]).
+    pub fn step(
+        &mut self,
+        now: SimInstant,
+        tod: TimeOfDay,
+        dt: SimDuration,
+        mut stepped: impl FnMut(&Host),
+    ) {
+        self.complete_migrations(now);
         for host in &mut self.hosts {
             host.step(tod, dt);
+            stepped(host);
+        }
+    }
+
+    /// Advances a cluster whose hosts are all powered off one step:
+    /// completes due migrations onto their (powered-off) targets and
+    /// skips the host walk, since a powered-off host's step does nothing.
+    pub fn step_powered_off(&mut self, now: SimInstant) {
+        debug_assert!(
+            self.hosts.iter().all(|h| !h.is_online()),
+            "step_powered_off on a cluster with a powered host"
+        );
+        self.complete_migrations(now);
+    }
+
+    /// Lands every migration due by `now` on its target, in initiation
+    /// order; the rest stay in flight, in order.
+    fn complete_migrations(&mut self, now: SimInstant) {
+        // Capacity was reserved when the migration started; a target
+        // that has somehow vanished keeps the VM in flight rather than
+        // dropping it (or panicking).
+        let len = self.hosts.len();
+        let due = |m: &mut InFlight| m.completes_at <= now && m.to.0 < len;
+        for mut mig in self.in_flight.extract_if(.., due) {
+            mig.vm.resume();
+            self.hosts[mig.to.0].admit_unchecked(mig.vm);
         }
     }
 
@@ -426,17 +442,48 @@ mod tests {
         let mut now = t0;
         for _ in 0..3 {
             now += dt;
-            c.step(now, TimeOfDay::NOON, dt);
+            c.step(now, TimeOfDay::NOON, dt, |_| {});
         }
         assert_eq!(c.migrations_in_flight(), 1, "not yet complete");
         now += dt;
-        c.step(now, TimeOfDay::NOON, dt);
+        c.step(now, TimeOfDay::NOON, dt, |_| {});
         assert_eq!(c.migrations_in_flight(), 0, "complete");
         assert_eq!(c.locate(VmId(1)), Some(ServerId(3)));
         assert_eq!(
             c.host(3).unwrap().vm(VmId(1)).unwrap().state(),
             VmState::Running
         );
+    }
+
+    #[test]
+    fn a_powered_off_cluster_lands_due_migrations_in_order() {
+        let mut c = cluster();
+        let admit = |c: &mut Cluster, host: usize, id: u64, kind: WorkloadKind| {
+            c.host_mut(host).unwrap().admit(vm(id, kind)).unwrap();
+        };
+        admit(&mut c, 0, 1, WorkloadKind::KMeans);
+        admit(&mut c, 0, 2, WorkloadKind::WordCount);
+        admit(&mut c, 1, 3, WorkloadKind::KMeans);
+        let t0 = SimInstant::START;
+        for (id, target) in [(1, 2), (2, 3), (3, 4)] {
+            c.begin_migration(VmId(id), ServerId(target), t0).unwrap();
+        }
+        c.power_off_all();
+        // Word Count: 4 GiB × 30 s + 30 s = 150 s; K-Means 210 s.
+        c.step_powered_off(t0 + SimDuration::from_secs(150));
+        assert_eq!(c.locate(VmId(2)), Some(ServerId(3)));
+        assert!(!c.host(3).unwrap().is_online());
+        let in_flight: Vec<VmId> = c
+            .capture_state()
+            .in_flight
+            .iter()
+            .map(|m| m.vm.id)
+            .collect();
+        assert_eq!(in_flight, [VmId(1), VmId(3)], "initiation order kept");
+        c.step_powered_off(t0 + SimDuration::from_secs(210));
+        assert_eq!(c.migrations_in_flight(), 0);
+        assert_eq!(c.locate(VmId(1)), Some(ServerId(2)));
+        assert_eq!(c.locate(VmId(3)), Some(ServerId(4)));
     }
 
     #[test]
@@ -507,6 +554,7 @@ mod tests {
             SimInstant::from_secs(10),
             TimeOfDay::NOON,
             SimDuration::from_secs(10),
+            |_| {},
         );
         assert_eq!(c.total_work_done(), 0.0, "migrating VM does no work");
     }
@@ -544,7 +592,7 @@ mod tests {
         let dt = SimDuration::from_minutes(10);
         for _ in 0..6 {
             now += dt;
-            c.step(now, TimeOfDay::NOON, dt);
+            c.step(now, TimeOfDay::NOON, dt, |_| {});
         }
         assert!(c.total_work_done() > 0.0);
         assert!(c.host(0).unwrap().work_done() > 0.0);

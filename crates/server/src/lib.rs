@@ -31,6 +31,7 @@
 //!     SimInstant::from_secs(10),
 //!     TimeOfDay::NOON,
 //!     SimDuration::from_secs(10),
+//!     |_| {},
 //! );
 //! assert!(cluster.host(0)?.work_done() > 0.0);
 //! # Ok::<(), baat_server::ServerError>(())

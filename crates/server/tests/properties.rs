@@ -82,7 +82,7 @@ proptest! {
         let mut now = t0;
         for _ in 0..60 {
             now += dt;
-            cluster.step(now, TimeOfDay::NOON, dt);
+            cluster.step(now, TimeOfDay::NOON, dt, |_| {});
         }
         prop_assert_eq!(cluster.locate(VmId(9)), Some(ServerId(target)));
         prop_assert_eq!(cluster.migrations_in_flight(), 0);

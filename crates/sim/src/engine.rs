@@ -31,7 +31,7 @@ use baat_battery::{
 };
 use baat_exec::ExecPool;
 use baat_faults::{BankFaults, FaultInjector, FaultKind, FaultPlan};
-use baat_metrics::{class_index, AgingMetrics, BatteryRatings};
+use baat_metrics::{AgingMetrics, BatteryRatings};
 use baat_obs::{
     Counter, FlightRecorder, Gauge, HealthConfig, HealthMonitor, Histogram, NodeHealthSample, Obs,
     SpanId, Stage, StageClock, Tracer,
@@ -50,7 +50,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog, TimedEvent};
 use crate::fallback::{FallbackInput, FallbackScheme};
-use crate::fleet::{demand_class, FleetView, PlacementSpec, NAT_MODE};
+use crate::fleet::{FleetView, PlacementSpec};
 use crate::pending::PendingQueue;
 use crate::policy::{Action, ActionOutcome, ActionResult, ControlCtx, Policy, RejectReason};
 use crate::recorder::{Recorder, TraceRow};
@@ -824,6 +824,37 @@ impl PowerRows<'_> {
     }
 }
 
+/// Workload kinds: one admission frontier per kind in a placement pass.
+const KINDS: usize = WorkloadKind::ALL.len();
+
+#[cfg(test)]
+thread_local! {
+    /// Hosts this thread's admission walks examined (test-only work
+    /// count, so a return to full walks fails a test without timing).
+    static ADMISSION_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Admits `vm` to the first host of `walk` that is online with room for
+/// `request`, and returns how many hosts the walk passed over first;
+/// hands `vm` back if none could take it.
+fn admit_first(
+    cluster: &mut Cluster,
+    vm: Vm,
+    request: (u32, u32),
+    walk: impl Iterator<Item = usize>,
+) -> Result<Result<usize, Vm>, SimError> {
+    for (skipped, node) in walk.enumerate() {
+        #[cfg(test)]
+        ADMISSION_PROBES.with(|p| p.set(p.get() + 1));
+        let host = cluster.host_mut(node)?;
+        if host.is_online() && host.fits(request) {
+            host.admit(vm)?;
+            return Ok(Ok(skipped));
+        }
+    }
+    Ok(Err(vm))
+}
+
 /// One green-datacenter simulation instance.
 #[derive(Clone)]
 pub struct Simulation {
@@ -1186,16 +1217,12 @@ impl Simulation {
         kind: WorkloadKind,
     ) -> Result<Vec<usize>, SimError> {
         let n = self.config.nodes;
-        let mode = match spec {
-            PlacementSpec::Custom | PlacementSpec::FirstFit => return Ok((0..n).collect()),
-            PlacementSpec::RoundRobin => {
-                let start = self.fleet.rr_peek();
-                return Ok((0..n).map(|i| (start + i) % n).collect());
-            }
-            PlacementSpec::WeightedAging { server_power } => {
-                class_index(demand_class(kind, &server_power))
-            }
-            PlacementSpec::LifetimeNat => NAT_MODE,
+        let Some(mode) = spec.mode(kind) else {
+            let start = match spec {
+                PlacementSpec::RoundRobin => self.fleet.rr_peek(),
+                _ => 0,
+            };
+            return Ok((0..n).map(|i| (start + i) % n).collect());
         };
         self.refresh_fleet()?;
         self.fleet.ensure_sorted(mode, &self.degraded);
@@ -1779,17 +1806,23 @@ impl Simulation {
             self.try_restarts(solar_total)?;
         }
 
-        // Advance the cluster (migrations + VM execution).
-        self.cluster.step(self.now, tod, dt);
-
-        // Downtime accounting.
+        // Advance the cluster (migrations + VM execution), charging
+        // downtime to every host still off after its step. Outside the
+        // window every host is off (powered down at the window edge and
+        // restarted only inside it), and an off host's step does nothing,
+        // so a night step only lands the migrations that fall due.
+        clock.skip();
         if in_window {
-            for i in 0..self.config.nodes {
-                if !self.cluster.host(i)?.is_online() {
-                    self.downtime[i] += dt;
+            let downtime = &mut self.downtime;
+            self.cluster.step(self.now, tod, dt, |host| {
+                if !host.is_online() {
+                    downtime[host.id().0] += dt;
                 }
-            }
+            });
+        } else {
+            self.cluster.step_powered_off(self.now);
         }
+        clock.lap(Stage::ClusterStep);
 
         // Trace recording.
         if self
@@ -2143,8 +2176,9 @@ impl Simulation {
         spec: PlacementSpec,
     ) -> Result<(), SimError> {
         let mut cursor = self.fleet.rr_cursor();
+        let mut frontier = [0; KINDS];
         queue.retry(&mut cursor, self.config.nodes, |vm, kind, start| {
-            self.admit_fast(vm, kind, spec, start)
+            self.admit_fast(vm, kind, spec, start, &mut frontier)
         })?;
         if spec == PlacementSpec::RoundRobin {
             self.fleet.set_rr_cursor(cursor);
@@ -2153,50 +2187,57 @@ impl Simulation {
     }
 
     /// Walks `spec`'s host order for a VM of `kind` and admits it to the
-    /// first online host with room, or hands it back. `start` is where a
-    /// round-robin walk begins (other specs ignore it). Ranked specs
-    /// sort their mode on its first read since the caller's refresh: it
-    /// is a cache over the scores and degraded flags, which no
-    /// admission changes, so sorting it later in a pass gives the same
-    /// order.
+    /// first online host with room, or hands it back. A round-robin walk
+    /// begins at `start`. The other specs walk a fixed order, first-fit's
+    /// index order or a ranked mode, and begin at the kind's `frontier`:
+    /// the position the pass last admitted a VM of `kind` at. Within a
+    /// pass hosts only lose room and none changes online state, so every
+    /// position before it still cannot take the kind's request, and the
+    /// walk admits where one from the front would. The caller starts
+    /// each pass at zero, since completions, evictions and restarts
+    /// between passes free room.
+    ///
+    /// Ranked specs sort their mode on its first read since the caller's
+    /// refresh: it is a cache over the scores and degraded flags, which
+    /// no admission changes, so sorting it later in a pass gives the
+    /// same order.
     fn admit_fast(
         &mut self,
         vm: Vm,
         kind: WorkloadKind,
         spec: PlacementSpec,
         start: usize,
+        frontier: &mut [usize; KINDS],
     ) -> Result<Option<Vm>, SimError> {
         let n = self.config.nodes;
-        let (start, mode) = match spec {
+        let request = kind.resource_request();
+        let cluster = &mut self.cluster;
+        let from = frontier[kind as usize];
+        let walked = match spec {
             PlacementSpec::Custom => unreachable!("custom specs use place_vm"),
-            PlacementSpec::FirstFit => (0, None),
-            PlacementSpec::RoundRobin => (start, None),
-            PlacementSpec::WeightedAging { server_power } => {
+            PlacementSpec::RoundRobin => {
+                let walk = (0..n).map(|r| (start + r) % n);
+                return Ok(admit_first(cluster, vm, request, walk)?.err());
+            }
+            PlacementSpec::FirstFit => admit_first(cluster, vm, request, from..n)?,
+            PlacementSpec::WeightedAging { .. } | PlacementSpec::LifetimeNat => {
+                let mode = spec.mode(kind).expect("ranked specs read a mode");
                 // Untimed: the mode sorts here at most once per
                 // invalidation, and per-VM timer guards would cost more
                 // clock reads than the check they measure.
-                let mode = class_index(demand_class(kind, &server_power));
                 self.fleet.ensure_sorted(mode, &self.degraded);
-                (0, Some(mode))
-            }
-            PlacementSpec::LifetimeNat => {
-                self.fleet.ensure_sorted(NAT_MODE, &self.degraded);
-                (0, Some(NAT_MODE))
+                let fleet = &self.fleet;
+                let walk = (from..n).map(|r| fleet.ranked_node(mode, r));
+                admit_first(cluster, vm, request, walk)?
             }
         };
-        let request = kind.resource_request();
-        for r in 0..n {
-            let node = match mode {
-                None => (start + r) % n,
-                Some(m) => self.fleet.ranked_node(m, r),
-            };
-            let host = self.cluster.host_mut(node)?;
-            if host.is_online() && host.fits(request) {
-                host.admit(vm)?;
-                return Ok(None);
+        Ok(match walked {
+            Ok(skipped) => {
+                frontier[kind as usize] = from + skipped;
+                None
             }
-        }
-        Ok(Some(vm))
+            Err(vm) => Some(vm),
+        })
     }
 
     /// Re-scores every bank if the rank cache was invalidated, fanned
@@ -3278,6 +3319,45 @@ mod tests {
         expect.retain(|&n| n != 0);
         expect.push(0);
         assert_eq!(sim.placement_rank(spec, kind).unwrap(), expect);
+    }
+
+    /// e-Buff's placement: first-fit by index, no control actions.
+    struct FirstFitPolicy;
+
+    impl Policy for FirstFitPolicy {
+        fn name(&self) -> &'static str {
+            "first-fit"
+        }
+
+        fn control(&mut self, _view: &SystemView, _ctx: &ControlCtx<'_>) -> Vec<Action> {
+            Vec::new()
+        }
+
+        fn placement_order(&mut self, _kind: WorkloadKind, view: &SystemView) -> Vec<usize> {
+            (0..view.nodes.len()).collect()
+        }
+
+        fn placement_spec(&self) -> PlacementSpec {
+            PlacementSpec::FirstFit
+        }
+    }
+
+    /// The admission walks of a 500-host cloudy first-fit morning
+    /// (midnight to 10:00 at dt = 30 s, seed 7) examine 206,406 hosts.
+    /// Walks from the front of the order would examine 324,479 (23.3 M
+    /// against 2.77 M at 5,000 hosts), so a walk that stops resuming at
+    /// its pass frontier fails this count.
+    #[test]
+    fn first_fit_morning_admission_probes_are_pinned() {
+        let mut b = SimConfig::builder();
+        b.weather_plan(vec![Weather::Cloudy])
+            .dt(SimDuration::from_secs(30))
+            .seed(7)
+            .fleet(500);
+        let mut sim = Simulation::new(b.build().unwrap()).unwrap();
+        ADMISSION_PROBES.with(|p| p.set(0));
+        sim.run_steps(&mut FirstFitPolicy, 1_200).unwrap();
+        assert_eq!(ADMISSION_PROBES.with(|p| p.get()), 206_406);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!
 //! See DESIGN.md §10 for the architecture.
 
-use baat_metrics::{weighted_aging_all, AgingMetrics};
+use baat_metrics::{class_index, weighted_aging_all, AgingMetrics};
 use baat_server::ServerPowerModel;
 use baat_workload::{DemandClass, WorkloadKind};
 
@@ -86,6 +86,18 @@ impl PlacementSpec {
     /// placing under them never re-scores the fleet.
     pub(crate) fn ranks_fleet(self) -> bool {
         matches!(self, Self::WeightedAging { .. } | Self::LifetimeNat)
+    }
+
+    /// The ranking mode a `kind` walk reads under a ranked spec; `None`
+    /// for the specs that walk in index order.
+    pub(crate) fn mode(self, kind: WorkloadKind) -> Option<usize> {
+        match self {
+            Self::WeightedAging { server_power } => {
+                Some(class_index(demand_class(kind, &server_power)))
+            }
+            Self::LifetimeNat => Some(NAT_MODE),
+            Self::Custom | Self::FirstFit | Self::RoundRobin => None,
+        }
     }
 }
 

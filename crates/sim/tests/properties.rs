@@ -662,3 +662,78 @@ fn per_kind_retry_matches_the_arrival_order_scan() {
         "{walked} walked, {skipped} skipped"
     );
 }
+
+/// Fixed-order admission walks resume at their pass's frontier, where
+/// the scratch path walks every VM's order from the front. On random
+/// over-subscribed fleets, with hosts offline (drained banks, host-down
+/// faults) and full, and all six kinds queued and retried, both must
+/// admit every VM of every pass to the same host. The cluster and the
+/// queue are compared after every step: a step's placement passes are
+/// the only thing that admits a VM, and these policies never migrate.
+#[test]
+fn frontier_walks_admit_where_full_walks_do() {
+    let mut rng = StdRng::seed_from_u64(0xf207_71e2);
+    let weathers = [Weather::Sunny, Weather::Cloudy, Weather::Rainy];
+    let (mut offline, mut full, mut queued_max) = (0, 0, 0);
+    let mut queued_kinds = [false; WorkloadKind::ALL.len()];
+    for case in 0..4 {
+        let nodes = rng.random_range(3..=16usize);
+        let seed = rng.random_range(0..1_000u64);
+        let mut b = SimConfig::builder();
+        b.weather_plan(vec![weathers[rng.random_range(0..3usize)], Weather::Rainy])
+            .nodes(nodes)
+            .workload_mix(3 * nodes, 20 * nodes)
+            .dt(SimDuration::from_secs(300))
+            .control_interval(SimDuration::from_secs(300))
+            .sample_every(4)
+            .seed(seed);
+        if case % 2 == 1 {
+            b.faults(FaultPlan::generate(
+                seed,
+                2,
+                nodes,
+                nodes,
+                &FaultMix::heavy(),
+            ));
+        }
+        let config = b.build().expect("config is valid");
+        let specs = [
+            PlacementSpec::FirstFit,
+            PlacementSpec::WeightedAging {
+                server_power: config.server_power,
+            },
+            PlacementSpec::LifetimeNat,
+        ];
+        for spec in specs {
+            let mut fast = Simulation::new(config.clone()).expect("sim builds");
+            let mut scratch = Simulation::new(config.clone()).expect("sim builds");
+            let mut policy = SpecPolicy(spec);
+            let mut full_walks = ScratchPlacement(SpecPolicy(spec));
+            for step in 0..fast.total_steps() {
+                fast.step(&mut policy).expect("fast step");
+                scratch.step(&mut full_walks).expect("scratch step");
+                let cluster = fast.cluster().capture_state();
+                let pending = fast.snapshot().state.pending;
+                let at = format!("case {case} ({nodes} nodes, seed {seed}) {spec:?} step {step}");
+                assert_eq!(cluster, scratch.cluster().capture_state(), "{at}");
+                assert_eq!(pending, scratch.snapshot().state.pending, "{at}");
+                let online = fast.cluster().hosts().filter(|h| h.is_online());
+                let (up, full_up) =
+                    online.fold((0, 0), |(up, f), h| (up + 1, f + !h.fits((2, 4)) as usize));
+                if up > 0 && up < nodes {
+                    offline += 1;
+                }
+                full += full_up;
+                queued_max = queued_max.max(pending.len());
+                for vm in &pending {
+                    queued_kinds[vm.kind as usize] = true;
+                }
+            }
+        }
+    }
+    assert!(
+        offline > 100 && full > 100 && queued_max > 20 && queued_kinds.iter().all(|&k| k),
+        "{offline} steps with hosts offline, {full} full host-steps, \
+         {queued_max} queued at most, kinds queued {queued_kinds:?}"
+    );
+}
