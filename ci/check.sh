@@ -8,6 +8,9 @@
 #   smoke  — faulted-determinism + OpenMetrics-golden console smokes,
 #            and `figures --quick` byte-identical at 1 and 8 runner
 #            threads
+#   benchmark — the benchmark of record's smoke (`run.sh --smoke`: every
+#            workload untraced and traced, hashes vs expected.json) and
+#            its package's unit tests
 #   replay — checkpoint/kill/resume gate: an interrupted checkpointing
 #            run resumed in a fresh process must byte-match the
 #            uninterrupted run's artifacts, and a snapshot's checksum
@@ -201,6 +204,18 @@ run_smoke() {
     cmp "$SMOKE_DIR/figures-1.md" "$SMOKE_DIR/figures-8.md"
 }
 
+run_benchmark() {
+    echo "==> benchmark smoke (every workload, untraced and traced)"
+    # The benchmark is its own package (own lock file and build) that
+    # drives the engine through the public API, so this also compiles
+    # its traced policy wrapper against the current `Policy` and
+    # `SystemView`.
+    crates/bench/examples/benchmark/run.sh --smoke
+
+    echo "==> benchmark unit tests"
+    cargo test --manifest-path crates/bench/examples/benchmark/Cargo.toml
+}
+
 run_replay() {
     echo "==> checkpoint / kill / resume replay gate"
     # An interrupted checkpointing run, resumed from its last complete
@@ -353,6 +368,7 @@ case "$MODE" in
 lint) run_lint ;;
 test) run_test ;;
 smoke) run_smoke ;;
+benchmark) run_benchmark ;;
 replay) run_replay ;;
 fleet) run_fleet ;;
 perf) run_perf ;;
@@ -360,12 +376,13 @@ all)
     run_lint
     run_test
     run_smoke
+    run_benchmark
     run_replay
     run_fleet
     run_perf
     ;;
 *)
-    echo "error: unknown mode '$MODE' (lint|test|smoke|replay|fleet|perf|all)" >&2
+    echo "error: unknown mode '$MODE' (lint|test|smoke|benchmark|replay|fleet|perf|all)" >&2
     exit 2
     ;;
 esac

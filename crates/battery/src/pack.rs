@@ -9,7 +9,7 @@ use baat_rng::StdRng;
 use baat_units::{Fraction, Ohms, Scale};
 
 use crate::aging::{AgingModel, AgingState};
-use crate::chemistry::{AnyBattery, BatteryModel, Chemistry};
+use crate::chemistry::{AnyBattery, Chemistry};
 use crate::error::BatteryError;
 use crate::liion::LiIonBattery;
 use crate::model::Battery;
@@ -261,17 +261,6 @@ impl BatteryPack {
     pub fn units_mut(&mut self) -> &mut [AnyBattery] {
         &mut self.units
     }
-
-    /// Index of the unit with the highest accumulated damage (the paper's
-    /// "worst battery node").
-    pub fn most_aged(&self) -> usize {
-        self.units
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_damage().total_cmp(&b.total_damage()))
-            .map(|(i, _)| i)
-            .expect("pack is never empty")
-    }
 }
 
 #[cfg(test)]
@@ -279,6 +268,7 @@ mod tests {
     use super::*;
     use baat_units::{Celsius, SimDuration, SimInstant, Watts};
 
+    use crate::chemistry::BatteryModel;
     use crate::model::BatteryOp;
 
     #[test]
@@ -372,7 +362,8 @@ mod tests {
                 .step(BatteryOp::Idle, Celsius::new(25.0), now, dt);
             now += dt;
         }
-        assert_eq!(pack.most_aged(), 1);
+        let damage = |i| pack.unit(i).unwrap().total_damage();
+        assert!(damage(1) > damage(0) && damage(1) > damage(2));
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl RatioSweep {
     }
 }
 
-/// Exposed for calibration tooling.
-pub fn debug_config(ratio_w_per_ah: f64, battery_scale: f64, days: usize, seed: u64) -> SimConfig {
-    config_for(ratio_w_per_ah, battery_scale, days, seed)
-}
-
 fn config_for(ratio_w_per_ah: f64, battery_scale: f64, days: usize, seed: u64) -> SimConfig {
     let battery_ah = 70.0 * battery_scale;
     let peak = ratio_w_per_ah * battery_ah;

@@ -256,12 +256,6 @@ impl FaultPlan {
         self.staleness_limit
     }
 
-    /// Overrides the staleness bound.
-    pub fn set_staleness_limit(&mut self, limit: SimDuration) -> &mut Self {
-        self.staleness_limit = limit;
-        self
-    }
-
     /// Checks every scheduled fault against the topology (`nodes`
     /// servers, `banks` battery banks) and its parameter domain.
     ///

@@ -14,7 +14,8 @@
 //! On top of the raw metrics sit the decision values BAAT's policies use:
 //!
 //! * [`weighted_aging`] — the Eq-6 weighted aging value with Table-3
-//!   demand-class sensitivities, and [`rank_nodes`] for Fig 8 placement;
+//!   demand-class sensitivities, whose ascending order is the Fig 8
+//!   placement order;
 //! * [`dod_goal`] — the Eq-7 planned-aging DoD target.
 //!
 //! # Examples
@@ -54,6 +55,6 @@ pub use planned::{
     dod_goal, observed_cycles_per_day, planned_cycles, PlannedAgingInputs, DOD_GOAL_RANGE,
 };
 pub use weighted::{
-    class_index, rank_nodes, table3_sensitivities, weighted_aging, weighted_aging_all, AgingScores,
+    class_index, table3_sensitivities, weighted_aging, weighted_aging_all, AgingScores,
     MetricSensitivities, Sensitivity, DEMAND_CLASSES,
 };

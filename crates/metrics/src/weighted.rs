@@ -192,18 +192,6 @@ pub fn weighted_aging_all(metrics: &AgingMetrics) -> [f64; 4] {
     out
 }
 
-/// Ranks battery nodes by weighted aging, least-aged first — the Fig 8
-/// placement order.
-///
-/// Returns the node indices sorted ascending by weighted aging, ties by
-/// index. Each node is scored once, before the stable sort.
-pub fn rank_nodes(metrics: &[AgingMetrics], class: DemandClass) -> Vec<usize> {
-    let scores: Vec<f64> = metrics.iter().map(|m| weighted_aging(m, class)).collect();
-    let mut order: Vec<usize> = (0..metrics.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,38 +277,10 @@ mod tests {
 
     #[test]
     fn ranking_orders_least_aged_first() {
-        let nodes = vec![
-            metrics_with(0.5, Some(0.9), 0.5),
-            metrics_with(0.1, Some(1.2), 0.1),
-            metrics_with(0.9, Some(0.7), 0.9),
-        ];
-        let order = rank_nodes(&nodes, class(PowerDemand::Large, EnergyDemand::More));
-        assert_eq!(order, vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn ranking_matches_per_comparison_scoring_and_breaks_ties_by_index() {
-        let nodes = vec![
-            metrics_with(0.5, Some(0.9), 0.5),
-            metrics_with(0.1, Some(1.2), 0.1),
-            metrics_with(0.5, Some(0.9), 0.5),
-            metrics_with(0.9, None, 0.9),
-            metrics_with(0.1, Some(1.2), 0.1),
-            metrics_with(0.3, Some(0.7), 0.0),
-        ];
-        for class in DEMAND_CLASSES {
-            let mut reference: Vec<usize> = (0..nodes.len()).collect();
-            reference.sort_by(|&a, &b| {
-                weighted_aging(&nodes[a], class).total_cmp(&weighted_aging(&nodes[b], class))
-            });
-            assert_eq!(rank_nodes(&nodes, class), reference, "{class:?}");
-        }
-        let order = rank_nodes(&nodes, class(PowerDemand::Large, EnergyDemand::More));
-        let pos = |i: usize| order.iter().position(|&n| n == i).unwrap();
-        assert!(
-            pos(1) < pos(4) && pos(0) < pos(2),
-            "equal scores keep index order"
-        );
+        let c = class(PowerDemand::Large, EnergyDemand::More);
+        let score = |nat, cf, low| weighted_aging(&metrics_with(nat, Some(cf), low), c);
+        assert!(score(0.1, 1.2, 0.1) < score(0.5, 0.9, 0.5));
+        assert!(score(0.5, 0.9, 0.5) < score(0.9, 0.7, 0.9));
     }
 
     #[test]

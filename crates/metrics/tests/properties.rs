@@ -1,9 +1,7 @@
 //! Property-based tests for the aging metrics.
 
 use baat_battery::UsageAccumulator;
-use baat_metrics::{
-    dod_goal, rank_nodes, weighted_aging, AgingMetrics, BatteryRatings, PlannedAgingInputs,
-};
+use baat_metrics::{dod_goal, weighted_aging, AgingMetrics, BatteryRatings, PlannedAgingInputs};
 use baat_testkit::prelude::*;
 use baat_units::{AmpHours, Amperes, SimDuration, Soc, Volts, WattHours};
 use baat_workload::{DemandClass, EnergyDemand, PowerDemand};
@@ -99,32 +97,6 @@ proptest! {
         prop_assert!((0.25..=1.0 + 1e-12).contains(&pc), "pc {pc}");
         let shares: f64 = m.pc.share_by_range.iter().sum();
         prop_assert!((shares - 1.0).abs() < 1e-9);
-    }
-
-    /// Ranking is a permutation and sorted by the weighted value.
-    #[test]
-    fn ranking_is_sorted_permutation(
-        nats in baat_testkit::collection::vec(0.0f64..1.0, 2..8),
-        class in class_strategy(),
-    ) {
-        let metrics: Vec<AgingMetrics> = nats
-            .iter()
-            .map(|&nat| {
-                let mut acc = UsageAccumulator::default();
-                record(&mut acc, 0.5, 10.0, (nat * 36_000.0) as u64 + 60);
-                AgingMetrics::from_accumulator(&acc, &ratings())
-            })
-            .collect();
-        let order = rank_nodes(&metrics, class);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..metrics.len()).collect::<Vec<_>>());
-        for pair in order.windows(2) {
-            prop_assert!(
-                weighted_aging(&metrics[pair[0]], class)
-                    <= weighted_aging(&metrics[pair[1]], class) + 1e-12
-            );
-        }
     }
 
     /// The Eq-7 DoD goal, when defined, is within the clamp range and

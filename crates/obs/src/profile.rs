@@ -32,13 +32,14 @@ pub enum Stage {
     /// Policy `control` invocation (the BAAT decision pass).
     PolicyControl,
     /// Placement-order production: the fleet re-scoring behind the
-    /// ranked specs (or, for custom policies, the `placement_order`
-    /// call itself). Split out of `Placement` so ranking cost and
-    /// admission cost report separately. A ranked mode re-sorts lazily
-    /// at the first admission walk that reads it, inside `Placement`.
+    /// ranked specs, one call per placement pass that re-scores (or,
+    /// for custom policies, each `placement_order` call). Never
+    /// overlaps [`Stage::Placement`]. A ranked mode re-sorts lazily at
+    /// the first admission walk that reads it, inside `Placement`.
     PlacementRank,
-    /// VM arrival placement and pending-queue retries (admission walks;
-    /// order production is timed as [`Stage::PlacementRank`]).
+    /// A declarative spec's admission walk: one call per placement
+    /// pass, an arrivals batch or a pending-queue retry. Order
+    /// production is timed as [`Stage::PlacementRank`].
     Placement,
     /// The cluster step: due migrations land, then every host advances
     /// its VMs (skipped outside the operating window, where every host

@@ -1,6 +1,6 @@
 //! The server cluster: cross-host VM migration and aggregate accounting.
 
-use baat_units::{SimDuration, SimInstant, TimeOfDay, Watts};
+use baat_units::{SimDuration, SimInstant, TimeOfDay};
 use baat_workload::{Vm, VmId, VmSnapshot};
 
 use crate::error::{MigrationBlock, ServerError};
@@ -303,11 +303,6 @@ impl Cluster {
         }
     }
 
-    /// Total electrical power drawn by all hosts.
-    pub fn total_power(&self, tod: TimeOfDay) -> Watts {
-        self.hosts.iter().map(|h| h.power(tod)).sum()
-    }
-
     /// Total useful work done (core-hours) across all hosts.
     pub fn total_work_done(&self) -> f64 {
         self.hosts.iter().map(Host::work_done).sum()
@@ -384,6 +379,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baat_units::Watts;
     use baat_workload::{VmState, WorkloadKind};
 
     fn cluster() -> Cluster {
@@ -566,11 +562,12 @@ mod tests {
             .unwrap()
             .admit(vm(1, WorkloadKind::SoftwareTesting))
             .unwrap();
-        assert!(c.total_power(TimeOfDay::NOON).as_f64() > 0.0);
+        let power = |c: &Cluster| c.hosts().map(|h| h.power(TimeOfDay::NOON)).sum::<Watts>();
+        assert!(power(&c).as_f64() > 0.0);
         c.power_off_all();
-        assert_eq!(c.total_power(TimeOfDay::NOON), Watts::ZERO);
+        assert_eq!(power(&c), Watts::ZERO);
         c.power_on_all();
-        assert!(c.total_power(TimeOfDay::NOON).as_f64() > 0.0);
+        assert!(power(&c).as_f64() > 0.0);
         assert_eq!(
             c.host(0).unwrap().vm(VmId(1)).unwrap().state(),
             VmState::Running

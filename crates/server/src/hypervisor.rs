@@ -268,11 +268,6 @@ impl Host {
         self.vms.iter().find(|v| v.id() == vm)
     }
 
-    /// Mutable view of a hosted VM.
-    pub fn vm_mut(&mut self, vm: VmId) -> Option<&mut Vm> {
-        self.vms.iter_mut().find(|v| v.id() == vm)
-    }
-
     /// Iterates over hosted VMs.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.iter()

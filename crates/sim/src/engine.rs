@@ -339,9 +339,11 @@ struct StepScratch {
     /// One step's arrivals, placed as a batch before the misfits join
     /// the pending queue.
     arrivals: PendingQueue<Vm>,
-    /// The policy-facing view, kept across control intervals and
-    /// rewritten in place by [`Simulation::take_view`]. Derived state:
-    /// never snapshotted or hashed, and `None` until the first use.
+    /// The control interval's view, kept across intervals and rewritten
+    /// in place by [`Simulation::take_view`]; nothing else reads it (a
+    /// `Custom` placement pass builds its own). Derived state: never
+    /// snapshotted or hashed, and `None` until the first control
+    /// interval.
     view: Option<SystemView>,
 }
 
@@ -1669,57 +1671,22 @@ impl Simulation {
             StageClock::inert()
         };
 
-        // Workload arrivals. Policies with a declarative placement spec
-        // place from the rank cache (re-scored once per batch when a key
-        // moved since it last served); custom policies keep the legacy
-        // path, where the system view is built lazily (most steps see no
-        // arrival), shared across the batch, and placement refreshes
-        // only the admitted node's entry per VM.
+        // Workload arrivals: the step's batch goes through one placement
+        // pass, and its misfits join the pending queue. The pass times
+        // itself, so the boundary clock drops the interval.
         if in_window {
-            match policy.placement_spec() {
-                PlacementSpec::Custom => {
-                    let mut view: Option<SystemView> = None;
-                    while let Some(arrival) = self.arrivals_today.front().copied() {
-                        if arrival.at > tod {
-                            break;
-                        }
-                        self.arrivals_today.pop_front();
-                        let vm = self.generator.spawn(arrival.kind);
-                        if view.is_none() {
-                            view = Some(self.take_view()?);
-                        }
-                        let view = view.as_mut().expect("view refreshed above");
-                        if let Some(vm) = self.place_vm(vm, arrival.kind, policy, view, obs)? {
-                            self.pending.push(arrival.kind, vm);
-                        }
-                    }
-                    if view.is_some() {
-                        self.scratch.view = view;
-                    }
+            let mut batch = std::mem::take(&mut self.scratch.arrivals);
+            while let Some(arrival) = self.arrivals_today.front().copied() {
+                if arrival.at > tod {
+                    break;
                 }
-                spec => {
-                    let mut batch = std::mem::take(&mut self.scratch.arrivals);
-                    while let Some(arrival) = self.arrivals_today.front().copied() {
-                        if arrival.at > tod {
-                            break;
-                        }
-                        self.arrivals_today.pop_front();
-                        batch.push(arrival.kind, self.generator.spawn(arrival.kind));
-                    }
-                    if !batch.is_empty() {
-                        {
-                            let _t = obs.time(Stage::PlacementRank);
-                            if spec.ranks_fleet() {
-                                self.refresh_fleet()?;
-                            }
-                        }
-                        self.place_fast(&mut batch, spec)?;
-                        self.pending.append(&mut batch);
-                    }
-                    self.scratch.arrivals = batch;
-                }
+                self.arrivals_today.pop_front();
+                batch.push(arrival.kind, self.generator.spawn(arrival.kind));
             }
-            clock.lap(Stage::Placement);
+            self.place(&mut batch, policy, obs)?;
+            self.pending.append(&mut batch);
+            self.scratch.arrivals = batch;
+            clock.skip();
         }
 
         // Solar generation for this step (also exposed to the policy).
@@ -2063,17 +2030,17 @@ impl Simulation {
     /// but not to the policy: they are the engine's own corrections,
     /// not the policy's.
     fn run_fallback(&mut self) -> Result<(), SimError> {
-        let inputs = (0..self.config.nodes)
-            .map(|i| {
-                Ok(FallbackInput {
-                    node: i,
-                    degraded: self.degraded[i],
-                    soc_floor: self.soc_floors[self.bank_of[i]],
-                    dvfs: self.cluster.host(i)?.dvfs(),
-                })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
-        let actions = self.fallback.plan(&inputs);
+        let inputs = self
+            .cluster
+            .hosts()
+            .enumerate()
+            .map(|(i, host)| FallbackInput {
+                node: i,
+                degraded: self.degraded[i],
+                soc_floor: self.soc_floors[self.bank_of[i]],
+                dvfs: host.dvfs(),
+            });
+        let actions = self.fallback.plan(inputs);
         self.fault_counters
             .fallback_actions
             .add(actions.len() as u64);
@@ -2126,41 +2093,70 @@ impl Simulation {
         }
     }
 
-    /// Attempts to place a VM; returns it back if no node can take it.
+    /// One placement pass over `queue`: each VM is offered the hosts
+    /// once, in arrival order, and the misfits stay queued in that order.
+    /// A declarative spec places from the rank cache, re-scoring first
+    /// if it ranks by fleet scores. [`PlacementSpec::Custom`] is the
+    /// scratch reference: it builds its own view for the pass and asks
+    /// the policy for an order per VM; the kept control view is not
+    /// touched.
     ///
-    /// `view` is a current [`SystemView`] owned by the caller. Placement
-    /// loops admit many VMs per step, and between two consecutive
-    /// attempts the only simulated state that changes is the admitted
-    /// host — so on success this refreshes just that node's entry, which
-    /// is bit-identical to refreshing the whole view (every other entry
-    /// is derived from unchanged state, and a view refresh draws no
-    /// randomness).
+    /// The profile rows time disjoint work: `placement_rank` the
+    /// re-score (or the `placement_order` calls), `placement` the spec
+    /// walk.
+    fn place<P: Policy>(
+        &mut self,
+        queue: &mut PendingQueue<Vm>,
+        policy: &mut P,
+        obs: &Obs,
+    ) -> Result<(), SimError> {
+        if queue.is_empty() {
+            return Ok(());
+        }
+        match policy.placement_spec() {
+            PlacementSpec::Custom => {
+                let mut view = self.build_view()?;
+                queue.retry_all(|vm| self.place_vm(vm, policy, &mut view, obs))
+            }
+            spec => {
+                if spec.ranks_fleet() {
+                    let _t = obs.time(Stage::PlacementRank);
+                    self.refresh_fleet()?;
+                }
+                let _t = obs.time(Stage::Placement);
+                self.place_fast(queue, spec)
+            }
+        }
+    }
+
+    /// Admits `vm` to the first online host with room in the policy's
+    /// own placement order, or hands it back. An admission changes only
+    /// the admitted host, so refreshing that node's entry keeps `view`
+    /// bit-identical to a fresh build for the next VM of the pass (a
+    /// view build draws no randomness).
     fn place_vm<P: Policy>(
         &mut self,
         vm: Vm,
-        kind: WorkloadKind,
         policy: &mut P,
         view: &mut SystemView,
         obs: &Obs,
     ) -> Result<Option<Vm>, SimError> {
-        let order = {
+        let kind = vm.kind();
+        let mut order = {
             let _t = obs.time(Stage::PlacementRank);
             policy.placement_order(kind, view)
         };
-        let request = kind.resource_request();
-        for node in order {
-            if node >= self.config.nodes {
-                continue;
-            }
-            let host = self.cluster.host_mut(node)?;
-            if host.is_online() && host.fits(request) {
-                host.admit(vm)?;
+        order.retain(|&node| node < self.config.nodes);
+        let walk = order.iter().copied();
+        match admit_first(&mut self.cluster, vm, kind.resource_request(), walk)? {
+            Ok(skipped) => {
+                let node = order[skipped];
                 let slot = &mut view.nodes[node];
                 *slot = self.node_view(node, view.tod, std::mem::take(&mut slot.vms))?;
-                return Ok(None);
+                Ok(None)
             }
+            Err(vm) => Ok(Some(vm)),
         }
-        Ok(Some(vm))
     }
 
     /// One placement pass over `queue` through the incremental fleet
@@ -2274,31 +2270,8 @@ impl Simulation {
 
     /// Retries queued jobs in arrival order.
     fn retry_pending<P: Policy>(&mut self, policy: &mut P, obs: &Obs) -> Result<(), SimError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let spec = policy.placement_spec();
-        if spec == PlacementSpec::Custom {
-            let _t = obs.time(Stage::Placement);
-            let mut view = self.take_view()?;
-            let mut pending = std::mem::take(&mut self.pending);
-            let result = pending.retry_all(|vm| {
-                let kind = vm.kind();
-                self.place_vm(vm, kind, policy, &mut view, obs)
-            });
-            self.pending = pending;
-            self.scratch.view = Some(view);
-            return result;
-        }
-        {
-            let _t = obs.time(Stage::PlacementRank);
-            if spec.ranks_fleet() {
-                self.refresh_fleet()?;
-            }
-        }
-        let _t = obs.time(Stage::Placement);
         let mut pending = std::mem::take(&mut self.pending);
-        let result = self.place_fast(&mut pending, spec);
+        let result = self.place(&mut pending, policy, obs);
         self.pending = pending;
         result
     }
@@ -3358,6 +3331,60 @@ mod tests {
         ADMISSION_PROBES.with(|p| p.set(0));
         sim.run_steps(&mut FirstFitPolicy, 1_200).unwrap();
         assert_eq!(ADMISSION_PROBES.with(|p| p.get()), 206_406);
+    }
+
+    /// `quick_config` with the control interval stretched past the day,
+    /// so no control interval (and no queue retry) falls in the window:
+    /// every placement pass is an arrivals batch.
+    fn control_free_config(weather: Weather) -> SimConfig {
+        let mut config = quick_config(weather);
+        config.control_interval = SimDuration::from_hours(24);
+        config
+    }
+
+    /// A `Custom` placement pass builds its own view: arrivals place
+    /// without filling the kept control view.
+    #[test]
+    fn custom_arrivals_leave_the_control_view_alone() {
+        let mut sim = Simulation::new(control_free_config(Weather::Cloudy)).unwrap();
+        sim.run_steps(&mut ViewChurn, 1_600).unwrap();
+        let placed: usize = sim.cluster.hosts().map(|h| h.vms().count()).sum();
+        assert!(placed > 0, "no arrival was placed");
+        assert!(
+            sim.scratch.view.is_none(),
+            "a placement pass filled the control view"
+        );
+    }
+
+    /// The placement rows time disjoint work: first-fit never ranks, so
+    /// it records no `placement_rank` call, and `placement` counts one
+    /// call per non-empty arrivals batch, on every step, not a lap per
+    /// sampled window step.
+    #[test]
+    fn placement_rows_count_passes_not_sampled_steps() {
+        let config = control_free_config(Weather::Cloudy);
+        let obs = Obs::enabled();
+        let mut sim = Simulation::with_obs(config, obs.clone()).unwrap();
+        let (mut batches, mut sampled) = (0, 0);
+        for _ in 0..sim.total_steps() {
+            let queued = sim.arrivals_today.len();
+            let sampled_step = sim.step_index.is_multiple_of(PROFILE_SAMPLE_STEPS);
+            sim.step(&mut FirstFitPolicy).unwrap();
+            if sim.in_window {
+                sampled += u64::from(sampled_step);
+                batches += u64::from(sim.arrivals_today.len() < queued);
+            }
+        }
+        assert!(batches > 0);
+        assert_ne!(batches, sampled, "the day must tell the two counts apart");
+        let calls = |stage| {
+            obs.stage_stats()
+                .iter()
+                .find(|s| s.stage == stage)
+                .map_or(0, |s| s.calls)
+        };
+        assert_eq!(calls(Stage::PlacementRank), 0);
+        assert_eq!(calls(Stage::Placement), batches);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl FallbackScheme {
     /// for every degraded node whose floor is below
     /// [`FALLBACK_SOC_FLOOR`] or whose DVFS is above [`FALLBACK_DVFS`],
     /// the corrective action — minus anything rejected last interval.
-    pub fn plan(&self, nodes: &[FallbackInput]) -> Vec<Action> {
+    pub fn plan(&self, nodes: impl IntoIterator<Item = FallbackInput>) -> Vec<Action> {
         let mut actions = Vec::new();
         for n in nodes {
             if !n.degraded {
@@ -125,13 +125,13 @@ mod tests {
             soc_floor: Soc::EMPTY,
             dvfs: DvfsLevel::P0,
         }];
-        assert!(scheme.plan(&input).is_empty());
+        assert!(scheme.plan(input).is_empty());
     }
 
     #[test]
     fn degraded_node_gets_floor_and_throttle_once() {
         let scheme = FallbackScheme::new();
-        let actions = scheme.plan(&[degraded(2)]);
+        let actions = scheme.plan([degraded(2)]);
         assert_eq!(actions.len(), 2);
         assert!(matches!(
             actions[0],
@@ -148,13 +148,13 @@ mod tests {
             soc_floor: Soc::saturating(FALLBACK_SOC_FLOOR),
             dvfs: FALLBACK_DVFS,
         }];
-        assert!(scheme.plan(&settled).is_empty());
+        assert!(scheme.plan(settled).is_empty());
     }
 
     #[test]
     fn rejected_action_is_not_reissued_next_interval() {
         let mut scheme = FallbackScheme::new();
-        let first = scheme.plan(&[degraded(1)]);
+        let first = scheme.plan([degraded(1)]);
         assert_eq!(first.len(), 2);
         // The engine rejects the floor action (say the node vanished).
         scheme.record_outcomes(&[
@@ -167,14 +167,14 @@ mod tests {
                 result: ActionResult::Applied,
             },
         ]);
-        let second = scheme.plan(&[degraded(1)]);
+        let second = scheme.plan([degraded(1)]);
         assert!(
             !second.contains(&first[0]),
             "a just-rejected action must not repeat"
         );
         // With no fresh rejection recorded, the interval after may retry.
         scheme.record_outcomes(&[]);
-        let third = scheme.plan(&[degraded(1)]);
+        let third = scheme.plan([degraded(1)]);
         assert!(third.contains(&first[0]));
     }
 }

@@ -54,15 +54,19 @@ const MODES: usize = WEIGHTED_MODES + 1;
 
 /// How a policy's placement order is produced.
 ///
-/// [`PlacementSpec::Custom`] (the trait default) keeps the legacy path:
-/// the engine builds a [`crate::SystemView`] and calls
-/// [`crate::Policy::placement_order`]. Any other variant is a
-/// declarative description the engine satisfies from its placement rank
-/// cache, bit-identical to the legacy path, without building views or
-/// re-sorting per placement.
+/// [`PlacementSpec::Custom`] (the trait default) is the
+/// recompute-from-scratch reference: each placement pass builds its own
+/// [`crate::SystemView`] and calls [`crate::Policy::placement_order`]
+/// per VM. Any other variant is a declarative description the engine
+/// satisfies from its placement rank cache, bit-identical to the
+/// reference, without building views or re-sorting per placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementSpec {
-    /// Call [`crate::Policy::placement_order`] with a fresh view.
+    /// Call [`crate::Policy::placement_order`] per VM over a view the
+    /// placement pass builds for itself (the engine's control view is
+    /// not touched). Meant for [`crate::ScratchPlacement`], the oracle
+    /// the declarative specs are pinned against, and for policies no
+    /// spec describes.
     Custom,
     /// Ascending node index (e-Buff / BAAT-s first-fit).
     FirstFit,

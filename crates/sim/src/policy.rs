@@ -196,12 +196,12 @@ pub trait Policy {
     fn placement_order(&mut self, kind: WorkloadKind, view: &SystemView) -> Vec<usize>;
 
     /// Declares how this policy's placement order is produced. The
-    /// default, [`PlacementSpec::Custom`], keeps the legacy path (the
-    /// engine refreshes its [`SystemView`] and calls
-    /// [`Policy::placement_order`]). Policies whose order matches a
-    /// declarative spec should return it: the engine then ranks from its
-    /// placement rank cache — bit-identical, without view refreshes or
-    /// a sort per placement. A non-`Custom` spec must describe
+    /// default, [`PlacementSpec::Custom`], is the scratch path: each
+    /// placement pass builds a fresh [`SystemView`] and calls
+    /// [`Policy::placement_order`] per VM. Policies whose order matches
+    /// a declarative spec should return it: the engine then ranks from
+    /// its placement rank cache — bit-identical, without building views
+    /// or sorting per placement. A non-`Custom` spec must describe
     /// *exactly* what `placement_order` computes; equality is pinned by
     /// the incremental-vs-scratch test suites.
     fn placement_spec(&self) -> PlacementSpec {

@@ -183,21 +183,6 @@ impl Recorder {
         self.rows.is_empty()
     }
 
-    /// The SoC series of one node.
-    pub fn soc_series(&self, node: usize) -> impl Iterator<Item = (SimInstant, f64)> + '_ {
-        self.rows.iter().map(move |r| (r.at, r.soc[node]))
-    }
-
-    /// The solar series.
-    pub fn solar_series(&self) -> impl Iterator<Item = (SimInstant, Watts)> + '_ {
-        self.rows.iter().map(|r| (r.at, r.solar))
-    }
-
-    /// Final cumulative work, or zero if nothing was recorded.
-    pub fn final_work(&self) -> f64 {
-        self.rows.last().map_or(0.0, |r| r.work_cumulative)
-    }
-
     /// Serializes one row as a single JSON object line (no trailing
     /// newline) — the same encoding [`Recorder::to_jsonl`] uses, shared
     /// with the flight recorder's telemetry ring.
@@ -289,17 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn series_extraction() {
-        let mut r = Recorder::new();
-        r.push(row(0, 1.0, 0.0));
-        r.push(row(60, 0.8, 5.0));
-        let soc: Vec<f64> = r.soc_series(1).map(|(_, v)| v).collect();
-        assert_eq!(soc, vec![0.5, 0.4]);
-        assert_eq!(r.final_work(), 5.0);
-        assert_eq!(r.solar_series().count(), 2);
-    }
-
-    #[test]
     fn csv_has_header_and_rows() {
         let mut r = Recorder::new();
         r.push(row(0, 1.0, 0.0));
@@ -315,7 +289,6 @@ mod tests {
     fn empty_recorder() {
         let r = Recorder::new();
         assert!(r.is_empty());
-        assert_eq!(r.final_work(), 0.0);
     }
 
     #[test]
@@ -342,7 +315,7 @@ mod tests {
         assert_eq!(times, vec![0, 240, 480, 720]);
         assert!(r.len() <= 4);
         // The full span survives.
-        assert_eq!(r.final_work(), 12.0);
+        assert_eq!(r.rows().last().map(|x| x.work_cumulative), Some(12.0));
     }
 
     #[test]

@@ -408,7 +408,7 @@ fn fallback_scheme_backs_off_from_rejections() {
         soc_floor: Soc::EMPTY,
         dvfs: DvfsLevel::P0,
     }];
-    let first = scheme.plan(&degraded);
+    let first = scheme.plan(degraded);
     assert_eq!(first.len(), 2, "floor raise + throttle");
     assert!(first
         .iter()
@@ -423,12 +423,12 @@ fn fallback_scheme_backs_off_from_rejections() {
             .collect::<Vec<_>>(),
     );
     assert!(
-        scheme.plan(&degraded).is_empty(),
+        scheme.plan(degraded).is_empty(),
         "freshly rejected actions must not repeat"
     );
     scheme.record_outcomes(&[]);
     assert_eq!(
-        scheme.plan(&degraded).len(),
+        scheme.plan(degraded).len(),
         2,
         "may retry one interval later"
     );
