@@ -80,7 +80,7 @@ run_test() {
     cargo build --workspace --release
 
     echo "==> cargo test"
-    cargo test --workspace -q
+    cargo test --workspace -q --no-fail-fast
 
     echo "==> allocation budgets (counting allocator)"
     # The inline routing path must not allocate: a faulted day stays

@@ -1,16 +1,17 @@
-//! Pluggable battery chemistry: the [`BatteryModel`] trait and the
-//! [`AnyBattery`] static dispatcher.
+//! Battery chemistry: the [`Chemistry`] choice and the [`BatteryModel`]
+//! contract every consumer programs against.
 //!
 //! BAAT's measurements are taken on sealed lead-acid units (§V.A), but
 //! battery-model choice materially changes datacenter-level conclusions,
-//! so the energy-storage substrate is an extension point: every consumer
-//! (engine, policies, cost model, figures) programs against
-//! [`BatteryModel`], and a [`Chemistry`] selects the implementation at
-//! configuration time.
+//! so the energy-storage substrate is configurable: a spec's
+//! [`Chemistry`] selects the OCV curve, charge taper, rate and gassing
+//! losses and the aging law of one [`Battery`](crate::Battery) cell, and
+//! every consumer (engine, policies, cost model, figures) drives that
+//! cell through [`BatteryModel`].
 //!
 //! # Determinism contract
 //!
-//! Implementations must be pure state machines over their inputs: given
+//! The model is a pure state machine over its inputs: given
 //! the same construction parameters and the same op/ambient/time/dt
 //! sequence, every observable (SoC, terminal voltage, aging, telemetry)
 //! must replay bit-identically, on any thread. Internal caches
@@ -21,8 +22,7 @@
 use baat_units::{AmpHours, Celsius, Ohms, SimDuration, SimInstant, Soc, Volts, Watts};
 
 use crate::error::BatteryError;
-use crate::liion::LiIonBattery;
-use crate::model::{Battery, BatteryOp, StepResult};
+use crate::model::{BatteryOp, StepResult};
 use crate::spec::BatterySpec;
 use crate::telemetry::TelemetryLog;
 
@@ -212,9 +212,10 @@ impl From<&crate::aging::DamageBreakdown> for AgingBreakdown {
 /// voltage, charge acceptance, aging integration and telemetry
 /// obligations behind one deterministic interface.
 ///
-/// Implementations must uphold the module-level determinism contract.
-/// Telemetry obligations: every successful [`BatteryModel::try_step`]
-/// must record exactly one usage-accumulator entry and push exactly one
+/// [`Battery`](crate::Battery) implements it for every chemistry and
+/// upholds the module-level determinism contract. Telemetry obligations:
+/// every successful [`BatteryModel::try_step`] records exactly one
+/// usage-accumulator entry and pushes exactly one
 /// [`crate::SensorSample`], so downstream NAT/CF metrics and sensor
 /// views behave identically across chemistries.
 pub trait BatteryModel: Clone + PartialEq {
@@ -310,153 +311,10 @@ pub trait BatteryModel: Clone + PartialEq {
     }
 }
 
-/// A battery of any supported chemistry, dispatched statically.
-///
-/// The lead-acid arm wraps the exact pre-trait [`Battery`] — the same
-/// code runs through the `match`, so lead-acid behaviour through the
-/// trait is bit-identical to the direct model (pinned by property tests
-/// and the byte-compared goldens).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyBattery {
-    /// Sealed lead-acid (the paper's model).
-    LeadAcid(Battery),
-    /// Li-ion equivalent-circuit model.
-    LiIon(LiIonBattery),
-}
-
-impl AnyBattery {
-    /// Creates a fully charged, brand-new battery of the spec's
-    /// chemistry.
-    pub fn new(spec: BatterySpec) -> Self {
-        match spec.chemistry() {
-            Chemistry::LeadAcid => AnyBattery::LeadAcid(Battery::new(spec)),
-            Chemistry::LiIon => AnyBattery::LiIon(LiIonBattery::new(spec)),
-        }
-    }
-
-    /// The lead-acid model, if that is this unit's chemistry.
-    pub fn as_lead_acid(&self) -> Option<&Battery> {
-        match self {
-            AnyBattery::LeadAcid(b) => Some(b),
-            AnyBattery::LiIon(_) => None,
-        }
-    }
-
-    /// The Li-ion model, if that is this unit's chemistry.
-    pub fn as_li_ion(&self) -> Option<&LiIonBattery> {
-        match self {
-            AnyBattery::LeadAcid(_) => None,
-            AnyBattery::LiIon(b) => Some(b),
-        }
-    }
-
-    /// Captures the unit's dynamic state for checkpointing. The aging
-    /// breakdown carries the active chemistry's mechanism labels, so a
-    /// captured state is only meaningful for a unit of the same
-    /// chemistry, spec and variation.
-    pub fn capture_state(&self) -> crate::state::BatteryUnitState {
-        match self {
-            AnyBattery::LeadAcid(b) => b.capture_state(),
-            AnyBattery::LiIon(b) => b.capture_state(),
-        }
-    }
-
-    /// Re-applies a captured dynamic state onto this unit (same
-    /// chemistry, spec and variation as the captured one).
-    pub fn restore_state(&mut self, state: &crate::state::BatteryUnitState) {
-        match self {
-            AnyBattery::LeadAcid(b) => b.restore_state(state),
-            AnyBattery::LiIon(b) => b.restore_state(state),
-        }
-    }
-}
-
-/// Delegates every [`BatteryModel`] method to the active chemistry arm.
-macro_rules! delegate {
-    ($self:ident, $b:ident => $e:expr) => {
-        match $self {
-            AnyBattery::LeadAcid($b) => $e,
-            AnyBattery::LiIon($b) => $e,
-        }
-    };
-}
-
-impl BatteryModel for AnyBattery {
-    fn chemistry(&self) -> Chemistry {
-        delegate!(self, b => b.chemistry())
-    }
-    fn spec(&self) -> &BatterySpec {
-        delegate!(self, b => b.spec())
-    }
-    fn soc(&self) -> Soc {
-        delegate!(self, b => b.soc())
-    }
-    fn set_soc(&mut self, soc: Soc) {
-        delegate!(self, b => b.set_soc(soc));
-    }
-    fn effective_capacity(&self) -> AmpHours {
-        delegate!(self, b => b.effective_capacity())
-    }
-    fn stored_charge(&self) -> AmpHours {
-        delegate!(self, b => b.stored_charge())
-    }
-    fn internal_resistance(&self) -> Ohms {
-        delegate!(self, b => b.internal_resistance())
-    }
-    fn open_circuit_voltage(&self) -> Volts {
-        delegate!(self, b => b.open_circuit_voltage())
-    }
-    fn temperature(&self) -> Celsius {
-        delegate!(self, b => b.temperature())
-    }
-    fn telemetry(&self) -> &TelemetryLog {
-        delegate!(self, b => b.telemetry())
-    }
-    fn telemetry_mut(&mut self) -> &mut TelemetryLog {
-        delegate!(self, b => b.telemetry_mut())
-    }
-    fn cutoff_events(&self) -> u64 {
-        delegate!(self, b => b.cutoff_events())
-    }
-    fn hours_since_full(&self) -> f64 {
-        delegate!(self, b => b.hours_since_full())
-    }
-    fn total_damage(&self) -> f64 {
-        delegate!(self, b => b.total_damage())
-    }
-    fn capacity_fraction(&self) -> f64 {
-        delegate!(self, b => b.capacity_fraction())
-    }
-    fn aging_breakdown(&self) -> AgingBreakdown {
-        delegate!(self, b => b.aging_breakdown())
-    }
-    fn is_end_of_life(&self) -> bool {
-        delegate!(self, b => b.is_end_of_life())
-    }
-    fn reserve_duration(&self, power: Watts) -> Option<SimDuration> {
-        delegate!(self, b => b.reserve_duration(power))
-    }
-    fn available_discharge_power(&self) -> Watts {
-        delegate!(self, b => b.available_discharge_power())
-    }
-    fn pre_age(&mut self, target_damage: f64) {
-        delegate!(self, b => b.pre_age(target_damage));
-    }
-    fn try_step(
-        &mut self,
-        op: BatteryOp,
-        ambient: Celsius,
-        now: SimInstant,
-        dt: SimDuration,
-    ) -> Result<StepResult, BatteryError> {
-        delegate!(self, b => b.try_step(op, ambient, now, dt))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baat_units::Watts;
+    use crate::model::Battery;
 
     #[test]
     fn chemistry_names_round_trip() {
@@ -505,12 +363,12 @@ mod tests {
 
     #[test]
     fn any_battery_constructs_the_spec_chemistry() {
-        let pb = AnyBattery::new(BatterySpec::prototype());
+        let pb = Battery::new(BatterySpec::prototype());
         assert_eq!(pb.chemistry(), Chemistry::LeadAcid);
-        assert!(pb.as_lead_acid().is_some() && pb.as_li_ion().is_none());
-        let li = AnyBattery::new(BatterySpec::li_ion_prototype());
+        assert_eq!(pb.aging_breakdown().len(), 5);
+        let li = Battery::new(BatterySpec::li_ion_prototype());
         assert_eq!(li.chemistry(), Chemistry::LiIon);
-        assert!(li.as_li_ion().is_some() && li.as_lead_acid().is_none());
+        assert_eq!(li.aging_breakdown().len(), 2);
         assert!(li.available_discharge_power() > Watts::ZERO);
     }
 }

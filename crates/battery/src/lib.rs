@@ -3,21 +3,23 @@
 //!
 //! The paper's prototype (§V.A) uses twelve 12 V 35 Ah sealed lead-acid
 //! batteries, one per server. This crate models such units from first
-//! principles, behind a pluggable [`BatteryModel`] trait:
+//! principles, and offers a Li-ion alternative chosen by one spec field:
 //!
-//! * [`BatteryModel`] / [`AnyBattery`] / [`Chemistry`] — the chemistry
-//!   seam: lead-acid and Li-ion behind one deterministic contract;
-//! * [`LiIonBattery`] — an LFP-flavoured equivalent-circuit alternative
-//!   with calendar + cycle aging;
-//! * [`BatterySpec`] — static parameters (capacity, resistance, cutoff,
-//!   manufacturer cycle-life curve), built with a validating builder;
-//! * [`Battery`] — the dynamic model: coulomb-counted SoC, Shepherd-style
-//!   terminal voltage, charge-acceptance taper, Peukert rate losses,
-//!   under-voltage cutoff, first-order thermal model;
-//! * [`AgingState`] / [`AgingModel`] — damage accumulation across the five
-//!   aging mechanisms of paper §II.B (grid corrosion, active-mass
-//!   shedding, sulphation, water loss, electrolyte stratification), mapped
-//!   onto capacity fade, resistance growth and OCV sag;
+//! * [`BatterySpec`] — static parameters (chemistry, capacity,
+//!   resistance, cutoff, manufacturer cycle-life curve), built with a
+//!   validating builder;
+//! * [`Battery`] — the one dynamic cell, driven through the
+//!   [`BatteryModel`] trait: coulomb-counted SoC, Shepherd-style terminal
+//!   voltage, charge-acceptance taper, under-voltage cutoff, first-order
+//!   thermal model. The spec's [`Chemistry`] picks what differs: the OCV
+//!   curve, the taper knee, lead-acid's Peukert rate loss and gassing
+//!   overcharge, and the aging law;
+//! * [`AgingState`] / [`AgingModel`] — lead-acid damage accumulation
+//!   across the five aging mechanisms of paper §II.B (grid corrosion,
+//!   active-mass shedding, sulphation, water loss, electrolyte
+//!   stratification), mapped onto capacity fade, resistance growth and
+//!   OCV sag;
+//! * [`LiIonAgingState`] — the li-ion law: calendar + cycle aging;
 //! * [`Manufacturer`] / [`CycleLifeCurve`] — the Fig 10 cycle-life-vs-DoD
 //!   curves used by planned aging (Eq 7);
 //! * [`TelemetryLog`] — the latest Table 2 sensor sample plus the usage
@@ -30,7 +32,7 @@
 //! Cycle a battery for an hour and inspect its telemetry:
 //!
 //! ```
-//! use baat_battery::{Battery, BatteryOp, BatterySpec};
+//! use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec};
 //! use baat_units::{Celsius, SimDuration, SimInstant, Watts};
 //!
 //! let mut battery = Battery::new(BatterySpec::prototype());
@@ -65,11 +67,11 @@ pub use aging::{
     ActiveMassShedding, AgingModel, AgingState, DamageBreakdown, GridCorrosion, Mechanism,
     SharedStress, Stratification, StressSample, Sulphation, WaterLoss,
 };
-pub use chemistry::{AgingBreakdown, AnyBattery, BatteryModel, Chemistry, MAX_AGING_MECHANISMS};
+pub use chemistry::{AgingBreakdown, BatteryModel, Chemistry, MAX_AGING_MECHANISMS};
 pub use cycle_life::{CycleLifeCurve, Manufacturer, MemoizedCycleLife};
 pub use error::BatteryError;
-pub use liion::{LiIonAgingState, LiIonBattery};
-pub use model::{Battery, BatteryOp, StepResult};
+pub use liion::LiIonAgingState;
+pub use model::{AnyBattery, Battery, BatteryOp, StepResult};
 pub use obs::AgingObs;
 pub use pack::{BatteryPack, VariationParams};
 pub use spec::{BatterySpec, BatterySpecBuilder};

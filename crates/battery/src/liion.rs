@@ -1,45 +1,25 @@
-//! Li-ion (LFP-flavoured) equivalent-circuit battery model.
+//! Li-ion (LFP-flavoured) aging law: calendar + cycle damage.
 //!
-//! The second [`BatteryModel`](crate::BatteryModel) chemistry: a simple
-//! equivalent-circuit/KiBaM-style cell with
+//! The li-ion chemistry of [`Battery`](crate::Battery) differs from
+//! lead-acid in a handful of cell dynamics (its flat-plateau OCV curve,
+//! a CC-CV knee at 95 % SoC, no Peukert loss and no gassing overcharge —
+//! see the table in the `model` module) and in how it ages: two
+//! mechanisms instead of lead-acid's five,
 //!
-//! * a flat-plateau OCV curve with a top knee
-//!   ([`crate::li_ion_open_circuit_voltage`]),
-//! * CC-CV charge acceptance (full current until ~95 % SoC, then a
-//!   linear taper),
-//! * no Peukert rate penalty and no gassing overcharge (the BMS caps
-//!   charge before gassing chemistry exists to model), and
-//! * two aging mechanisms — **calendar** (Arrhenius temperature and
-//!   SoC-stress scaled time) and **cycle** (Ah throughput weighted by
-//!   the [`CycleLifeCurve::li_ion_lfp`] depth-of-discharge curve) —
-//!   instead of lead-acid's five.
+//! * **calendar** — Arrhenius temperature and SoC-stress scaled time,
+//! * **cycle** — Ah throughput weighted by the
+//!   [`CycleLifeCurve::li_ion_lfp`] depth-of-discharge curve.
 //!
-//! The model reuses the workspace substrate — [`BatterySpec`],
-//! [`ThermalModel`], [`TelemetryLog`], the dt/Arrhenius/cycle-life
-//! memos — so determinism, telemetry obligations and memoization
-//! behaviour match the lead-acid implementation exactly.
+//! [`LiIonAgingState`] integrates both. It reuses the workspace's exact
+//! replay caches (the Arrhenius and cycle-life memos), so determinism and
+//! memoization behaviour match the lead-acid law.
 
-use baat_units::{
-    AmpHours, Amperes, Celsius, Ohms, Scale, SimDuration, SimInstant, Soc, Volts, WattHours, Watts,
-};
+use baat_units::Scale;
 
 use crate::aging::{ArrheniusMemo, StressSample};
-use crate::chemistry::{AgingBreakdown, BatteryModel, Chemistry};
+use crate::chemistry::AgingBreakdown;
 use crate::cycle_life::{CycleLifeCurve, MemoizedCycleLife};
-use crate::error::BatteryError;
-use crate::model::{BatteryOp, DtMemo, StepResult};
-use crate::spec::BatterySpec;
-use crate::telemetry::{SensorSample, TelemetryLog};
-use crate::thermal::ThermalModel;
-use crate::voltage::{
-    charge_current_for_power, discharge_current_for_power, li_ion_open_circuit_voltage,
-    terminal_voltage,
-};
 
-/// SoC at or above which the battery counts as fully recharged.
-const FULL_SOC: f64 = 0.99;
-/// SoC where constant-current charging hands over to the CV taper.
-const CV_KNEE_SOC: f64 = 0.95;
 /// Calendar life to end-of-life at 25 °C and 50 % SoC, in years.
 const CALENDAR_EOL_YEARS: f64 = 10.0;
 /// Calendar SoC stress: `base + gain · SoC` (1.0 at 50 % SoC; storage
@@ -147,415 +127,20 @@ impl LiIonAgingState {
     }
 }
 
-/// A single Li-ion battery unit with aging.
-///
-/// # Examples
-///
-/// ```
-/// use baat_battery::{BatteryModel, BatteryOp, BatterySpec, LiIonBattery};
-/// use baat_units::{Celsius, SimDuration, SimInstant, Watts};
-///
-/// let mut battery = LiIonBattery::new(BatterySpec::li_ion_prototype());
-/// let result = battery.step(
-///     BatteryOp::Discharge(Watts::new(60.0)),
-///     Celsius::new(25.0),
-///     SimInstant::START,
-///     SimDuration::from_minutes(10),
-/// );
-/// assert!(result.delivered.as_f64() > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LiIonBattery {
-    spec: BatterySpec,
-    aging: LiIonAgingState,
-    thermal: ThermalModel,
-    telemetry: TelemetryLog,
-    soc: Soc,
-    hours_since_full: f64,
-    capacity_scale: f64,
-    cutoff_events: u64,
-    dt_memo: DtMemo,
-}
-
-/// Equality is semantic; the dt conversion memo is a pure cache.
-impl PartialEq for LiIonBattery {
-    fn eq(&self, other: &Self) -> bool {
-        self.spec == other.spec
-            && self.aging == other.aging
-            && self.thermal == other.thermal
-            && self.telemetry == other.telemetry
-            && self.soc == other.soc
-            && self.hours_since_full == other.hours_since_full
-            && self.capacity_scale == other.capacity_scale
-            && self.cutoff_events == other.cutoff_events
-    }
-}
-
-impl LiIonBattery {
-    /// Creates a fully charged, brand-new Li-ion battery.
-    pub fn new(spec: BatterySpec) -> Self {
-        Self::with_variation(spec, Scale::ONE, Scale::ONE)
-    }
-
-    /// Creates a unit with manufacturing variation: an aging-rate
-    /// multiplier and a capacity scale (1.0 = nominal).
-    pub fn with_variation(spec: BatterySpec, rate: Scale, capacity_scale: Scale) -> Self {
-        let thermal = ThermalModel::new(
-            spec.ambient(),
-            spec.thermal_resistance(),
-            spec.thermal_time_constant_s(),
-        );
-        Self {
-            spec,
-            aging: LiIonAgingState::new(rate),
-            thermal,
-            telemetry: TelemetryLog::default(),
-            soc: Soc::FULL,
-            hours_since_full: 0.0,
-            capacity_scale: capacity_scale.value(),
-            cutoff_events: 0,
-            dt_memo: DtMemo::default(),
-        }
-    }
-
-    /// Accumulated calendar/cycle aging state.
-    pub fn aging(&self) -> &LiIonAgingState {
-        &self.aging
-    }
-
-    /// Captures the unit's dynamic state for checkpointing (see
-    /// [`crate::Battery::capture_state`]; identical contract).
-    pub fn capture_state(&self) -> crate::state::BatteryUnitState {
-        crate::state::BatteryUnitState {
-            soc: self.soc,
-            hours_since_full: self.hours_since_full,
-            cutoff_events: self.cutoff_events,
-            temperature: self.thermal.temperature(),
-            aging: self.aging.breakdown(),
-            telemetry: self.telemetry.capture(),
-        }
-    }
-
-    /// Re-applies a captured dynamic state onto this unit (see
-    /// [`crate::Battery::restore_state`]; identical contract).
-    pub fn restore_state(&mut self, state: &crate::state::BatteryUnitState) {
-        self.soc = state.soc;
-        self.hours_since_full = state.hours_since_full;
-        self.cutoff_events = state.cutoff_events;
-        self.thermal.set_temperature(state.temperature);
-        self.aging.restore_damage(
-            state.aging.get("calendar").unwrap_or(0.0),
-            state.aging.get("cycle").unwrap_or(0.0),
-        );
-        self.telemetry = TelemetryLog::restore(&state.telemetry);
-    }
-
-    fn available_discharge_power_at(&self, ocv: Volts, r: Ohms) -> Watts {
-        if self.soc == Soc::EMPTY {
-            return Watts::ZERO;
-        }
-        let i_cutoff = ((ocv - self.spec.cutoff_voltage()).as_f64() / r.as_f64()).max(0.0);
-        let i_max = i_cutoff.min(self.spec.max_discharge_current().as_f64());
-        let i = Amperes::new(i_max);
-        let v = terminal_voltage(ocv, i, r);
-        (i * v).max(Watts::ZERO)
-    }
-
-    fn apply_discharge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
-        if power.as_f64() <= 0.0 {
-            return StepResult::idle(ocv);
-        }
-        let available = self.available_discharge_power_at(ocv, r);
-        let mut cutoff = false;
-        let granted = if power > available {
-            cutoff = true;
-            self.cutoff_events += 1;
-            available
-        } else {
-            power
-        };
-        if granted.as_f64() <= 0.0 {
-            return StepResult {
-                cutoff: true,
-                ..StepResult::idle(ocv)
-            };
-        }
-        let current = discharge_current_for_power(granted.as_f64(), ocv, r)
-            .unwrap_or(self.spec.max_discharge_current());
-        // No Peukert penalty: Li-ion capacity is essentially
-        // rate-independent at datacenter C-rates.
-        let drawn = AmpHours::new(current.as_f64() * dt_hours);
-        let capacity = self.effective_capacity();
-        let stored = capacity * self.soc.value();
-        let (actual_drawn, delivered, current, cutoff) = if drawn > stored {
-            let frac = stored / drawn;
-            self.cutoff_events += 1;
-            (
-                stored,
-                granted * frac,
-                Amperes::new(current.as_f64() * frac),
-                true,
-            )
-        } else {
-            (drawn, granted, current, cutoff)
-        };
-        self.soc = Soc::saturating(self.soc.value() - actual_drawn / capacity);
-        StepResult {
-            delivered,
-            accepted: Watts::ZERO,
-            terminal_voltage: terminal_voltage(ocv, current, r),
-            current,
-            cutoff,
-        }
-    }
-
-    fn apply_charge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
-        if power.as_f64() <= 0.0 || self.soc.value() >= 1.0 {
-            return StepResult::idle(ocv);
-        }
-        // CC-CV acceptance: full current up to the CV knee, then a
-        // linear taper to zero at 100 % SoC.
-        let headroom = (1.0 - self.soc.value()) / (1.0 - CV_KNEE_SOC);
-        let taper = headroom.min(1.0);
-        let i_limit = self.spec.max_charge_current().as_f64() * taper;
-        if i_limit <= 0.0 {
-            return StepResult::idle(ocv);
-        }
-        let i_for_power =
-            charge_current_for_power(power.as_f64(), ocv, r).map_or(i_limit, |a| a.as_f64());
-        let i = i_for_power.min(i_limit);
-        let current = Amperes::new(-i);
-        let v_term = terminal_voltage(ocv, current, r);
-        let accepted = Watts::new(i * v_term.as_f64());
-        let stored_ah = i * dt_hours * self.spec.coulombic_efficiency().value();
-        let capacity = self.effective_capacity();
-        self.soc = Soc::saturating(self.soc.value() + stored_ah / capacity.as_f64());
-        StepResult {
-            delivered: Watts::ZERO,
-            accepted,
-            terminal_voltage: v_term,
-            current,
-            cutoff: false,
-        }
-    }
-}
-
-impl BatteryModel for LiIonBattery {
-    fn chemistry(&self) -> Chemistry {
-        Chemistry::LiIon
-    }
-
-    fn spec(&self) -> &BatterySpec {
-        &self.spec
-    }
-
-    fn soc(&self) -> Soc {
-        self.soc
-    }
-
-    fn set_soc(&mut self, soc: Soc) {
-        self.soc = soc;
-        if soc.value() >= FULL_SOC {
-            self.hours_since_full = 0.0;
-        }
-    }
-
-    fn effective_capacity(&self) -> AmpHours {
-        self.spec.capacity() * (self.aging.capacity_fraction() * self.capacity_scale)
-    }
-
-    fn stored_charge(&self) -> AmpHours {
-        self.effective_capacity() * self.soc.value()
-    }
-
-    fn internal_resistance(&self) -> Ohms {
-        self.spec.internal_resistance() * self.aging.resistance_factor()
-    }
-
-    fn open_circuit_voltage(&self) -> Volts {
-        li_ion_open_circuit_voltage(
-            self.spec.nominal_voltage(),
-            self.soc,
-            self.aging.ocv_factor(),
-        )
-    }
-
-    fn temperature(&self) -> Celsius {
-        self.thermal.temperature()
-    }
-
-    fn telemetry(&self) -> &TelemetryLog {
-        &self.telemetry
-    }
-
-    fn telemetry_mut(&mut self) -> &mut TelemetryLog {
-        &mut self.telemetry
-    }
-
-    fn cutoff_events(&self) -> u64 {
-        self.cutoff_events
-    }
-
-    fn hours_since_full(&self) -> f64 {
-        self.hours_since_full
-    }
-
-    fn total_damage(&self) -> f64 {
-        self.aging.total_damage()
-    }
-
-    fn capacity_fraction(&self) -> f64 {
-        self.aging.capacity_fraction()
-    }
-
-    fn aging_breakdown(&self) -> AgingBreakdown {
-        self.aging.breakdown()
-    }
-
-    fn reserve_duration(&self, power: Watts) -> Option<SimDuration> {
-        if power.as_f64() <= 0.0 {
-            return Some(SimDuration::from_days(36_500));
-        }
-        if power > self.available_discharge_power() {
-            return None;
-        }
-        let ocv = self.open_circuit_voltage();
-        let current = discharge_current_for_power(power.as_f64(), ocv, self.internal_resistance())?;
-        if current.as_f64() <= 0.0 {
-            return None;
-        }
-        let hours = self.stored_charge().as_f64() / current.as_f64();
-        Some(SimDuration::from_secs((hours * 3600.0) as u64))
-    }
-
-    fn available_discharge_power(&self) -> Watts {
-        self.available_discharge_power_at(self.open_circuit_voltage(), self.internal_resistance())
-    }
-
-    fn pre_age(&mut self, target_damage: f64) {
-        // Representative storage-plus-cycling stress: one hour at 50 %
-        // SoC moving 0.5 C of charge at a mildly warm 27 °C.
-        let stress = StressSample {
-            soc: Soc::saturating(0.5),
-            current: Amperes::new(self.spec.capacity().as_f64() * 0.5),
-            temperature: Celsius::new(27.0),
-            dt: SimDuration::from_hours(1),
-            discharged: AmpHours::new(self.spec.capacity().as_f64() * 0.5),
-            charged: AmpHours::ZERO,
-            overcharge: AmpHours::ZERO,
-            capacity: self.spec.capacity(),
-            hours_since_full: 10.0,
-        };
-        let dt_days = stress.dt.as_days();
-        let mut guard = 0u32;
-        while self.aging.total_damage() < target_damage && guard < 1_000_000 {
-            self.aging.apply(&stress, dt_days);
-            guard += 1;
-        }
-    }
-
-    fn try_step(
-        &mut self,
-        op: BatteryOp,
-        ambient: Celsius,
-        now: SimInstant,
-        dt: SimDuration,
-    ) -> Result<StepResult, BatteryError> {
-        if let BatteryOp::Discharge(p) | BatteryOp::Charge(p) = op {
-            if !p.as_f64().is_finite() {
-                return Err(BatteryError::NonFinitePower {
-                    requested_w: p.as_f64(),
-                });
-            }
-        }
-        let (dt_hours, dt_days) = self.dt_memo.refresh(dt);
-        let ocv = self.open_circuit_voltage();
-        let r = self.internal_resistance();
-        let mut result = match op {
-            BatteryOp::Discharge(power) => self.apply_discharge(power, ocv, r, dt_hours),
-            BatteryOp::Charge(power) => self.apply_charge(power, ocv, r, dt_hours),
-            BatteryOp::Idle => StepResult::idle(ocv),
-        };
-
-        // Self-discharge: an order of magnitude below lead-acid, but the
-        // same mechanism.
-        let leak = self.spec.self_discharge_per_day().value() * dt_days;
-        self.soc = Soc::saturating(self.soc.value() - leak);
-
-        let temp = self.thermal.step(result.current, r, ambient, dt);
-
-        if self.soc.value() >= FULL_SOC {
-            if self.hours_since_full > 0.0 {
-                self.telemetry.record_full_charge();
-            }
-            self.hours_since_full = 0.0;
-        } else {
-            self.hours_since_full += dt_hours;
-        }
-
-        // Aging integration. No gassing: the charger taper stops before
-        // any overcharge region, so `overcharge` is structurally zero.
-        let i = result.current.as_f64();
-        let (discharged, charged) = if i > 0.0 {
-            (AmpHours::new(i * dt_hours), AmpHours::ZERO)
-        } else if i < 0.0 {
-            (AmpHours::ZERO, AmpHours::new(-i * dt_hours))
-        } else {
-            (AmpHours::ZERO, AmpHours::ZERO)
-        };
-        let stress = StressSample {
-            soc: self.soc,
-            current: result.current,
-            temperature: temp,
-            dt,
-            discharged,
-            charged,
-            overcharge: AmpHours::ZERO,
-            capacity: self.spec.capacity(),
-            hours_since_full: self.hours_since_full,
-        };
-        self.aging.apply(&stress, dt_days);
-
-        // Telemetry obligations: one accumulator record and one sensor
-        // sample per step, exactly like lead-acid.
-        let energy_out = WattHours::new(result.delivered.as_f64() * dt_hours);
-        let energy_in = WattHours::new(result.accepted.as_f64() * dt_hours);
-        self.telemetry.record(
-            self.soc,
-            result.current,
-            discharged,
-            charged,
-            energy_out,
-            energy_in,
-            dt,
-        );
-        self.telemetry.push_sample(SensorSample {
-            at: now,
-            voltage: result.terminal_voltage,
-            current: result.current,
-            temperature: temp,
-            soc: self.soc,
-        });
-
-        result.terminal_voltage = terminal_voltage(
-            self.open_circuit_voltage(),
-            result.current,
-            self.internal_resistance(),
-        );
-        Ok(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::chemistry::BatteryModel;
+    use baat_units::{Celsius, SimDuration, SimInstant, Soc, Watts};
 
-    fn battery() -> LiIonBattery {
-        LiIonBattery::new(BatterySpec::li_ion_prototype())
+    use crate::chemistry::{BatteryModel, Chemistry};
+    use crate::error::BatteryError;
+    use crate::model::{Battery, BatteryOp, StepResult};
+    use crate::spec::BatterySpec;
+
+    fn battery() -> Battery {
+        Battery::new(BatterySpec::li_ion_prototype())
     }
 
-    fn run(b: &mut LiIonBattery, op: BatteryOp, steps: u64, dt_secs: u64) -> Vec<StepResult> {
+    fn run(b: &mut Battery, op: BatteryOp, steps: u64, dt_secs: u64) -> Vec<StepResult> {
         let mut now = SimInstant::START;
         let dt = SimDuration::from_secs(dt_secs);
         (0..steps)
@@ -629,7 +214,6 @@ mod tests {
 
     #[test]
     fn li_ion_ages_slower_than_lead_acid_on_the_same_duty() {
-        use crate::model::Battery;
         let mut li = battery();
         let mut pb = Battery::new(BatterySpec::prototype());
         let dt = SimDuration::from_minutes(5);
@@ -645,10 +229,10 @@ mod tests {
             now += dt;
         }
         assert!(
-            li.total_damage() < pb.aging().total_damage(),
+            li.total_damage() < pb.total_damage(),
             "li {} vs pb {}",
             li.total_damage(),
-            pb.aging().total_damage()
+            pb.total_damage()
         );
     }
 

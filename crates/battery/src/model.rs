@@ -1,24 +1,45 @@
 //! The dynamic battery model: SoC dynamics, charge acceptance, Peukert
-//! losses, cutoff behaviour, thermal coupling and aging integration.
+//! losses, cutoff behaviour, thermal coupling and aging integration,
+//! for every chemistry.
+//!
+//! One [`Battery`] steps both chemistries. What differs between them is
+//! small and closed, so the step branches on the unit's [`Aging`] law
+//! only there:
+//!
+//! | | lead-acid | li-ion |
+//! |---|---|---|
+//! | OCV curve | [`open_circuit_voltage`] | [`li_ion_open_circuit_voltage`] |
+//! | charge-taper knee | 0.90 SoC | 0.95 SoC |
+//! | Peukert rate loss | yes | none |
+//! | gassing overcharge | above 0.90 SoC | none |
+//! | pre-age stress | 0.2 C at 55 % SoC | 0.5 C at 50 % SoC |
+//! | aging law | [`AgingState`] (five mechanisms) | [`LiIonAgingState`] (calendar + cycle) |
 
 use baat_units::{
     AmpHours, Amperes, Celsius, Ohms, Scale, SimDuration, SimInstant, Soc, Volts, WattHours, Watts,
 };
 
-use crate::aging::{AgingModel, AgingState, StressSample};
+use crate::aging::{AgingModel, AgingState, DamageBreakdown, StressSample};
 use crate::chemistry::{AgingBreakdown, BatteryModel, Chemistry};
 use crate::error::BatteryError;
+use crate::liion::LiIonAgingState;
 use crate::spec::BatterySpec;
+use crate::state::BatteryUnitState;
 use crate::telemetry::{SensorSample, TelemetryLog};
 use crate::thermal::ThermalModel;
 use crate::voltage::{
-    charge_current_for_power, discharge_current_for_power, open_circuit_voltage, terminal_voltage,
+    charge_current_for_power, discharge_current_for_power, li_ion_open_circuit_voltage,
+    open_circuit_voltage, terminal_voltage,
 };
 
 /// SoC at or above which the battery counts as fully recharged.
 const FULL_SOC: f64 = 0.99;
-/// SoC above which accepted charge starts to gas (overcharge region).
+/// Lead-acid: SoC above which accepted charge starts to gas (overcharge
+/// region) and charge acceptance tapers.
 const GASSING_SOC: f64 = 0.90;
+/// Li-ion: SoC where constant-current charging hands over to the CV
+/// taper.
+const CV_KNEE_SOC: f64 = 0.95;
 /// Peukert-style penalty gain: extra charge drawn per unit C-rate above
 /// the knee.
 const PEUKERT_GAIN: f64 = 0.12;
@@ -73,7 +94,7 @@ impl StepResult {
 /// would produce, and the initial `(0, 0.0, 0.0)` triple is itself exact
 /// (`0 / 3600 = 0 / 86 400 = 0.0`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DtMemo {
+struct DtMemo {
     dt_secs: u64,
     hours: f64,
     days: f64,
@@ -90,7 +111,7 @@ impl Default for DtMemo {
 }
 
 impl DtMemo {
-    pub(crate) fn refresh(&mut self, dt: SimDuration) -> (f64, f64) {
+    fn refresh(&mut self, dt: SimDuration) -> (f64, f64) {
         if dt.as_secs() != self.dt_secs {
             self.dt_secs = dt.as_secs();
             self.hours = dt.as_hours();
@@ -100,18 +121,94 @@ impl DtMemo {
     }
 }
 
-/// A single sealed lead-acid battery unit with aging.
+/// A unit's aging law, chosen from its spec's chemistry when it is
+/// built. The variant is also what the step branches on where the
+/// chemistries differ.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Aging {
+    /// The five §II.B lead-acid mechanisms.
+    LeadAcid(AgingState),
+    /// Li-ion calendar + cycle aging.
+    LiIon(LiIonAgingState),
+}
+
+impl Aging {
+    fn new(spec: &BatterySpec, rate: Scale) -> Self {
+        match spec.chemistry() {
+            Chemistry::LeadAcid => Aging::LeadAcid(AgingState::new(
+                AgingModel::new(spec.lifetime_throughput().as_f64())
+                    .with_rate_multiplier(rate.value()),
+            )),
+            Chemistry::LiIon => Aging::LiIon(LiIonAgingState::new(rate)),
+        }
+    }
+
+    /// Integrates one step of stress; `dt_days` must equal
+    /// `s.dt.as_days()`.
+    fn apply(&mut self, s: &StressSample, dt_days: f64) {
+        match self {
+            Aging::LeadAcid(a) => a.apply(s),
+            Aging::LiIon(a) => a.apply(s, dt_days),
+        }
+    }
+
+    fn total_damage(&self) -> f64 {
+        match self {
+            Aging::LeadAcid(a) => a.total_damage(),
+            Aging::LiIon(a) => a.total_damage(),
+        }
+    }
+
+    fn capacity_fraction(&self) -> f64 {
+        match self {
+            Aging::LeadAcid(a) => a.capacity_fraction(),
+            Aging::LiIon(a) => a.capacity_fraction(),
+        }
+    }
+
+    fn resistance_factor(&self) -> f64 {
+        match self {
+            Aging::LeadAcid(a) => a.resistance_factor(),
+            Aging::LiIon(a) => a.resistance_factor(),
+        }
+    }
+
+    fn breakdown(&self) -> AgingBreakdown {
+        match self {
+            Aging::LeadAcid(a) => AgingBreakdown::from(a.breakdown()),
+            Aging::LiIon(a) => a.breakdown(),
+        }
+    }
+
+    /// Overrides the accumulated damage from a captured breakdown;
+    /// mechanisms absent from it restore as zero damage.
+    fn restore(&mut self, damage: &AgingBreakdown) {
+        let get = |label| damage.get(label).unwrap_or(0.0);
+        match self {
+            Aging::LeadAcid(a) => a.restore_damage(DamageBreakdown {
+                corrosion: get("corrosion"),
+                shedding: get("shedding"),
+                sulphation: get("sulphation"),
+                water_loss: get("water_loss"),
+                stratification: get("stratification"),
+            }),
+            Aging::LiIon(a) => a.restore_damage(get("calendar"), get("cycle")),
+        }
+    }
+}
+
+/// A single battery unit with aging, of either chemistry.
 ///
-/// `Battery` is the lead-acid implementation of the
-/// [`BatteryModel`] trait; chemistry-generic code should accept
-/// `impl BatteryModel` (or [`AnyBattery`](crate::AnyBattery)) instead of
-/// this concrete type. The inherent methods remain for lead-acid-specific
-/// callers and behave identically to their trait counterparts.
+/// The spec's [`Chemistry`] picks the aging law and the few dynamics
+/// that differ (see the module table); everything else — coulomb
+/// counting, cutoff, self-discharge, the thermal model and the telemetry
+/// obligations — is one code path. The cell is driven through
+/// [`BatteryModel`].
 ///
 /// # Examples
 ///
 /// ```
-/// use baat_battery::{Battery, BatteryOp, BatterySpec};
+/// use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec};
 /// use baat_units::{Celsius, SimDuration, SimInstant, Watts};
 ///
 /// let mut battery = Battery::new(BatterySpec::prototype());
@@ -127,7 +224,7 @@ impl DtMemo {
 #[derive(Debug, Clone)]
 pub struct Battery {
     spec: BatterySpec,
-    aging: AgingState,
+    pub(crate) aging: Aging,
     thermal: ThermalModel,
     telemetry: TelemetryLog,
     soc: Soc,
@@ -136,6 +233,9 @@ pub struct Battery {
     cutoff_events: u64,
     dt_memo: DtMemo,
 }
+
+/// Another name for [`Battery`], which steps every chemistry.
+pub type AnyBattery = Battery;
 
 /// Equality is semantic — spec, electrochemical state, telemetry and
 /// usage history. The dt conversion memo is a pure evaluation cache and
@@ -154,25 +254,23 @@ impl PartialEq for Battery {
 }
 
 impl Battery {
-    /// Creates a fully charged, brand-new battery.
+    /// Creates a fully charged, brand-new battery of the spec's
+    /// chemistry.
     pub fn new(spec: BatterySpec) -> Self {
-        let aging = AgingState::new(AgingModel::new(spec.lifetime_throughput().as_f64()));
-        Self::with_aging(spec, aging, Scale::ONE)
+        Self::with_variation(spec, Scale::ONE, Scale::ONE)
     }
 
-    /// Creates a battery with explicit aging state and a unit-to-unit
-    /// capacity scale (manufacturing variation; [`Scale::ONE`] =
-    /// nominal). The [`Scale`] newtype guarantees the multiplier is
-    /// positive and finite.
-    pub fn with_aging(spec: BatterySpec, aging: AgingState, capacity_scale: Scale) -> Self {
+    /// Creates a unit with manufacturing variation: an aging-rate
+    /// multiplier and a capacity scale ([`Scale::ONE`] = nominal).
+    pub fn with_variation(spec: BatterySpec, rate: Scale, capacity_scale: Scale) -> Self {
         let thermal = ThermalModel::new(
             spec.ambient(),
             spec.thermal_resistance(),
             spec.thermal_time_constant_s(),
         );
         Self {
+            aging: Aging::new(&spec, rate),
             spec,
-            aging,
             thermal,
             telemetry: TelemetryLog::default(),
             soc: Soc::FULL,
@@ -183,91 +281,257 @@ impl Battery {
         }
     }
 
-    /// The static specification.
-    pub fn spec(&self) -> &BatterySpec {
+    /// Captures the unit's dynamic state for checkpointing.
+    ///
+    /// The static side (spec, variation scales, aging model) is not
+    /// included: a restore target is re-manufactured from configuration
+    /// and seed, then [`Battery::restore_state`] overwrites the dynamic
+    /// side. The aging breakdown carries the chemistry's mechanism
+    /// labels. Evaluation memos are excluded by design — they are exact
+    /// replay caches.
+    pub fn capture_state(&self) -> BatteryUnitState {
+        BatteryUnitState {
+            soc: self.soc,
+            hours_since_full: self.hours_since_full,
+            cutoff_events: self.cutoff_events,
+            temperature: self.thermal.temperature(),
+            aging: self.aging.breakdown(),
+            telemetry: self.telemetry.capture(),
+        }
+    }
+
+    /// Re-applies a captured dynamic state onto this unit.
+    ///
+    /// The unit must have been manufactured from the same spec (so the
+    /// same chemistry) and variation as the captured one; restoring then
+    /// replays bit-identically to the original. Aging mechanisms absent
+    /// from the captured breakdown restore as zero damage.
+    pub fn restore_state(&mut self, state: &BatteryUnitState) {
+        self.soc = state.soc;
+        self.hours_since_full = state.hours_since_full;
+        self.cutoff_events = state.cutoff_events;
+        self.thermal.set_temperature(state.temperature);
+        self.aging.restore(&state.aging);
+        self.telemetry = TelemetryLog::restore(&state.telemetry);
+    }
+
+    /// [`BatteryModel::available_discharge_power`] with the present OCV
+    /// and internal resistance supplied by the caller, so the step loop
+    /// can reuse values it already derived.
+    fn available_discharge_power_at(&self, ocv: Volts, r: Ohms) -> Watts {
+        if self.soc == Soc::EMPTY {
+            return Watts::ZERO;
+        }
+        // Current at which terminal voltage hits the cutoff.
+        let i_cutoff = ((ocv - self.spec.cutoff_voltage()).as_f64() / r.as_f64()).max(0.0);
+        let i_max = i_cutoff.min(self.spec.max_discharge_current().as_f64());
+        let i = Amperes::new(i_max);
+        let v = terminal_voltage(ocv, i, r);
+        (i * v).max(Watts::ZERO)
+    }
+
+    /// Charge moved this step: `(discharged, charged, overcharge)`.
+    fn step_charges(&self, result: &StepResult, dt_hours: f64) -> (AmpHours, AmpHours, AmpHours) {
+        let i = result.current.as_f64();
+        if i > 0.0 {
+            (AmpHours::new(i * dt_hours), AmpHours::ZERO, AmpHours::ZERO)
+        } else if i < 0.0 {
+            let charged = AmpHours::new(-i * dt_hours);
+            // Lead-acid charge pushed in past the gassing knee vents as
+            // overcharge; gassing onsets quadratically toward full. The
+            // li-ion charger's taper stops before any gassing region.
+            let over = match self.aging {
+                Aging::LeadAcid(_) if self.soc.value() >= GASSING_SOC => {
+                    let frac = ((self.soc.value() - GASSING_SOC) / (1.0 - GASSING_SOC)).min(1.0);
+                    charged * (frac * frac)
+                }
+                _ => AmpHours::ZERO,
+            };
+            (AmpHours::ZERO, charged, over)
+        } else {
+            (AmpHours::ZERO, AmpHours::ZERO, AmpHours::ZERO)
+        }
+    }
+
+    fn apply_discharge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
+        if power.as_f64() <= 0.0 {
+            return StepResult::idle(ocv);
+        }
+        let available = self.available_discharge_power_at(ocv, r);
+        let mut cutoff = false;
+        let granted = if power > available {
+            cutoff = true;
+            self.cutoff_events += 1;
+            available
+        } else {
+            power
+        };
+        if granted.as_f64() <= 0.0 {
+            return StepResult {
+                cutoff: true,
+                ..StepResult::idle(ocv)
+            };
+        }
+        let current = discharge_current_for_power(granted.as_f64(), ocv, r)
+            .unwrap_or(self.spec.max_discharge_current());
+
+        let drawn = match self.aging {
+            // Peukert-style rate penalty: high C-rates drain extra charge.
+            Aging::LeadAcid(_) => {
+                let c_rate = current.as_f64() / self.spec.capacity().as_f64();
+                let peukert =
+                    1.0 + PEUKERT_GAIN * ((c_rate - PEUKERT_KNEE).max(0.0) / (1.0 - PEUKERT_KNEE));
+                AmpHours::new(current.as_f64() * peukert * dt_hours)
+            }
+            // Li-ion capacity is essentially rate-independent at
+            // datacenter C-rates.
+            Aging::LiIon(_) => AmpHours::new(current.as_f64() * dt_hours),
+        };
+
+        let capacity = self.effective_capacity();
+        let stored = capacity * self.soc.value();
+        let (actual_drawn, delivered, current, cutoff) = if drawn > stored {
+            // Battery runs empty mid-step: deliver the pro-rated fraction.
+            let frac = stored / drawn;
+            self.cutoff_events += 1;
+            (
+                stored,
+                granted * frac,
+                Amperes::new(current.as_f64() * frac),
+                true,
+            )
+        } else {
+            (drawn, granted, current, cutoff)
+        };
+        self.soc = Soc::saturating(self.soc.value() - actual_drawn / capacity);
+        StepResult {
+            delivered,
+            accepted: Watts::ZERO,
+            terminal_voltage: terminal_voltage(ocv, current, r),
+            current,
+            cutoff,
+        }
+    }
+
+    fn apply_charge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
+        if power.as_f64() <= 0.0 || self.soc.value() >= 1.0 {
+            return StepResult::idle(ocv);
+        }
+
+        // Charge-acceptance taper: full current up to the knee, then a
+        // linear taper to zero at 100 % SoC (lead-acid's gassing knee,
+        // li-ion's CC-CV handover).
+        let knee = match self.aging {
+            Aging::LeadAcid(_) => GASSING_SOC,
+            Aging::LiIon(_) => CV_KNEE_SOC,
+        };
+        let headroom = (1.0 - self.soc.value()) / (1.0 - knee);
+        let taper = headroom.min(1.0);
+        let i_limit = self.spec.max_charge_current().as_f64() * taper;
+        if i_limit <= 0.0 {
+            return StepResult::idle(ocv);
+        }
+
+        // Charging terminal voltage is above OCV: V = OCV + I·R.
+        // Solve P = I·(OCV + I·R) for I, then clamp to the acceptance
+        // limit. `try_step` already rejected non-finite power, so a
+        // degenerate solve cannot occur; the limit is a safe fallback.
+        let i_for_power =
+            charge_current_for_power(power.as_f64(), ocv, r).map_or(i_limit, |a| a.as_f64());
+        let i = i_for_power.min(i_limit);
+        let current = Amperes::new(-i);
+        let v_term = terminal_voltage(ocv, current, r);
+        let accepted = Watts::new(i * v_term.as_f64());
+
+        // Coulombic efficiency: a fraction of the charge becomes heat/gas.
+        let stored_ah = i * dt_hours * self.spec.coulombic_efficiency().value();
+        let capacity = self.effective_capacity();
+        self.soc = Soc::saturating(self.soc.value() + stored_ah / capacity.as_f64());
+        StepResult {
+            delivered: Watts::ZERO,
+            accepted,
+            terminal_voltage: v_term,
+            current,
+            cutoff: false,
+        }
+    }
+}
+
+impl BatteryModel for Battery {
+    fn chemistry(&self) -> Chemistry {
+        self.spec.chemistry()
+    }
+
+    fn spec(&self) -> &BatterySpec {
         &self.spec
     }
 
-    /// Current state of charge (relative to the *effective* capacity).
-    pub fn soc(&self) -> Soc {
+    fn soc(&self) -> Soc {
         self.soc
     }
 
-    /// Overrides the state of charge (e.g. to start an experiment from a
-    /// partially charged battery).
-    pub fn set_soc(&mut self, soc: Soc) {
+    fn set_soc(&mut self, soc: Soc) {
         self.soc = soc;
         if soc.value() >= FULL_SOC {
             self.hours_since_full = 0.0;
         }
     }
 
-    /// Effective capacity after aging and manufacturing variation.
-    pub fn effective_capacity(&self) -> AmpHours {
+    fn effective_capacity(&self) -> AmpHours {
         self.spec.capacity() * (self.aging.capacity_fraction() * self.capacity_scale)
     }
 
-    /// Charge currently stored.
-    pub fn stored_charge(&self) -> AmpHours {
+    fn stored_charge(&self) -> AmpHours {
         self.effective_capacity() * self.soc.value()
     }
 
-    /// Present internal resistance (grows with aging).
-    pub fn internal_resistance(&self) -> Ohms {
+    fn internal_resistance(&self) -> Ohms {
         self.spec.internal_resistance() * self.aging.resistance_factor()
     }
 
-    /// Present open-circuit voltage.
-    pub fn open_circuit_voltage(&self) -> Volts {
-        open_circuit_voltage(
-            self.spec.nominal_voltage(),
-            self.soc,
-            self.aging.ocv_factor(),
-        )
+    fn open_circuit_voltage(&self) -> Volts {
+        let nominal = self.spec.nominal_voltage();
+        match &self.aging {
+            Aging::LeadAcid(a) => open_circuit_voltage(nominal, self.soc, a.ocv_factor()),
+            Aging::LiIon(a) => li_ion_open_circuit_voltage(nominal, self.soc, a.ocv_factor()),
+        }
     }
 
-    /// Battery surface temperature.
-    pub fn temperature(&self) -> Celsius {
+    fn temperature(&self) -> Celsius {
         self.thermal.temperature()
     }
 
-    /// Accumulated aging state.
-    pub fn aging(&self) -> &AgingState {
-        &self.aging
-    }
-
-    /// Telemetry log (sensor samples + usage accumulators).
-    pub fn telemetry(&self) -> &TelemetryLog {
+    fn telemetry(&self) -> &TelemetryLog {
         &self.telemetry
     }
 
-    /// Mutable telemetry access (for window resets by the controller).
-    pub fn telemetry_mut(&mut self) -> &mut TelemetryLog {
+    fn telemetry_mut(&mut self) -> &mut TelemetryLog {
         &mut self.telemetry
     }
 
-    /// Number of discharge requests (partially) refused by the cutoff.
-    pub fn cutoff_events(&self) -> u64 {
+    fn cutoff_events(&self) -> u64 {
         self.cutoff_events
     }
 
-    /// `true` once effective capacity has fallen to 80 % of initial.
-    pub fn is_end_of_life(&self) -> bool {
-        self.aging.is_end_of_life()
-    }
-
-    /// Hours since the battery last reached full charge.
-    pub fn hours_since_full(&self) -> f64 {
+    fn hours_since_full(&self) -> f64 {
         self.hours_since_full
     }
 
-    /// How long the battery could sustain the given terminal power draw
-    /// before running empty — the quantity behind the paper's 2-minute
-    /// emergency-reserve rule (§VI.E, Fig 9's `P_threshold`).
-    ///
-    /// Returns `None` if the battery cannot deliver `power` at all right
-    /// now (cutoff or current limit).
-    pub fn reserve_duration(&self, power: Watts) -> Option<SimDuration> {
+    fn total_damage(&self) -> f64 {
+        self.aging.total_damage()
+    }
+
+    fn capacity_fraction(&self) -> f64 {
+        self.aging.capacity_fraction()
+    }
+
+    fn aging_breakdown(&self) -> AgingBreakdown {
+        self.aging.breakdown()
+    }
+
+    /// The quantity behind the paper's 2-minute emergency-reserve rule
+    /// (§VI.E, Fig 9's `P_threshold`).
+    fn reserve_duration(&self, power: Watts) -> Option<SimDuration> {
         if power.as_f64() <= 0.0 {
             return Some(SimDuration::from_days(36_500));
         }
@@ -283,125 +547,41 @@ impl Battery {
         Some(SimDuration::from_secs((hours * 3600.0) as u64))
     }
 
-    /// Maximum power the battery can deliver *right now* without tripping
-    /// the under-voltage cutoff or the maximum discharge current.
-    pub fn available_discharge_power(&self) -> Watts {
+    fn available_discharge_power(&self) -> Watts {
         self.available_discharge_power_at(self.open_circuit_voltage(), self.internal_resistance())
     }
 
-    /// [`Battery::available_discharge_power`] with the present OCV and
-    /// internal resistance supplied by the caller, so the step loop can
-    /// reuse values it already derived.
-    fn available_discharge_power_at(&self, ocv: Volts, r: Ohms) -> Watts {
-        if self.soc == Soc::EMPTY {
-            return Watts::ZERO;
-        }
-        // Current at which terminal voltage hits the cutoff.
-        let i_cutoff = ((ocv - self.spec.cutoff_voltage()).as_f64() / r.as_f64()).max(0.0);
-        let i_max = i_cutoff.min(self.spec.max_discharge_current().as_f64());
-        let i = Amperes::new(i_max);
-        let v = terminal_voltage(ocv, i, r);
-        (i * v).max(Watts::ZERO)
-    }
-
-    /// Synthetically ages the battery to approximately the given total
-    /// damage by applying representative cycling stress, without touching
-    /// telemetry. Used to start experiments from the paper's "old"
-    /// battery stage (§VI.B runs the same comparison in April on new
-    /// batteries and in October on aged ones).
-    ///
-    /// Does nothing if the battery already has at least `target_damage`.
-    pub fn pre_age(&mut self, target_damage: f64) {
+    /// Applies a representative hour of stress until the damage reaches
+    /// the target — cycling for lead-acid, storage plus cycling for
+    /// li-ion. Used to start experiments from the paper's "old" battery
+    /// stage (§VI.B runs the same comparison in April on new batteries
+    /// and in October on aged ones).
+    fn pre_age(&mut self, target_damage: f64) {
+        let (soc, c_rate) = match self.aging {
+            Aging::LeadAcid(_) => (0.55, 0.2),
+            Aging::LiIon(_) => (0.5, 0.5),
+        };
+        let moved = self.spec.capacity().as_f64() * c_rate;
         let stress = StressSample {
-            soc: Soc::saturating(0.55),
-            current: Amperes::new(self.spec.capacity().as_f64() * 0.2),
+            soc: Soc::saturating(soc),
+            current: Amperes::new(moved),
             temperature: Celsius::new(27.0),
             dt: SimDuration::from_hours(1),
-            discharged: AmpHours::new(self.spec.capacity().as_f64() * 0.2),
+            discharged: AmpHours::new(moved),
             charged: AmpHours::ZERO,
             overcharge: AmpHours::ZERO,
             capacity: self.spec.capacity(),
             hours_since_full: 10.0,
         };
+        let dt_days = stress.dt.as_days();
         let mut guard = 0u32;
         while self.aging.total_damage() < target_damage && guard < 1_000_000 {
-            self.aging.apply(&stress);
+            self.aging.apply(&stress, dt_days);
             guard += 1;
         }
     }
 
-    /// Captures the unit's dynamic state for checkpointing.
-    ///
-    /// The static side (spec, variation scales, aging model) is not
-    /// included: a restore target is re-manufactured from configuration
-    /// and seed, then [`Battery::restore_state`] overwrites the dynamic
-    /// side. Evaluation memos are excluded by design — they are exact
-    /// replay caches.
-    pub fn capture_state(&self) -> crate::state::BatteryUnitState {
-        crate::state::BatteryUnitState {
-            soc: self.soc,
-            hours_since_full: self.hours_since_full,
-            cutoff_events: self.cutoff_events,
-            temperature: self.thermal.temperature(),
-            aging: self.aging_breakdown(),
-            telemetry: self.telemetry.capture(),
-        }
-    }
-
-    /// Re-applies a captured dynamic state onto this unit.
-    ///
-    /// The unit must have been manufactured from the same spec and
-    /// variation as the captured one; restoring then replays
-    /// bit-identically to the original. Aging mechanisms absent from the
-    /// captured breakdown restore as zero damage.
-    pub fn restore_state(&mut self, state: &crate::state::BatteryUnitState) {
-        self.soc = state.soc;
-        self.hours_since_full = state.hours_since_full;
-        self.cutoff_events = state.cutoff_events;
-        self.thermal.set_temperature(state.temperature);
-        let get = |label| state.aging.get(label).unwrap_or(0.0);
-        self.aging.restore_damage(crate::aging::DamageBreakdown {
-            corrosion: get("corrosion"),
-            shedding: get("shedding"),
-            sulphation: get("sulphation"),
-            water_loss: get("water_loss"),
-            stratification: get("stratification"),
-        });
-        self.telemetry = TelemetryLog::restore(&state.telemetry);
-    }
-
-    /// Advances the battery one simulation step.
-    ///
-    /// Applies the requested operation (respecting cutoff, current limits
-    /// and charge acceptance), updates SoC, temperature, telemetry and
-    /// aging, and returns what actually happened.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested power is not finite. Callers whose power
-    /// requests come from untrusted paths (e.g. fault injection) should
-    /// use [`Battery::try_step`] and handle the typed error.
-    pub fn step(
-        &mut self,
-        op: BatteryOp,
-        ambient: Celsius,
-        now: SimInstant,
-        dt: SimDuration,
-    ) -> StepResult {
-        self.try_step(op, ambient, now, dt)
-            .expect("power request must be finite")
-    }
-
-    /// Advances the battery one simulation step, rejecting degenerate
-    /// requests with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatteryError::NonFinitePower`] when the charge or
-    /// discharge request is `NaN` or infinite — the quadratic current
-    /// solvers would otherwise poison SoC and aging with `NaN`. The
-    /// battery state is untouched on error.
-    pub fn try_step(
+    fn try_step(
         &mut self,
         op: BatteryOp,
         ambient: Celsius,
@@ -459,9 +639,9 @@ impl Battery {
             capacity: self.spec.capacity(),
             hours_since_full: self.hours_since_full,
         };
-        self.aging.apply(&stress);
+        self.aging.apply(&stress, dt_days);
 
-        // Telemetry.
+        // Telemetry: one accumulator record and one sensor sample.
         let energy_out = WattHours::new(result.delivered.as_f64() * dt_hours);
         let energy_in = WattHours::new(result.accepted.as_f64() * dt_hours);
         self.telemetry.record(
@@ -488,238 +668,6 @@ impl Battery {
             self.internal_resistance(),
         );
         Ok(result)
-    }
-
-    fn step_charges(&self, result: &StepResult, dt_hours: f64) -> (AmpHours, AmpHours, AmpHours) {
-        let i = result.current.as_f64();
-        if i > 0.0 {
-            (AmpHours::new(i * dt_hours), AmpHours::ZERO, AmpHours::ZERO)
-        } else if i < 0.0 {
-            let charged = AmpHours::new(-i * dt_hours);
-            // Charge pushed in past the gassing knee vents as overcharge;
-            // gassing onsets quadratically toward full.
-            let over = if self.soc.value() >= GASSING_SOC {
-                let frac = ((self.soc.value() - GASSING_SOC) / (1.0 - GASSING_SOC)).min(1.0);
-                charged * (frac * frac)
-            } else {
-                AmpHours::ZERO
-            };
-            (AmpHours::ZERO, charged, over)
-        } else {
-            (AmpHours::ZERO, AmpHours::ZERO, AmpHours::ZERO)
-        }
-    }
-
-    fn apply_discharge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
-        if power.as_f64() <= 0.0 {
-            return StepResult::idle(ocv);
-        }
-        let available = self.available_discharge_power_at(ocv, r);
-        let mut cutoff = false;
-        let granted = if power > available {
-            cutoff = true;
-            self.cutoff_events += 1;
-            available
-        } else {
-            power
-        };
-        if granted.as_f64() <= 0.0 {
-            return StepResult {
-                cutoff: true,
-                ..StepResult::idle(ocv)
-            };
-        }
-        let current = discharge_current_for_power(granted.as_f64(), ocv, r)
-            .unwrap_or(self.spec.max_discharge_current());
-
-        // Peukert-style rate penalty: high C-rates drain extra charge.
-        let c_rate = current.as_f64() / self.spec.capacity().as_f64();
-        let peukert =
-            1.0 + PEUKERT_GAIN * ((c_rate - PEUKERT_KNEE).max(0.0) / (1.0 - PEUKERT_KNEE));
-        let drawn = AmpHours::new(current.as_f64() * peukert * dt_hours);
-
-        let capacity = self.effective_capacity();
-        let stored = capacity * self.soc.value();
-        let (actual_drawn, delivered, current, cutoff) = if drawn > stored {
-            // Battery runs empty mid-step: deliver the pro-rated fraction.
-            let frac = stored / drawn;
-            self.cutoff_events += 1;
-            (
-                stored,
-                granted * frac,
-                Amperes::new(current.as_f64() * frac),
-                true,
-            )
-        } else {
-            (drawn, granted, current, cutoff)
-        };
-        self.soc = Soc::saturating(self.soc.value() - actual_drawn / capacity);
-        StepResult {
-            delivered,
-            accepted: Watts::ZERO,
-            terminal_voltage: terminal_voltage(ocv, current, r),
-            current,
-            cutoff,
-        }
-    }
-
-    /// Accumulated damage across all five lead-acid mechanisms.
-    pub fn total_damage(&self) -> f64 {
-        self.aging.total_damage()
-    }
-
-    /// Remaining capacity as a fraction of initial capacity.
-    pub fn capacity_fraction(&self) -> f64 {
-        self.aging.capacity_fraction()
-    }
-
-    /// The five-mechanism damage breakdown in chemistry-agnostic form.
-    pub fn aging_breakdown(&self) -> AgingBreakdown {
-        AgingBreakdown::from(self.aging.breakdown())
-    }
-
-    fn apply_charge(&mut self, power: Watts, ocv: Volts, r: Ohms, dt_hours: f64) -> StepResult {
-        if power.as_f64() <= 0.0 || self.soc.value() >= 1.0 {
-            return StepResult::idle(ocv);
-        }
-
-        // Charge-acceptance taper: current limit shrinks near full.
-        let headroom = (1.0 - self.soc.value()) / (1.0 - GASSING_SOC);
-        let taper = headroom.min(1.0);
-        let i_limit = self.spec.max_charge_current().as_f64() * taper;
-        if i_limit <= 0.0 {
-            return StepResult::idle(ocv);
-        }
-
-        // Charging terminal voltage is above OCV: V = OCV + I·R.
-        // Solve P = I·(OCV + I·R) for I, then clamp to the acceptance
-        // limit. `try_step` already rejected non-finite power, so a
-        // degenerate solve cannot occur; the limit is a safe fallback.
-        let i_for_power =
-            charge_current_for_power(power.as_f64(), ocv, r).map_or(i_limit, |a| a.as_f64());
-        let i = i_for_power.min(i_limit);
-        let current = Amperes::new(-i);
-        let v_term = terminal_voltage(ocv, current, r);
-        let accepted = Watts::new(i * v_term.as_f64());
-
-        // Coulombic efficiency: a fraction of the charge becomes heat/gas.
-        let stored_ah = i * dt_hours * self.spec.coulombic_efficiency().value();
-        let capacity = self.effective_capacity();
-        self.soc = Soc::saturating(self.soc.value() + stored_ah / capacity.as_f64());
-        StepResult {
-            delivered: Watts::ZERO,
-            accepted,
-            terminal_voltage: v_term,
-            current,
-            cutoff: false,
-        }
-    }
-}
-
-/// The lead-acid chemistry behind the [`BatteryModel`] seam.
-///
-/// Every method delegates to the corresponding inherent method (written
-/// `Battery::method(self, ..)` so resolution cannot recurse into the
-/// trait), which keeps the trait path bit-identical to direct use.
-impl BatteryModel for Battery {
-    fn chemistry(&self) -> Chemistry {
-        Chemistry::LeadAcid
-    }
-
-    fn spec(&self) -> &BatterySpec {
-        Battery::spec(self)
-    }
-
-    fn soc(&self) -> Soc {
-        Battery::soc(self)
-    }
-
-    fn set_soc(&mut self, soc: Soc) {
-        Battery::set_soc(self, soc);
-    }
-
-    fn effective_capacity(&self) -> AmpHours {
-        Battery::effective_capacity(self)
-    }
-
-    fn stored_charge(&self) -> AmpHours {
-        Battery::stored_charge(self)
-    }
-
-    fn internal_resistance(&self) -> Ohms {
-        Battery::internal_resistance(self)
-    }
-
-    fn open_circuit_voltage(&self) -> Volts {
-        Battery::open_circuit_voltage(self)
-    }
-
-    fn temperature(&self) -> Celsius {
-        Battery::temperature(self)
-    }
-
-    fn telemetry(&self) -> &TelemetryLog {
-        Battery::telemetry(self)
-    }
-
-    fn telemetry_mut(&mut self) -> &mut TelemetryLog {
-        Battery::telemetry_mut(self)
-    }
-
-    fn cutoff_events(&self) -> u64 {
-        Battery::cutoff_events(self)
-    }
-
-    fn hours_since_full(&self) -> f64 {
-        Battery::hours_since_full(self)
-    }
-
-    fn total_damage(&self) -> f64 {
-        Battery::total_damage(self)
-    }
-
-    fn capacity_fraction(&self) -> f64 {
-        Battery::capacity_fraction(self)
-    }
-
-    fn aging_breakdown(&self) -> AgingBreakdown {
-        Battery::aging_breakdown(self)
-    }
-
-    fn is_end_of_life(&self) -> bool {
-        Battery::is_end_of_life(self)
-    }
-
-    fn reserve_duration(&self, power: Watts) -> Option<SimDuration> {
-        Battery::reserve_duration(self, power)
-    }
-
-    fn available_discharge_power(&self) -> Watts {
-        Battery::available_discharge_power(self)
-    }
-
-    fn pre_age(&mut self, target_damage: f64) {
-        Battery::pre_age(self, target_damage);
-    }
-
-    fn try_step(
-        &mut self,
-        op: BatteryOp,
-        ambient: Celsius,
-        now: SimInstant,
-        dt: SimDuration,
-    ) -> Result<StepResult, BatteryError> {
-        Battery::try_step(self, op, ambient, now, dt)
-    }
-
-    fn step(
-        &mut self,
-        op: BatteryOp,
-        ambient: Celsius,
-        now: SimInstant,
-        dt: SimDuration,
-    ) -> StepResult {
-        Battery::step(self, op, ambient, now, dt)
     }
 }
 
@@ -861,7 +809,7 @@ mod tests {
             run(&mut b, BatteryOp::Discharge(Watts::new(200.0)), 90, 60);
             run(&mut b, BatteryOp::Charge(Watts::new(200.0)), 150, 60);
         }
-        assert!(b.aging().total_damage() > 0.01);
+        assert!(b.total_damage() > 0.01);
         assert!(b.effective_capacity() < AmpHours::new(35.0));
         assert!(b.internal_resistance() > BatterySpec::prototype().internal_resistance());
     }
@@ -933,7 +881,8 @@ mod tests {
         for _ in 0..400 {
             aged.apply(&stress);
         }
-        let b = Battery::with_aging(spec, aged, Scale::ONE);
+        let mut b = Battery::new(spec);
+        b.aging = Aging::LeadAcid(aged);
         assert!(b.effective_capacity().as_f64() < 35.0 * 0.95);
     }
 }

@@ -8,10 +8,7 @@
 use baat_rng::StdRng;
 use baat_units::{Fraction, Ohms, Scale};
 
-use crate::aging::{AgingModel, AgingState};
-use crate::chemistry::{AnyBattery, Chemistry};
 use crate::error::BatteryError;
-use crate::liion::LiIonBattery;
 use crate::model::Battery;
 use crate::spec::BatterySpec;
 
@@ -108,11 +105,10 @@ impl VariationParams {
 /// A group of battery units deployed together (one per server, or a shared
 /// per-rack pool — paper Fig 7 supports both architectures).
 ///
-/// Units are [`AnyBattery`] values: the pack's [`BatterySpec`] chemistry
-/// decides which dynamic model each unit runs.
+/// Every unit is a [`Battery`] of the pack's [`BatterySpec`] chemistry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatteryPack {
-    units: Vec<AnyBattery>,
+    units: Vec<Battery>,
 }
 
 impl BatteryPack {
@@ -163,38 +159,16 @@ impl BatteryPack {
                 let r_scale = variation.draw(&mut rng, variation.resistance_spread);
                 let rate = variation.draw(&mut rng, variation.aging_rate_spread);
                 // Per-unit resistance deviation folds into the spec.
-                let unit_spec = {
-                    let mut b = BatterySpec::builder();
-                    b.chemistry(spec.chemistry())
-                        .nominal_voltage(spec.nominal_voltage())
-                        .capacity(spec.capacity())
-                        .internal_resistance(Ohms::new(
-                            spec.internal_resistance().as_f64() * r_scale,
-                        ))
-                        .cutoff_voltage(spec.cutoff_voltage())
-                        .max_charge_current(spec.max_charge_current())
-                        .max_discharge_current(spec.max_discharge_current())
-                        .lifetime_throughput(spec.lifetime_throughput())
-                        .manufacturer(spec.manufacturer())
-                        .coulombic_efficiency(spec.coulombic_efficiency())
-                        .self_discharge_per_day(spec.self_discharge_per_day())
-                        .ambient(spec.ambient());
-                    b.build().expect("derived spec stays valid")
-                };
-                let cap_scale = Scale::new(cap_scale).expect("drawn scale is positive");
-                let rate_scale = Scale::new(rate).expect("drawn rate is positive");
-                match unit_spec.chemistry() {
-                    Chemistry::LeadAcid => {
-                        let aging = AgingState::new(
-                            AgingModel::new(unit_spec.lifetime_throughput().as_f64())
-                                .with_rate_multiplier(rate),
-                        );
-                        AnyBattery::LeadAcid(Battery::with_aging(unit_spec, aging, cap_scale))
-                    }
-                    Chemistry::LiIon => AnyBattery::LiIon(LiIonBattery::with_variation(
-                        unit_spec, rate_scale, cap_scale,
-                    )),
-                }
+                let unit_spec = spec
+                    .to_builder()
+                    .internal_resistance(Ohms::new(spec.internal_resistance().as_f64() * r_scale))
+                    .build()
+                    .expect("derived spec stays valid");
+                Battery::with_variation(
+                    unit_spec,
+                    Scale::new(rate).expect("drawn rate is positive"),
+                    Scale::new(cap_scale).expect("drawn scale is positive"),
+                )
             })
             .collect();
         Ok(Self { units })
@@ -225,7 +199,7 @@ impl BatteryPack {
     /// # Errors
     ///
     /// Returns [`BatteryError::UnknownBattery`] for an out-of-range index.
-    pub fn unit(&self, index: usize) -> Result<&AnyBattery, BatteryError> {
+    pub fn unit(&self, index: usize) -> Result<&Battery, BatteryError> {
         self.units.get(index).ok_or(BatteryError::UnknownBattery {
             index,
             len: self.units.len(),
@@ -237,7 +211,7 @@ impl BatteryPack {
     /// # Errors
     ///
     /// Returns [`BatteryError::UnknownBattery`] for an out-of-range index.
-    pub fn unit_mut(&mut self, index: usize) -> Result<&mut AnyBattery, BatteryError> {
+    pub fn unit_mut(&mut self, index: usize) -> Result<&mut Battery, BatteryError> {
         let len = self.units.len();
         self.units
             .get_mut(index)
@@ -245,12 +219,12 @@ impl BatteryPack {
     }
 
     /// Iterates over the units.
-    pub fn iter(&self) -> impl Iterator<Item = &AnyBattery> {
+    pub fn iter(&self) -> impl Iterator<Item = &Battery> {
         self.units.iter()
     }
 
     /// Iterates mutably over the units.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut AnyBattery> {
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Battery> {
         self.units.iter_mut()
     }
 
@@ -258,7 +232,7 @@ impl BatteryPack {
     /// splits the pack into disjoint per-bank ranges (`split_at_mut`)
     /// so independent banks step on separate threads. Each unit owns
     /// its memo caches, so a `&mut` range is safe to step in isolation.
-    pub fn units_mut(&mut self) -> &mut [AnyBattery] {
+    pub fn units_mut(&mut self) -> &mut [Battery] {
         &mut self.units
     }
 }
@@ -269,7 +243,14 @@ mod tests {
     use baat_units::{Celsius, SimDuration, SimInstant, Watts};
 
     use crate::chemistry::BatteryModel;
-    use crate::model::BatteryOp;
+    use crate::model::{Aging, BatteryOp};
+
+    fn rate_multiplier(unit: &Battery) -> f64 {
+        match &unit.aging {
+            Aging::LeadAcid(a) => a.model().rate_multiplier(),
+            Aging::LiIon(a) => a.rate_multiplier(),
+        }
+    }
 
     #[test]
     fn manufacture_is_deterministic_per_seed() {
@@ -307,12 +288,7 @@ mod tests {
         for unit in pack.iter() {
             let cap = unit.effective_capacity().as_f64();
             assert!((35.0 * 0.97..=35.0 * 1.03).contains(&cap), "cap {cap}");
-            let rate = unit
-                .as_lead_acid()
-                .unwrap()
-                .aging()
-                .model()
-                .rate_multiplier();
+            let rate = rate_multiplier(unit);
             assert!((0.9..=1.1).contains(&rate), "rate {rate}");
         }
     }
@@ -394,10 +370,7 @@ mod tests {
         // normalized damage (damage / rate) is nearly unit-independent.
         let normalized: Vec<f64> = pack
             .iter()
-            .map(|u| {
-                let pb = u.as_lead_acid().unwrap();
-                pb.total_damage() / pb.aging().model().rate_multiplier()
-            })
+            .map(|u| u.total_damage() / rate_multiplier(u))
             .collect();
         let n_min = normalized.iter().cloned().fold(f64::INFINITY, f64::min);
         let n_max = normalized.iter().cloned().fold(0.0, f64::max);
@@ -418,8 +391,11 @@ mod tests {
         .unwrap();
         let mut caps = Vec::new();
         for unit in pack.iter() {
-            let li = unit.as_li_ion().expect("chemistry must follow the spec");
-            assert!((0.9..=1.1).contains(&li.aging().rate_multiplier()));
+            assert!(
+                matches!(unit.aging, Aging::LiIon(_)),
+                "chemistry must follow the spec"
+            );
+            assert!((0.9..=1.1).contains(&rate_multiplier(unit)));
             caps.push(unit.effective_capacity().as_f64());
         }
         assert!(caps.iter().any(|c| (c - caps[0]).abs() > 1e-9));

@@ -50,6 +50,17 @@ impl BatterySpec {
         BatterySpecBuilder::default()
     }
 
+    /// A builder starting from this spec, so a derived spec sets only
+    /// the fields it changes. The lifetime throughput counts as set:
+    /// changing the capacity keeps it, so a derivation that scales the
+    /// capacity scales the throughput explicitly.
+    pub fn to_builder(&self) -> BatterySpecBuilder {
+        BatterySpecBuilder {
+            spec: self.clone(),
+            lifetime_throughput_set: true,
+        }
+    }
+
     /// The paper's prototype battery: 12 V, 35 Ah sealed lead-acid.
     ///
     /// # Examples
@@ -352,6 +363,19 @@ impl BatterySpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prototypes_round_trip_through_their_builders() {
+        for spec in [BatterySpec::prototype(), BatterySpec::li_ion_prototype()] {
+            assert_eq!(spec.to_builder().build().unwrap(), spec);
+            // A derived capacity keeps the resolved throughput.
+            let mut b = spec.to_builder();
+            b.capacity(spec.capacity() * 2.0);
+            let derived = b.build().unwrap();
+            assert_eq!(derived.lifetime_throughput(), spec.lifetime_throughput());
+            assert_eq!(derived.thermal_resistance(), spec.thermal_resistance());
+        }
+    }
 
     #[test]
     fn prototype_matches_paper_hardware() {

@@ -7,9 +7,8 @@
 //! re-manufacturing the unit from its configuration and seed, so a
 //! checkpoint only needs to carry the dynamic side: that is what
 //! [`BatteryUnitState`] holds, for every chemistry, via
-//! `capture_state`/`restore_state` on [`Battery`](crate::Battery),
-//! [`LiIonBattery`](crate::LiIonBattery) and
-//! [`AnyBattery`](crate::AnyBattery).
+//! [`Battery::capture_state`](crate::Battery::capture_state) and
+//! [`Battery::restore_state`](crate::Battery::restore_state).
 //!
 //! Evaluation caches (dt conversions, Arrhenius factors, cycle-life
 //! memos) are deliberately absent: they are exact replay caches, so a

@@ -3,7 +3,7 @@
 //! the dynamic model to end-of-life must land within shouting distance of
 //! the Fig 10 curve (same order of magnitude, right DoD trend).
 
-use baat_battery::{Battery, BatteryOp, BatterySpec, Manufacturer};
+use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec, Manufacturer};
 use baat_units::{Celsius, Dod, SimDuration, SimInstant, Soc, Watts};
 
 /// Cycles a fresh prototype battery at roughly the given DoD until
@@ -75,16 +75,14 @@ fn pre_age_matches_organic_aging_observables() {
     // cycled there: same capacity fraction and resistance factor mapping.
     let mut pre = Battery::new(BatterySpec::prototype());
     pre.pre_age(0.5);
-    assert!(pre.aging().total_damage() >= 0.5);
-    assert!(
-        (pre.aging().capacity_fraction() - (1.0 - 0.2 * pre.aging().total_damage())).abs() < 1e-9
-    );
+    assert!(pre.total_damage() >= 0.5);
+    assert!((pre.capacity_fraction() - (1.0 - 0.2 * pre.total_damage())).abs() < 1e-9);
     assert!(pre.effective_capacity().as_f64() < 35.0 * 0.92);
     assert!(!pre.is_end_of_life());
     // Pre-aging is idempotent at the target.
-    let damage = pre.aging().total_damage();
+    let damage = pre.total_damage();
     pre.pre_age(0.4);
-    assert_eq!(pre.aging().total_damage(), damage);
+    assert_eq!(pre.total_damage(), damage);
 }
 
 #[test]
@@ -119,12 +117,12 @@ fn six_months_of_cyclic_use_stays_short_of_eol() {
             now += dt;
         }
     }
-    let damage = battery.aging().total_damage();
+    let damage = battery.total_damage();
     assert!(
         (0.3..1.0).contains(&damage),
         "six aggressive months should wear substantially without EOL: {damage}"
     );
-    let cap = battery.aging().capacity_fraction();
+    let cap = battery.capacity_fraction();
     assert!((0.80..0.95).contains(&cap), "capacity fraction {cap}");
 }
 

@@ -4,7 +4,7 @@
 //! Runs on the in-tree [`baat_testkit::bench`] harness; pass `--quick`
 //! (or `BAAT_BENCH_QUICK=1`) for a smoke run.
 
-use baat_battery::{Battery, BatteryOp, BatterySpec};
+use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec};
 use baat_core::Scheme;
 use baat_metrics::{AgingMetrics, BatteryRatings};
 use baat_obs::Obs;

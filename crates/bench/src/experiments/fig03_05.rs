@@ -7,7 +7,7 @@
 //! experiment reproduces the measurement protocol on the battery model:
 //! one aggressive charge/discharge cycle per day, with monthly probes.
 
-use baat_battery::{AnyBattery, Battery, BatteryModel, BatteryOp, BatterySpec, Chemistry};
+use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec, Chemistry};
 use baat_units::{Celsius, SimDuration, SimInstant, Volts, Watts};
 
 /// One monthly probe of the instrumented battery.
@@ -74,7 +74,7 @@ const AMBIENT: Celsius = Celsius::new(27.0);
 /// Runs one full probe cycle (discharge to cutoff, recharge to full) and
 /// returns (terminal voltage at full under load, delivered Wh, round-trip
 /// efficiency).
-fn probe_cycle<B: BatteryModel>(battery: &mut B, now: &mut SimInstant) -> (Volts, f64, f64) {
+fn probe_cycle(battery: &mut Battery, now: &mut SimInstant) -> (Volts, f64, f64) {
     let dt = SimDuration::from_minutes(2);
     // Measure full-charge terminal voltage under the probe load.
     let first = battery.step(BatteryOp::Discharge(PROBE_LOAD), AMBIENT, *now, dt);
@@ -111,7 +111,7 @@ fn probe_cycle<B: BatteryModel>(battery: &mut B, now: &mut SimInstant) -> (Volts
 /// ~2.8 h of load shaving at 110 W (≈75 % DoD on a fresh unit, deeper as
 /// capacity fades — which is what makes the degradation *accelerate*),
 /// followed by a full recharge and idle rest.
-fn daily_cycle<B: BatteryModel>(battery: &mut B, now: &mut SimInstant) {
+fn daily_cycle(battery: &mut Battery, now: &mut SimInstant) {
     let dt = SimDuration::from_minutes(5);
     for _ in 0..34 {
         battery.step(BatteryOp::Discharge(Watts::new(110.0)), AMBIENT, *now, dt);
@@ -129,12 +129,8 @@ fn daily_cycle<B: BatteryModel>(battery: &mut B, now: &mut SimInstant) {
     }
 }
 
-/// Runs the measurement protocol on any battery model.
-fn measure<B: BatteryModel>(
-    battery: &mut B,
-    months: usize,
-    days_per_month: usize,
-) -> AgingTrajectory {
+/// Runs the measurement protocol on one battery.
+fn measure(battery: &mut Battery, months: usize, days_per_month: usize) -> AgingTrajectory {
     let mut now = SimInstant::START;
     let mut probes = Vec::with_capacity(months + 1);
     let (v0, e0, eff0) = probe_cycle(battery, &mut now);
@@ -172,11 +168,7 @@ fn spec_for(chemistry: Chemistry) -> BatterySpec {
 /// Runs the six-month (or shorter) aging measurement on the paper's
 /// lead-acid prototype unit.
 pub fn run(months: usize, days_per_month: usize) -> AgingTrajectory {
-    measure(
-        &mut Battery::new(BatterySpec::prototype()),
-        months,
-        days_per_month,
-    )
+    run_chemistry(Chemistry::LeadAcid, months, days_per_month)
 }
 
 /// [`run`] on an arbitrary chemistry's prototype unit — the measurement
@@ -187,7 +179,7 @@ pub fn run_chemistry(
     days_per_month: usize,
 ) -> AgingTrajectory {
     measure(
-        &mut AnyBattery::new(spec_for(chemistry)),
+        &mut Battery::new(spec_for(chemistry)),
         months,
         days_per_month,
     )
@@ -253,9 +245,8 @@ mod tests {
 
     #[test]
     fn run_chemistry_reproduces_the_lead_acid_run_exactly() {
-        // The generic protocol through AnyBattery's lead-acid arm is the
-        // same code as the direct Battery run — trajectories must match
-        // bit-for-bit.
+        // `run` is the paper's lead-acid measurement; the generic protocol
+        // on the lead-acid prototype must reproduce it bit-for-bit.
         assert_eq!(run_chemistry(Chemistry::LeadAcid, 1, 5), run(1, 5));
     }
 

@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use baat_battery::{Battery, BatteryOp, BatterySpec};
+//! use baat_battery::{Battery, BatteryModel, BatteryOp, BatterySpec};
 //! use baat_metrics::{AgingMetrics, BatteryRatings};
 //! use baat_units::{Celsius, SimDuration, SimInstant, Watts};
 //!

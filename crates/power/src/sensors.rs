@@ -6,7 +6,7 @@
 //! bounded uniform measurement noise to the true values — the BAAT
 //! controller only ever sees these noisy readings.
 
-use baat_battery::{BatteryModel, SensorSample};
+use baat_battery::{Battery, BatteryModel, SensorSample};
 use baat_rng::StdRng;
 use baat_units::{Amperes, Celsius, SimInstant, Volts};
 
@@ -84,11 +84,11 @@ impl BatterySensor {
     /// result; SoC is re-derived from the noisy voltage the way the
     /// prototype derives it ("discharging voltage used for calculating
     /// SoC", Table 2) — here we keep the true SoC but perturb the
-    /// electrical channels. Works for any [`BatteryModel`] chemistry;
-    /// only temperature and SoC are read from the battery.
-    pub fn sample<B: BatteryModel>(
+    /// electrical channels. Only temperature and SoC are read from the
+    /// battery.
+    pub fn sample(
         &mut self,
-        battery: &B,
+        battery: &Battery,
         true_voltage: Volts,
         true_current: Amperes,
         at: SimInstant,
@@ -108,7 +108,7 @@ impl BatterySensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baat_battery::{Battery, BatterySpec};
+    use baat_battery::BatterySpec;
 
     #[test]
     fn ideal_sensor_reports_exact_values() {

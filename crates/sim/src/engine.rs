@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use baat_battery::{
-    AgingBreakdown, AgingObs, AnyBattery, BatteryModel, BatteryOp, BatteryPack, SensorSample,
+    AgingBreakdown, AgingObs, Battery, BatteryModel, BatteryOp, BatteryPack, SensorSample,
     TelemetryLog,
 };
 use baat_exec::ExecPool;
@@ -454,7 +454,7 @@ struct RouteCtx<'a> {
 struct BankShard<'a> {
     banks: Range<usize>,
     node0: usize,
-    units: &'a mut [AnyBattery],
+    units: &'a mut [Battery],
     sensors: &'a mut [BatterySensor],
     currents: &'a mut [f64],
     voltages: &'a mut [f64],
@@ -493,7 +493,7 @@ impl<'a> BankShard<'a> {
 /// Battery terminal power available without crossing `floor` within one
 /// `dt` step: the discharge limit, capped by the energy stored above the
 /// floor. An open-circuit string delivers nothing.
-fn floored_power(battery: &AnyBattery, floor: Soc, open_circuit: bool, dt: SimDuration) -> Watts {
+fn floored_power(battery: &Battery, floor: Soc, open_circuit: bool, dt: SimDuration) -> Watts {
     if open_circuit {
         return Watts::ZERO;
     }
@@ -1023,20 +1023,13 @@ impl Simulation {
         } else {
             let s = &config.battery_spec;
             let k = per_bank as f64;
-            let mut b = baat_battery::BatterySpec::builder();
-            b.chemistry(s.chemistry())
-                .nominal_voltage(s.nominal_voltage())
+            s.to_builder()
                 .capacity(s.capacity() * k)
                 .internal_resistance(s.internal_resistance() / k)
-                .cutoff_voltage(s.cutoff_voltage())
                 .max_charge_current(s.max_charge_current() * k)
                 .max_discharge_current(s.max_discharge_current() * k)
                 .lifetime_throughput(s.lifetime_throughput() * k)
-                .manufacturer(s.manufacturer())
-                .coulombic_efficiency(s.coulombic_efficiency())
-                .self_discharge_per_day(s.self_discharge_per_day())
-                .ambient(s.ambient());
-            b.build()?
+                .build()?
         };
         let batteries =
             BatteryPack::manufacture(bank_spec, banks, config.variation, config.seed ^ 0xBA77)?;

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example battery_forensics`
 
-use baat_repro::battery::{Battery, BatteryOp, BatterySpec, Manufacturer};
+use baat_repro::battery::{Battery, BatteryModel, BatteryOp, BatterySpec, Manufacturer};
 use baat_repro::metrics::{AgingMetrics, BatteryRatings};
 use baat_repro::units::{Celsius, Dod, SimDuration, SimInstant, Watts};
 
@@ -22,13 +22,13 @@ fn abuse(label: &str, days: u32, pattern: impl Fn(&mut Battery, &mut SimInstant)
     };
     let metrics = AgingMetrics::from_accumulator(battery.telemetry().lifetime(), &ratings);
     println!("— {label} ({days} days) —");
-    for (mechanism, damage) in battery.aging().breakdown().iter() {
+    for (mechanism, damage) in battery.aging_breakdown().iter() {
         println!("  {mechanism:<15} {damage:>8.5}");
     }
     println!(
         "  total {:.4} → capacity {:.1}%, NAT {:.4}, CF {}, PC(Eq4) {:.2}, DDT {}",
-        battery.aging().total_damage(),
-        battery.aging().capacity_fraction() * 100.0,
+        battery.total_damage(),
+        battery.capacity_fraction() * 100.0,
         metrics.nat,
         metrics.cf.map_or("—".to_owned(), |v| format!("{v:.2}")),
         metrics.pc.weighted_value(),

@@ -1,7 +1,7 @@
 //! Integration across the substrate crates without the engine: battery ×
 //! charger × switcher × sensors × metrics working as one power chain.
 
-use baat_repro::battery::{Battery, BatteryOp, BatterySpec};
+use baat_repro::battery::{Battery, BatteryModel, BatteryOp, BatterySpec};
 use baat_repro::metrics::{
     dod_goal, weighted_aging, AgingMetrics, BatteryRatings, PlannedAgingInputs,
 };
