@@ -212,6 +212,12 @@ run_benchmark() {
     # `SystemView`.
     crates/bench/examples/benchmark/run.sh --smoke
 
+    echo "==> full-size checkpoint workload (500 hosts, six checkpoint round trips)"
+    # The smoke size is 24 hosts; this rep checks the snapshot codec at
+    # the workload's full size, its final hash against expected.json.
+    cargo run --release --offline --manifest-path crates/bench/examples/benchmark/Cargo.toml \
+        -- --workload checkpoint_baath_day --reps 1 --seed 0
+
     echo "==> benchmark unit tests"
     cargo test --manifest-path crates/bench/examples/benchmark/Cargo.toml
 }

@@ -151,6 +151,11 @@ impl AgingBreakdown {
             .zip(self.values[..self.len].iter().copied())
     }
 
+    /// The damage values, in label order.
+    pub fn values(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+
     /// Total damage across all mechanisms.
     pub fn total(&self) -> f64 {
         self.values[..self.len].iter().sum()

@@ -94,16 +94,17 @@ fn peak_heap_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 /// Allocations per step budgeted for the faulted BAAT day below, which
-/// measures 0.504/step. About 0.36 of that is BAAT's own control pass
-/// (its action and ranking vectors), about 0.075 the recorder's sampled
-/// rows (three per-node series each), and the rest engine bookkeeping:
+/// measures 0.177/step. About 0.03 of that is BAAT's own control pass
+/// (the action vector it returns: its rankings and VM lists refill
+/// buffers the policy keeps), about 0.075 the recorder's sampled rows
+/// (three per-node series each), and the rest engine bookkeeping:
 /// action outcomes, event-log growth and history chunks. Disabled
 /// observability must not add to it, the inline routing pass adds
 /// nothing either, the control interval refreshes the engine's kept
 /// system view in place, the fallback scheme reads the hosts without a
 /// per-interval copy, the cluster step lands due migrations in place,
 /// and the history journals allocate one chunk per 4,096 rows.
-const STEP_ALLOC_BUDGET: f64 = 0.72;
+const STEP_ALLOC_BUDGET: f64 = 0.39;
 
 fn faulted_day_config() -> SimConfig {
     faulted_day_config_threads(1)
@@ -198,13 +199,13 @@ fn disabled_observability_allocates_nothing() {
     // the shard slots' buffer live in the reusable step scratch, the
     // append stage's tasks sit on the stack, and `ExecPool::run_each`
     // hands each task its slot without a per-batch vector. Measures
-    // 0.506/step, against 0.504 inline. The metering itself must add
+    // 0.179/step, against 0.177 inline. The metering itself must add
     // nothing: worker meters are sized at pool construction, per-shard
     // timing vectors live in the reusable step scratch, and the off
     // path is one relaxed load per batch — any metering allocation
     // would blow the tight margin. The counting allocator is global, so
     // worker-thread allocations are counted too.
-    const SHARDED_STEP_ALLOC_BUDGET: f64 = 0.72;
+    const SHARDED_STEP_ALLOC_BUDGET: f64 = 0.39;
     let config = faulted_day_config_threads(4);
     let mut sim = Simulation::with_obs(config, Obs::disabled()).expect("valid");
     let mut policy = Scheme::Baat.build();
@@ -291,10 +292,10 @@ const ROUND_TRIP_PEAK_PER_BYTE: f64 = 2.2;
 /// fleet: four hosts through two rainy days under a mix far beyond
 /// their capacity, one step per control interval, so the pending queue
 /// holds hundreds of jobs that every interval retries. Measures 1.61
-/// (e-Buff) and 2.18 (BAAT) per interval. The retry itself allocates
+/// (e-Buff) and 1.68 (BAAT) per interval. The retry itself allocates
 /// nothing: a job that stays queued stays where it is, and the per-kind
 /// FIFOs keep their capacity from pass to pass.
-const INTERVAL_ALLOC_BUDGET: f64 = 2.45;
+const INTERVAL_ALLOC_BUDGET: f64 = 1.97;
 
 fn queue_retries_stay_in_the_interval_budget() {
     let mut cfg = SimConfig::builder();

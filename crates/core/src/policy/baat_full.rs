@@ -26,7 +26,7 @@ use baat_workload::{DemandClass, EnergyDemand, PowerDemand, VmId, WorkloadKind};
 
 use crate::policy::baat_s::SlowdownThresholds;
 use crate::policy::common::{
-    classify_workload, heaviest_movable_vm, rank_by_weighted_aging, ClassRanks,
+    classify_workload, heaviest_movable_vm, rank_by_weighted_aging, AgingRank, ClassRanks,
 };
 
 /// Planned-aging configuration (§IV.D).
@@ -100,6 +100,20 @@ pub struct Baat {
     config: BaatConfig,
     cooldown: u32,
     counters: BaatCounters,
+    scratch: Scratch,
+}
+
+/// The buffers a control call fills, kept so that the next call reuses
+/// them instead of allocating its own. They carry nothing from one call
+/// to the next.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per-class Fig 8 rankings.
+    ranks: [AgingRank; 4],
+    /// VMs whose migration the engine rejected last interval.
+    blocked: Vec<VmId>,
+    /// VMs this call migrates.
+    migrated: Vec<VmId>,
 }
 
 impl Baat {
@@ -112,8 +126,7 @@ impl Baat {
     pub fn with_config(config: BaatConfig) -> Self {
         Self {
             config,
-            cooldown: 0,
-            counters: BaatCounters::default(),
+            ..Self::default()
         }
     }
 
@@ -226,26 +239,27 @@ impl Baat {
             None => self.config.thresholds.deep_soc,
         }
     }
-}
 
-impl Policy for Baat {
-    fn name(&self) -> &'static str {
-        "BAAT"
-    }
-
-    fn control(&mut self, view: &SystemView, ctx: &ControlCtx<'_>) -> Vec<Action> {
+    /// One control call's decisions, with `scratch` for its buffers.
+    fn decide(
+        &mut self,
+        view: &SystemView,
+        ctx: &ControlCtx<'_>,
+        scratch: &mut Scratch,
+    ) -> Vec<Action> {
         let mut actions = Vec::new();
-        let mut migrated_vms = Vec::new();
         let elapsed_days = view.now.day() as f64;
         let t = self.config.thresholds;
         // Back off VMs whose migration the engine rejected last interval
         // (failed target, VM already in flight): re-requesting the same
         // move would fail identically, so fall through to DVFS this round
         // and re-evaluate next interval.
-        let blocked: Vec<VmId> = ctx.rejected_migrations().collect();
+        scratch.blocked.clear();
+        scratch.blocked.extend(ctx.rejected_migrations());
+        scratch.migrated.clear();
         // The view is immutable for the whole call: rank each demand class
         // at most once and sum the fleet demand once.
-        let mut ranks = ClassRanks::new(view);
+        let mut ranks = ClassRanks::new(view, &mut scratch.ranks);
         let total_demand = view.total_demand().as_f64();
 
         // Slowdown pass (Fig 9), migration-first.
@@ -260,7 +274,7 @@ impl Policy for Baat {
             if triggered {
                 let candidate = heaviest_movable_vm(node);
                 let migration = candidate.and_then(|vm| {
-                    if blocked.contains(&vm.id) {
+                    if scratch.blocked.contains(&vm.id) {
                         self.counters.rejected_backoffs.inc();
                         return None;
                     }
@@ -271,7 +285,7 @@ impl Policy for Baat {
                 });
                 if let Some((vm, target)) = migration {
                     self.counters.slowdown_migrations.inc();
-                    migrated_vms.push(vm);
+                    scratch.migrated.push(vm);
                     actions.push(Action::Migrate { vm, target });
                 }
             }
@@ -311,9 +325,9 @@ impl Policy for Baat {
             };
             if gap > self.config.balance_gap && worst.online {
                 if let Some(vm) = heaviest_movable_vm(worst) {
-                    if blocked.contains(&vm.id) {
+                    if scratch.blocked.contains(&vm.id) {
                         self.counters.rejected_backoffs.inc();
-                    } else if !migrated_vms.contains(&vm.id) {
+                    } else if !scratch.migrated.contains(&vm.id) {
                         let class = classify_workload(vm.kind, &self.config.server_power);
                         if let Some(target) = ranks.migration_target(
                             class,
@@ -330,6 +344,19 @@ impl Policy for Baat {
             }
         }
 
+        actions
+    }
+}
+
+impl Policy for Baat {
+    fn name(&self) -> &'static str {
+        "BAAT"
+    }
+
+    fn control(&mut self, view: &SystemView, ctx: &ControlCtx<'_>) -> Vec<Action> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let actions = self.decide(view, ctx, &mut scratch);
+        self.scratch = scratch;
         actions
     }
 

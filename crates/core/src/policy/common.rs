@@ -19,27 +19,36 @@ pub fn node_weighted_aging(node: &NodeView, class: DemandClass) -> f64 {
 
 /// One demand class's Fig 8 ranking of a view: `(node, Eq-6 score)` by
 /// ascending weighted aging, degraded nodes last, ties by node index.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AgingRank(Vec<(usize, f64)>);
 
 impl AgingRank {
-    /// Scores every node once, then sorts stably by `(degraded, score)`.
-    /// Degraded nodes (stale telemetry — their metrics are
-    /// last-known-good, not current) sort after every healthy node
-    /// regardless of apparent aging.
+    /// `view` ranked for `class`, in a buffer of its own.
     pub(crate) fn of(view: &SystemView, class: DemandClass) -> Self {
-        let mut ranked: Vec<(usize, f64)> = view
-            .nodes
-            .iter()
-            .map(|n| (n.node, node_weighted_aging(n, class)))
-            .collect();
-        ranked.sort_by(|&(a, wa), &(b, wb)| {
+        let mut rank = Self::default();
+        rank.rank(view, class);
+        rank
+    }
+
+    /// Scores every node once, then sorts by `(degraded, score, node)`,
+    /// in this rank's buffer. Degraded nodes (stale telemetry — their
+    /// metrics are last-known-good, not current) sort after every
+    /// healthy node regardless of apparent aging.
+    fn rank(&mut self, view: &SystemView, class: DemandClass) {
+        let ranked = &mut self.0;
+        ranked.clear();
+        ranked.extend(
+            view.nodes
+                .iter()
+                .map(|n| (n.node, node_weighted_aging(n, class))),
+        );
+        ranked.sort_unstable_by(|&(a, wa), &(b, wb)| {
             view.nodes[a]
                 .degraded
                 .cmp(&view.nodes[b].degraded)
                 .then(wa.total_cmp(&wb))
+                .then(a.cmp(&b))
         });
-        Self(ranked)
     }
 
     /// The ranked nodes, best placement target first.
@@ -62,11 +71,14 @@ pub fn rank_by_weighted_aging(view: &SystemView, class: DemandClass) -> Vec<usiz
 /// The Fig 8 rankings of one immutable [`SystemView`], built lazily and
 /// at most once per demand class. A control call holds one of these so
 /// every migration-target search and the balance pass share one sort per
-/// class instead of re-sorting the fleet per triggered node.
+/// class instead of re-sorting the fleet per triggered node. The ranks
+/// are built into buffers the caller keeps from call to call.
 #[derive(Debug)]
 pub(crate) struct ClassRanks<'v> {
     view: &'v SystemView,
-    ranks: [Option<AgingRank>; 4],
+    ranks: &'v mut [AgingRank; 4],
+    /// Whether `ranks[class]` ranks this view yet.
+    ranked: [bool; 4],
     /// Migration-target searches, per class and workload kind.
     targets: [[Option<TargetSearch>; WorkloadKind::ALL.len()]; 4],
 }
@@ -76,19 +88,23 @@ pub(crate) struct ClassRanks<'v> {
 type TargetSearch = (u64, [Option<usize>; 2]);
 
 impl<'v> ClassRanks<'v> {
-    /// An empty cache over `view`.
-    pub(crate) fn new(view: &'v SystemView) -> Self {
+    /// An empty cache over `view`, ranking into `ranks`.
+    pub(crate) fn new(view: &'v SystemView, ranks: &'v mut [AgingRank; 4]) -> Self {
         Self {
             view,
-            ranks: Default::default(),
+            ranks,
+            ranked: [false; 4],
             targets: Default::default(),
         }
     }
 
     /// The ranking for `class`, computed on first use.
     pub(crate) fn get(&mut self, class: DemandClass) -> &AgingRank {
-        let view = self.view;
-        self.ranks[class_index(class)].get_or_insert_with(|| AgingRank::of(view, class))
+        let i = class_index(class);
+        if !std::mem::replace(&mut self.ranked[i], true) {
+            self.ranks[i].rank(self.view, class);
+        }
+        &self.ranks[i]
     }
 
     /// [`best_migration_target`] over `class`'s ranking. The first two
@@ -348,7 +364,8 @@ mod tests {
                 })
                 .collect();
             let v = view(nodes);
-            let mut ranks = ClassRanks::new(&v);
+            let mut buffers = Default::default();
+            let mut ranks = ClassRanks::new(&v, &mut buffers);
             for _ in 0..40 {
                 let class = classes[(next() % 4) as usize];
                 let kind = WorkloadKind::ALL[(next() % WorkloadKind::ALL.len() as u64) as usize];

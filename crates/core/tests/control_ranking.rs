@@ -362,9 +362,12 @@ fn control_matches_the_per_node_sort_loop() {
     let mut cov = Coverage::default();
     let mut zero_cooldown_calls = 0;
     let mut held_cooldown_calls = 0;
+    // One policy per config across every seed, so that each call reuses
+    // buffers a call on another view filled.
+    let mut policies: Vec<Baat> = configs().into_iter().map(Baat::with_config).collect();
     for seed in 0..400u64 {
         let mut rng = Rng(seed);
-        for config in configs() {
+        for (config, policy) in configs().into_iter().zip(&mut policies) {
             let view = random_view(&mut rng);
             let outcomes = random_outcomes(&mut rng, &view);
             let ctx = ControlCtx {
@@ -373,7 +376,6 @@ fn control_matches_the_per_node_sort_loop() {
                 last_outcomes: &outcomes,
             };
             let cooldown = [0, 0, 1, 3][rng.below(4) as usize];
-            let mut policy = Baat::with_config(config.clone());
             policy.load_state(&[u64::from(cooldown)]);
             let mut reference = Reference { config, cooldown };
             // Successive calls on one view walk the cooldown down and,

@@ -29,22 +29,21 @@
 //! length prefix can make it reserve more memory than the remaining
 //! input could fill.
 //!
-//! One field-ordered walk of the state feeds every consumer through a
+//! Each state type states its bytes once, as a `Layout` body that the
+//! encoder and the decoder both walk, so no field is written on one side
+//! and forgotten on the other. The encoder feeds every consumer through a
 //! byte [`Sink`]: a counting pass sizes the output, a second pass writes
 //! header, body and trailer into one exact-size buffer, and
 //! [`SimSnapshot::state_hash`] streams FNV-1a over the same bytes
-//! without materializing them. Runs of fixed-width rows (sensor samples,
-//! server power rows) go out one `put` per row and come back from one
-//! bounds check per run.
+//! without materializing them.
 //!
 //! The three histories (power-table battery and server rows per node,
 //! telemetry samples per bank) travel in [`SimState`] as [`History`]s
 //! that share the engine's journal segments, so capturing a state copies
-//! no retained row. The encoder reads each key's rows across those
-//! segments, at a fixed stride through each lockstep chunk, and fills a
-//! block of keys' runs at a time into `to_bytes`' zeroed buffer. The
-//! decoder parses each key's run straight into that key of one base
-//! block per history, and a restore adopts the block as it is.
+//! no retained row. Their sections are the codec's own: the encoder fills
+//! a block of keys' runs of fixed-width rows at a time into `to_bytes`'
+//! zeroed buffer, and the decoder takes each run with one bounds check
+//! into one base block per history, which a restore adopts as it is.
 //!
 //! [`Simulation`]: crate::Simulation
 
@@ -53,6 +52,7 @@ use std::ops::Range;
 
 use baat_battery::{
     AgingBreakdown, BatteryUnitState, Chemistry, SensorSample, TelemetryState, UsageAccumulator,
+    MAX_AGING_MECHANISMS,
 };
 use baat_faults::{FaultKind, InjectorState};
 use baat_power::{ChargeStage, History, PowerTable, ServerPowerRecord};
@@ -64,8 +64,7 @@ use baat_units::{
 use baat_workload::{Arrival, VmId, VmSnapshot, VmState, WorkloadKind};
 
 use crate::config::SimConfig;
-use crate::events::Event;
-use crate::events::TimedEvent;
+use crate::events::{Event, TimedEvent};
 use crate::policy::{Action, ActionOutcome, ActionResult, Policy, RejectReason};
 use crate::recorder::TraceRow;
 
@@ -446,7 +445,7 @@ pub fn config_hash(config: &SimConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Byte-level encoder/decoder.
+// Byte sinks.
 
 /// Destination of encoded bytes. The format is walked once per
 /// consumer: [`ByteCount`] sizes it, [`Buffer`] writes it and [`Fnv1a`]
@@ -465,14 +464,6 @@ trait Sink {
     /// keeps none, which has no gap to fill.
     fn written(&mut self) -> &mut [u8] {
         &mut []
-    }
-}
-
-/// A growable sink for the unit tests' small encodings; it streams.
-#[cfg(test)]
-impl Sink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
     }
 }
 
@@ -505,7 +496,6 @@ impl Sink for Buffer {
 }
 
 /// Counts encoded bytes without storing them.
-#[derive(Default)]
 struct ByteCount(usize);
 
 impl Sink for ByteCount {
@@ -533,52 +523,230 @@ impl Sink for Fnv1a {
     }
 }
 
-#[derive(Default)]
+// ---------------------------------------------------------------------
+// The codec: one walk of the format, in either direction.
+
+/// What a layout body hands its codec for one value: `Some` value to
+/// write when encoding, `None` when decoding, which reads it instead.
+type Src<'a, T> = Option<&'a T>;
+
+type DecResult<T> = Result<T, SnapshotError>;
+
+fn corrupt(context: &'static str) -> SnapshotError {
+    SnapshotError::Corrupt { context }
+}
+
+/// The sections that hold the histories, as a decoder returns them:
+/// power-table battery and server rows, battery records, telemetry.
+type Histories = (
+    History<SensorSample>,
+    History<ServerPowerRecord>,
+    Vec<BatteryUnitState>,
+    History<SensorSample>,
+);
+
+/// Why an encoder was handed no value: only a decoder is.
+const WRITES: &str = "an encoder is handed every value it writes";
+
+/// One walk of the byte format, in either direction. Every state type
+/// states its bytes once, as a [`Layout`] body over a `Codec`: the
+/// encoder, [`Enc`] over any [`Sink`], writes the values the body hands
+/// it, and the decoder, [`Dec`], ignores them and reads. The sizing
+/// pass, the writer, the hasher and the reader thus walk one body.
+///
+/// Each method returns the value it walked, except that an encoder
+/// returns empty sequences rather than build a copy of what it wrote.
+/// An encoder fails only on a state no decoder could read back: a
+/// battery breakdown that does not fit the snapshot's chemistry.
+trait Codec: Sized {
+    /// The chemistry whose aging labels a breakdown carries.
+    fn chemistry(&self) -> Chemistry;
+
+    /// `N` bytes.
+    fn le<const N: usize>(&mut self, v: Option<[u8; N]>, cx: &'static str) -> DecResult<[u8; N]>;
+
+    /// The length prefix of a sequence of elements of at least `width`
+    /// bytes. A decoder bounds it by how many the rest of the input can
+    /// hold, so a `Vec::with_capacity(n)` never reserves more elements
+    /// than the input could fill.
+    fn len(&mut self, v: Option<usize>, width: usize, cx: &'static str) -> DecResult<usize>;
+
+    /// A length-prefixed sequence, each element walked by `each`.
+    fn seq<T, V: AsRef<[T]> + ?Sized>(
+        &mut self,
+        v: Src<V>,
+        width: usize,
+        cx: &'static str,
+        each: impl FnMut(&mut Self, Src<T>) -> DecResult<T>,
+    ) -> DecResult<Vec<T>>;
+
+    /// An enum's one-byte tag, the index of its variant in `all`.
+    /// Returns `v` to an encoder and the tag's entry to a decoder, which
+    /// for an enum with fields is a blank: either way, the body walks the
+    /// fields of what it gets.
+    fn variant<'a, T>(&mut self, v: Src<'a, T>, all: &'a [T], cx: &'static str)
+        -> DecResult<&'a T>;
+
+    /// The history sections of `s`: the power table's battery and
+    /// server rows per node, then each bank's [`battery`] record around
+    /// its telemetry run.
+    fn histories(&mut self, s: Src<SimState>) -> DecResult<Option<Histories>>;
+
+    fn value<T: Value>(&mut self, v: Option<T>, cx: &'static str) -> DecResult<T> {
+        T::value(self, v, cx)
+    }
+
+    /// A length-prefixed sequence of values.
+    fn values<T: Value, V: AsRef<[T]> + ?Sized>(
+        &mut self,
+        v: Src<V>,
+        len_cx: &'static str,
+        cx: &'static str,
+    ) -> DecResult<Vec<T>> {
+        self.seq(v, T::WIDTH, len_cx, |c, x| c.value(x.copied(), cx))
+    }
+
+    /// Whether an option holds a value, as a `bool`, then the value,
+    /// walked by `some`.
+    fn option<T>(
+        &mut self,
+        v: Option<Option<&T>>,
+        cx: &'static str,
+        some: impl FnOnce(&mut Self, Src<T>) -> DecResult<T>,
+    ) -> DecResult<Option<T>> {
+        match self.value(v.map(|v| v.is_some()), cx)? {
+            true => Ok(Some(some(self, v.flatten())?)),
+            false => Ok(None),
+        }
+    }
+
+    /// A length-prefixed sequence of a layout type.
+    fn list<T: Layout, V: AsRef<[T]> + ?Sized>(
+        &mut self,
+        v: Src<V>,
+        cx: &'static str,
+    ) -> DecResult<Vec<T>> {
+        self.seq(v, T::WIDTH, cx, T::layout)
+    }
+
+    /// A value of a layout type.
+    fn walk<T: Layout>(&mut self, v: Src<T>) -> DecResult<T> {
+        T::layout(self, v)
+    }
+}
+
+/// A fixed-width value, carried as it stands: a `u8`, `u32` or `bool`,
+/// a [`Word`], an option of one (a `bool` for whether it holds a value,
+/// then the value) or an array of words.
+trait Value: Copy {
+    /// The value's width in bytes; an option's is that of `None`.
+    const WIDTH: usize;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self>;
+}
+
+macro_rules! int_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            const WIDTH: usize = size_of::<$t>();
+            fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+                Ok(<$t>::from_le_bytes(c.le(v.map(<$t>::to_le_bytes), cx)?))
+            }
+        }
+    )*};
+}
+
+int_values!(u8, u32);
+
+impl Value for bool {
+    const WIDTH: usize = width::TAG;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        match c.value(v.map(u8::from), cx)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(corrupt(cx)),
+        }
+    }
+}
+
+impl<T: Value> Value for Option<T> {
+    const WIDTH: usize = width::TAG;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        c.option(v.as_ref().map(Option::as_ref), cx, |c, x| {
+            c.value(x.copied(), cx)
+        })
+    }
+}
+
+impl<W: Word + Default, const N: usize> Value for [W; N] {
+    const WIDTH: usize = N * width::WORD;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        let mut out = [W::default(); N];
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = c.value(v.map(|v| v[i]), cx)?;
+        }
+        Ok(out)
+    }
+}
+
+/// A value the format carries as one little-endian `u64`: an integer, or
+/// the IEEE-754 bits of a float, so that a round trip is bit-exact, NaN
+/// payloads included. `from_word` is `None` for a word out of range.
+trait Word: Copy {
+    fn to_word(self) -> u64;
+    fn from_word(w: u64) -> Option<Self>;
+}
+
+impl<W: Word> Value for W {
+    const WIDTH: usize = width::WORD;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        let bytes = c.le(v.map(|v| v.to_word().to_le_bytes()), cx)?;
+        W::from_word(u64::from_le_bytes(bytes)).ok_or(corrupt(cx))
+    }
+}
+
+macro_rules! word {
+    ($($t:ty: $to:expr, $from:expr;)*) => {$(
+        impl Word for $t {
+            fn to_word(self) -> u64 {
+                $to(self)
+            }
+            fn from_word(w: u64) -> Option<Self> {
+                $from(w)
+            }
+        }
+    )*};
+}
+
+word! {
+    u64: |v| v, Some;
+    usize: |v| v as u64, |w| usize::try_from(w).ok();
+    f64: f64::to_bits, |w| Some(f64::from_bits(w));
+    SimInstant: SimInstant::as_secs, |w| Some(SimInstant::from_secs(w));
+    SimDuration: SimDuration::as_secs, |w| Some(SimDuration::from_secs(w));
+    // A decoded state of charge saturates into [0, 1].
+    Soc: |v: Soc| v.value().to_bits(), |w| Some(Soc::saturating(f64::from_bits(w)));
+    AmpHours: |v: AmpHours| v.as_f64().to_bits(), |w| Some(AmpHours::new(f64::from_bits(w)));
+    Amperes: |v: Amperes| v.as_f64().to_bits(), |w| Some(Amperes::new(f64::from_bits(w)));
+    Celsius: |v: Celsius| v.as_f64().to_bits(), |w| Some(Celsius::new(f64::from_bits(w)));
+    WattHours: |v: WattHours| v.as_f64().to_bits(), |w| Some(WattHours::new(f64::from_bits(w)));
+    Watts: |v: Watts| v.as_f64().to_bits(), |w| Some(Watts::new(f64::from_bits(w)));
+}
+
 struct Enc<S> {
     out: S,
+    chemistry: Chemistry,
 }
 
 impl<S: Sink> Enc<S> {
-    fn u8(&mut self, v: u8) {
-        self.out.put(&[v]);
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.put(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.put(&v.to_le_bytes());
-    }
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.out.put(&(v as u64).to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-    fn rng(&mut self, s: &[u64; 4]) {
-        for &w in s {
-            self.u64(w);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.out.put(s.as_bytes());
-    }
+
     /// One fixed-width row of little-endian words, in a single `put`.
-    fn words<const N: usize>(&mut self, words: [u64; N]) {
+    fn row<const N: usize>(&mut self, words: [u64; N]) {
         self.out.put(words.map(u64::to_le_bytes).as_flattened());
     }
+
     /// `key`'s rows of `history` as a length-prefixed run of
     /// fixed-width rows. A streaming sink gets them in order, one `put`
     /// per row; any other sink leaves a gap, whose start is returned,
@@ -593,7 +761,7 @@ impl<S: Sink> Enc<S> {
         self.usize(len);
         let gap = self.out.gap(len * N * width::WORD);
         if gap.is_none() {
-            history.for_each_row(key..key + 1, |_, row| self.words(words(row)));
+            history.for_each_row(key..key + 1, |_, row| self.row(words(row)));
         }
         gap
     }
@@ -621,6 +789,75 @@ impl<S: Sink> Enc<S> {
     }
 }
 
+impl<S: Sink> Codec for Enc<S> {
+    fn chemistry(&self) -> Chemistry {
+        self.chemistry
+    }
+
+    fn le<const N: usize>(&mut self, v: Option<[u8; N]>, _: &'static str) -> DecResult<[u8; N]> {
+        let v = v.expect(WRITES);
+        self.out.put(&v);
+        Ok(v)
+    }
+
+    fn len(&mut self, v: Option<usize>, _: usize, _: &'static str) -> DecResult<usize> {
+        let v = v.expect(WRITES);
+        self.usize(v);
+        Ok(v)
+    }
+
+    fn seq<T, V: AsRef<[T]> + ?Sized>(
+        &mut self,
+        v: Src<V>,
+        _: usize,
+        _: &'static str,
+        mut each: impl FnMut(&mut Self, Src<T>) -> DecResult<T>,
+    ) -> DecResult<Vec<T>> {
+        let v = v.expect(WRITES).as_ref();
+        self.usize(v.len());
+        for x in v {
+            each(self, Some(x))?;
+        }
+        Ok(Vec::new())
+    }
+
+    fn variant<'a, T>(&mut self, v: Src<'a, T>, all: &'a [T], _: &'static str) -> DecResult<&'a T> {
+        let v = v.expect(WRITES);
+        self.out.put(&[tag(v, all)]);
+        Ok(v)
+    }
+
+    fn histories(&mut self, s: Src<SimState>) -> DecResult<Option<Histories>> {
+        let s = s.expect(WRITES);
+        let nodes = s.battery_rows.keys();
+        assert_eq!(nodes, s.server_rows.keys(), "power-table channels per node");
+        self.usize(nodes);
+        for block in blocks(nodes) {
+            let mut battery = [None; BLOCK];
+            let mut server = [None; BLOCK];
+            for (i, node) in block.clone().enumerate() {
+                battery[i] = self.run(&s.battery_rows, node, sample_words);
+                server[i] = self.run(&s.server_rows, node, server_row_words);
+            }
+            self.fill(&s.battery_rows, block.clone(), &battery, sample_words);
+            self.fill(&s.server_rows, block, &server, server_row_words);
+        }
+        assert_eq!(s.telemetry.keys(), s.batteries.len(), "telemetry per bank");
+        self.usize(s.batteries.len());
+        for block in blocks(s.batteries.len()) {
+            let mut samples = [None; BLOCK];
+            for (i, bank) in block.clone().enumerate() {
+                battery(self, Some(&s.batteries[bank]), |e, _| {
+                    samples[i] = e.run(&s.telemetry, bank, sample_words);
+                    Ok(None)
+                })?;
+            }
+            self.fill(&s.telemetry, block, &samples, sample_words);
+        }
+        Ok(None)
+    }
+}
+
 /// The `N` little-endian words of one fixed-width row.
 fn words<const N: usize>(row: &[u8]) -> [u64; N] {
     std::array::from_fn(|i| {
@@ -631,15 +868,10 @@ fn words<const N: usize>(row: &[u8]) -> [u64; N] {
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    chemistry: Chemistry,
 }
 
-type DecResult<T> = Result<T, SnapshotError>;
-
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize, context: &'static str) -> DecResult<&'a [u8]> {
         let end = self
             .pos
@@ -649,66 +881,6 @@ impl<'a> Dec<'a> {
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
-    }
-
-    fn u8(&mut self, context: &'static str) -> DecResult<u8> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> DecResult<u32> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, context: &'static str) -> DecResult<u64> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn usize(&mut self, context: &'static str) -> DecResult<usize> {
-        usize::try_from(self.u64(context)?).map_err(|_| SnapshotError::Corrupt { context })
-    }
-
-    /// A length prefix for a sequence of elements each encoded in at
-    /// least `width` bytes — bounded by how many such elements the
-    /// remaining input can hold, so a corrupt length fails fast and a
-    /// `Vec::with_capacity(n)` never reserves more elements than the
-    /// input could fill.
-    fn len(&mut self, width: usize, context: &'static str) -> DecResult<usize> {
-        let n = self.usize(context)?;
-        if n > (self.buf.len() - self.pos) / width {
-            return Err(SnapshotError::Corrupt { context });
-        }
-        Ok(n)
-    }
-
-    fn f64(&mut self, context: &'static str) -> DecResult<f64> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    fn bool(&mut self, context: &'static str) -> DecResult<bool> {
-        match self.u8(context)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt { context }),
-        }
-    }
-
-    fn opt_u64(&mut self, context: &'static str) -> DecResult<Option<u64>> {
-        match self.u8(context)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64(context)?)),
-            _ => Err(SnapshotError::Corrupt { context }),
-        }
-    }
-
-    fn rng(&mut self, context: &'static str) -> DecResult<[u64; 4]> {
-        Ok([
-            self.u64(context)?,
-            self.u64(context)?,
-            self.u64(context)?,
-            self.u64(context)?,
-        ])
     }
 
     /// A length-prefixed run of at most `max` fixed-width rows of `N`
@@ -721,481 +893,374 @@ impl<'a> Dec<'a> {
         row: impl Fn([u64; N]) -> T,
     ) -> DecResult<Vec<T>> {
         let width = N * width::WORD;
-        let n = self.len(width, context)?;
+        let n = self.len(None, width, context)?;
         if n > max {
-            return Err(SnapshotError::Corrupt { context });
+            return Err(corrupt(context));
         }
         let run = self.take(n * width, context)?;
         Ok(run.chunks_exact(width).map(|r| row(words(r))).collect())
     }
 }
 
-/// Smallest encoded width, in bytes, of one element of each
-/// length-prefixed sequence — the divisor [`Dec::len`] bounds a length
-/// prefix by. Each is an exact minimum, pinned against the encoder by
-/// `min_widths_match_the_encoder`.
+impl Codec for Dec<'_> {
+    fn chemistry(&self) -> Chemistry {
+        self.chemistry
+    }
+
+    fn le<const N: usize>(&mut self, _: Option<[u8; N]>, cx: &'static str) -> DecResult<[u8; N]> {
+        Ok(self.take(N, cx)?.try_into().expect("N bytes"))
+    }
+
+    fn len(&mut self, _: Option<usize>, width: usize, cx: &'static str) -> DecResult<usize> {
+        let n: usize = self.value(None, cx)?;
+        if n > (self.buf.len() - self.pos) / width {
+            return Err(corrupt(cx));
+        }
+        Ok(n)
+    }
+
+    fn seq<T, V: AsRef<[T]> + ?Sized>(
+        &mut self,
+        _: Src<V>,
+        width: usize,
+        cx: &'static str,
+        mut each: impl FnMut(&mut Self, Src<T>) -> DecResult<T>,
+    ) -> DecResult<Vec<T>> {
+        let n = self.len(None, width, cx)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(each(self, None)?);
+        }
+        Ok(out)
+    }
+
+    fn variant<'a, T>(
+        &mut self,
+        _: Src<'a, T>,
+        all: &'a [T],
+        cx: &'static str,
+    ) -> DecResult<&'a T> {
+        let tag = self.value::<u8>(None, cx)?;
+        all.get(usize::from(tag)).ok_or(corrupt(cx))
+    }
+
+    fn histories(&mut self, _: Src<SimState>) -> DecResult<Option<Histories>> {
+        let n = self.len(None, width::POWER_TABLE_NODE, "power table len")?;
+        let mut battery_rows = Vec::with_capacity(n);
+        let mut server_rows = Vec::with_capacity(n);
+        // A run beyond the retention is refused: a restore adopts the rows
+        // as they are, and a table never holds more.
+        let max = PowerTable::MAX_ROWS;
+        for _ in 0..n {
+            battery_rows.push(self.rows(max, "power table battery len", sample_from)?);
+            server_rows.push(self.rows(max, "power table server len", server_row_from)?);
+        }
+        let n = self.len(None, width::BATTERY, "batteries len")?;
+        let mut batteries = Vec::with_capacity(n);
+        let mut samples = Vec::with_capacity(n);
+        for _ in 0..n {
+            batteries.push(battery(self, None, |d, max_samples| {
+                // A history never holds more than its capacity; restoring
+                // one that did would never shrink back under it.
+                let rows = d.rows(max_samples, "telemetry samples len", sample_from)?;
+                let latest = rows.last().copied();
+                samples.push(rows);
+                Ok(latest)
+            })?);
+        }
+        // Every bank's run fits its own capacity, so the largest keeps all.
+        let capacity = batteries.iter().map(|b| b.telemetry.max_samples).max();
+        Ok(Some((
+            History::from_rows(battery_rows, max),
+            History::from_rows(server_rows, max),
+            batteries,
+            History::from_rows(samples, capacity.unwrap_or(0)),
+        )))
+    }
+}
+
+/// Smallest encoded widths, in bytes, of the values and history
+/// sections that [`Value::WIDTH`], [`Layout::WIDTH`] and the history
+/// sections bound length prefixes by. Each is an exact minimum, pinned
+/// against the encoder by `min_widths_match_the_encoder`.
 mod width {
     /// A `u64` or `f64`.
     pub const WORD: usize = 8;
-    /// A `u32`.
-    pub const U32: usize = 4;
     /// A one-byte value: `bool`, enum tag, option tag or string byte.
     pub const TAG: usize = 1;
-    /// An RNG stream position.
-    pub const RNG: usize = 4 * WORD;
-    /// An arrival: `u32` time of day plus a kind tag.
-    pub const ARRIVAL: usize = U32 + TAG;
-    /// A VM: id, kind, state, progress, work, migrations.
-    pub const VM: usize = WORD + 2 * TAG + 2 * WORD + U32;
-    /// An action; `SetDvfs` is the shortest (tag, node, level).
-    pub const ACTION: usize = TAG + WORD + TAG;
-    /// An action outcome: action plus result tag.
-    pub const OUTCOME: usize = ACTION + TAG;
-    /// A timed event; the shortest is a fault event whose fault carries
-    /// no payload (timestamp, event tag, fault tag).
-    pub const EVENT: usize = WORD + 2 * TAG;
-    /// A sensor sample: timestamp and four `f64`s.
-    pub const SAMPLE: usize = 5 * WORD;
     /// One node's power table: two length prefixes.
     pub const POWER_TABLE_NODE: usize = 2 * WORD;
-    /// A recorder row with empty series: at, solar, three lengths, work.
-    pub const TRACE_ROW: usize = 6 * WORD;
-    /// A host with no VMs: dvfs, online, boot, work, jobs, VM count.
-    pub const HOST: usize = 2 * TAG + 4 * WORD;
-    /// An in-flight migration: VM, target, completion time.
-    pub const IN_FLIGHT: usize = VM + 2 * WORD;
-    /// A usage accumulator: 21 words.
-    pub const ACCUMULATOR: usize = 21 * WORD;
     /// A battery with no aging mechanisms and no samples: four scalars,
     /// breakdown length, capacity, sample count, two accumulators.
-    pub const BATTERY: usize = 7 * WORD + 2 * ACCUMULATOR;
+    pub const BATTERY: usize = 7 * WORD + 2 * 21 * WORD;
 }
 
 // ---------------------------------------------------------------------
-// Enum tag tables. Tags are part of the format: append-only, never
-// reorder without bumping SNAPSHOT_VERSION.
+// Tag tables: an enum value's tag is the index of its variant in its
+// table, read both ways by `Codec::variant`; the fieldless enums' `ALL`
+// arrays serve as theirs. Tags are part of the format: append-only,
+// never reorder without bumping SNAPSHOT_VERSION.
 
-fn weather_tag(w: Weather) -> u8 {
-    Weather::ALL
+/// The tag of `v`: the index of its variant in `all`.
+fn tag<T>(v: &T, all: &[T]) -> u8 {
+    let variant = std::mem::discriminant(v);
+    let tag = all
         .iter()
-        .position(|&x| x == w)
-        .expect("known weather") as u8
+        .position(|x| std::mem::discriminant(x) == variant);
+    tag.expect("every variant has a tag") as u8
 }
 
-fn weather_from(tag: u8) -> DecResult<Weather> {
-    Weather::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(SnapshotError::Corrupt {
-            context: "weather tag",
-        })
-}
+const VM_STATES: [VmState; 4] = [
+    VmState::Running,
+    VmState::Paused,
+    VmState::Migrating,
+    VmState::Completed,
+];
 
-fn chemistry_tag(c: Chemistry) -> u8 {
-    Chemistry::ALL
-        .iter()
-        .position(|&x| x == c)
-        .expect("known chemistry") as u8
-}
+const STAGES: [ChargeStage; 3] = [
+    ChargeStage::Bulk,
+    ChargeStage::Absorption,
+    ChargeStage::Float,
+];
 
-fn chemistry_from(tag: u8) -> DecResult<Chemistry> {
-    Chemistry::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(SnapshotError::Corrupt {
-            context: "chemistry tag",
-        })
-}
+const REJECTS: [RejectReason; 6] = [
+    RejectReason::UnknownNode,
+    RejectReason::UnknownVm,
+    RejectReason::AlreadyMigrating,
+    RejectReason::TargetIsSource,
+    RejectReason::TargetFull,
+    RejectReason::FaultInjected,
+];
 
-fn kind_tag(k: WorkloadKind) -> u8 {
-    WorkloadKind::ALL
-        .iter()
-        .position(|&x| x == k)
-        .expect("known workload") as u8
-}
+/// One blank of each [`Action`] variant, in tag order; a decoder walks
+/// the fields of the tag's blank. So do the tables below.
+const ACTIONS: [Action; 3] = [
+    Action::SetDvfs {
+        node: 0,
+        level: DvfsLevel::ALL[0],
+    },
+    Action::Migrate {
+        vm: VmId(0),
+        target: 0,
+    },
+    Action::SetSocFloor {
+        node: 0,
+        floor: Soc::EMPTY,
+    },
+];
 
-fn kind_from(tag: u8) -> DecResult<WorkloadKind> {
-    WorkloadKind::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(SnapshotError::Corrupt {
-            context: "workload kind tag",
-        })
-}
+const RESULTS: [ActionResult; 2] = [ActionResult::Applied, ActionResult::Rejected(REJECTS[0])];
 
-fn dvfs_tag(l: DvfsLevel) -> u8 {
-    DvfsLevel::ALL
-        .iter()
-        .position(|&x| x == l)
-        .expect("known dvfs level") as u8
-}
+const FAULTS: [FaultKind; 12] = [
+    FaultKind::SensorDropout { bank: 0 },
+    FaultKind::SensorStuckAt { bank: 0 },
+    FaultKind::SensorNoise {
+        bank: 0,
+        sigma: 0.0,
+    },
+    FaultKind::SensorDrift {
+        bank: 0,
+        volts_per_hour: 0.0,
+    },
+    FaultKind::PvOutage,
+    FaultKind::InverterDerate { fraction: 0.0 },
+    FaultKind::ChargerFailure { bank: 0 },
+    FaultKind::ChargerModeStuck { bank: 0 },
+    FaultKind::BatteryOpenCircuit { bank: 0 },
+    FaultKind::ThermalSensorLoss { bank: 0 },
+    FaultKind::HostFailure { node: 0 },
+    FaultKind::MigrationsBlocked,
+];
 
-fn dvfs_from(tag: u8) -> DecResult<DvfsLevel> {
-    DvfsLevel::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(SnapshotError::Corrupt {
-            context: "dvfs tag",
-        })
-}
-
-fn vm_state_tag(s: VmState) -> u8 {
-    match s {
-        VmState::Running => 0,
-        VmState::Paused => 1,
-        VmState::Migrating => 2,
-        VmState::Completed => 3,
-    }
-}
-
-fn vm_state_from(tag: u8) -> DecResult<VmState> {
-    Ok(match tag {
-        0 => VmState::Running,
-        1 => VmState::Paused,
-        2 => VmState::Migrating,
-        3 => VmState::Completed,
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "vm state tag",
-            })
-        }
-    })
-}
-
-fn stage_tag(s: ChargeStage) -> u8 {
-    match s {
-        ChargeStage::Bulk => 0,
-        ChargeStage::Absorption => 1,
-        ChargeStage::Float => 2,
-    }
-}
-
-fn stage_from(tag: u8) -> DecResult<ChargeStage> {
-    Ok(match tag {
-        0 => ChargeStage::Bulk,
-        1 => ChargeStage::Absorption,
-        2 => ChargeStage::Float,
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "charge stage tag",
-            })
-        }
-    })
-}
-
-fn reject_tag(r: RejectReason) -> u8 {
-    match r {
-        RejectReason::UnknownNode => 0,
-        RejectReason::UnknownVm => 1,
-        RejectReason::AlreadyMigrating => 2,
-        RejectReason::TargetIsSource => 3,
-        RejectReason::TargetFull => 4,
-        RejectReason::FaultInjected => 5,
-    }
-}
-
-fn reject_from(tag: u8) -> DecResult<RejectReason> {
-    Ok(match tag {
-        0 => RejectReason::UnknownNode,
-        1 => RejectReason::UnknownVm,
-        2 => RejectReason::AlreadyMigrating,
-        3 => RejectReason::TargetIsSource,
-        4 => RejectReason::TargetFull,
-        5 => RejectReason::FaultInjected,
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "reject reason tag",
-            })
-        }
-    })
-}
+const EVENTS: [Event; 11] = [
+    Event::ServerShutdown { node: 0 },
+    Event::ServerRestart { node: 0 },
+    Event::DvfsChanged {
+        node: 0,
+        level: DvfsLevel::ALL[0],
+    },
+    Event::MigrationStarted {
+        vm: VmId(0),
+        from: 0,
+        to: 0,
+    },
+    Event::Action {
+        outcome: ActionOutcome {
+            action: ACTIONS[0],
+            result: RESULTS[0],
+        },
+    },
+    Event::BatteryCutoff { node: 0 },
+    Event::SocFloorChanged {
+        node: 0,
+        floor: Soc::EMPTY,
+    },
+    Event::PlacementFailed { node: 0 },
+    Event::FaultInjected { fault: FAULTS[4] },
+    Event::FaultCleared { fault: FAULTS[4] },
+    Event::DegradedMode {
+        node: 0,
+        active: false,
+    },
+];
 
 // ---------------------------------------------------------------------
-// Composite encoders/decoders, one pair per carried type.
+// Layouts: each state type's bytes, in format order. A struct
+// expression evaluates its fields in the order they are written, so
+// each body lists its fields in byte order.
 
-fn enc_action<S: Sink>(e: &mut Enc<S>, a: &Action) {
-    match a {
-        Action::SetDvfs { node, level } => {
-            e.u8(0);
-            e.usize(*node);
-            e.u8(dvfs_tag(*level));
-        }
-        Action::Migrate { vm, target } => {
-            e.u8(1);
-            e.u64(vm.0);
-            e.usize(*target);
-        }
-        Action::SetSocFloor { node, floor } => {
-            e.u8(2);
-            e.usize(*node);
-            e.f64(floor.value());
-        }
+/// A state type's bytes, stated once for every codec: `layout` writes
+/// `v` through an encoder, or reads a value through a decoder.
+trait Layout: Sized {
+    /// The fewest bytes a value takes: the divisor [`Codec::len`] bounds
+    /// a list's length by. An exact minimum, pinned against the body by
+    /// `min_widths_match_the_encoder`.
+    const WIDTH: usize;
+    fn layout<C: Codec>(c: &mut C, v: Src<Self>) -> DecResult<Self>;
+}
+
+impl Layout for Action {
+    /// An action; `SetDvfs` is the shortest (tag, node, level).
+    const WIDTH: usize = 2 * width::TAG + width::WORD;
+    fn layout<C: Codec>(c: &mut C, a: Src<Self>) -> DecResult<Self> {
+        Ok(match *c.variant(a, &ACTIONS, "action tag")? {
+            Action::SetDvfs { node, level } => Action::SetDvfs {
+                node: c.value(Some(node), "action node")?,
+                level: *c.variant(Some(&level), &DvfsLevel::ALL, "action level")?,
+            },
+            Action::Migrate { vm, target } => Action::Migrate {
+                vm: VmId(c.value(Some(vm.0), "action vm")?),
+                target: c.value(Some(target), "action target")?,
+            },
+            Action::SetSocFloor { node, floor } => Action::SetSocFloor {
+                node: c.value(Some(node), "action node")?,
+                floor: c.value(Some(floor), "action floor")?,
+            },
+        })
     }
 }
 
-fn dec_action(d: &mut Dec<'_>) -> DecResult<Action> {
-    Ok(match d.u8("action tag")? {
-        0 => Action::SetDvfs {
-            node: d.usize("action node")?,
-            level: dvfs_from(d.u8("action level")?)?,
-        },
-        1 => Action::Migrate {
-            vm: VmId(d.u64("action vm")?),
-            target: d.usize("action target")?,
-        },
-        2 => Action::SetSocFloor {
-            node: d.usize("action node")?,
-            floor: Soc::saturating(d.f64("action floor")?),
-        },
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "action tag",
-            })
-        }
-    })
-}
-
-fn enc_outcome<S: Sink>(e: &mut Enc<S>, o: &ActionOutcome) {
-    enc_action(e, &o.action);
-    match o.result {
-        ActionResult::Applied => e.u8(0),
-        ActionResult::Rejected(r) => {
-            e.u8(1);
-            e.u8(reject_tag(r));
-        }
+impl Layout for ActionOutcome {
+    /// An action plus a result tag.
+    const WIDTH: usize = Action::WIDTH + width::TAG;
+    fn layout<C: Codec>(c: &mut C, o: Src<Self>) -> DecResult<Self> {
+        Ok(ActionOutcome {
+            action: c.walk(o.map(|o| &o.action))?,
+            result: match *c.variant(o.map(|o| &o.result), &RESULTS, "outcome tag")? {
+                ActionResult::Applied => ActionResult::Applied,
+                ActionResult::Rejected(r) => {
+                    ActionResult::Rejected(*c.variant(Some(&r), &REJECTS, "outcome reason")?)
+                }
+            },
+        })
     }
 }
 
-fn dec_outcome(d: &mut Dec<'_>) -> DecResult<ActionOutcome> {
-    let action = dec_action(d)?;
-    let result = match d.u8("outcome tag")? {
-        0 => ActionResult::Applied,
-        1 => ActionResult::Rejected(reject_from(d.u8("outcome reason")?)?),
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "outcome tag",
-            })
-        }
-    };
-    Ok(ActionOutcome { action, result })
-}
-
-fn enc_fault<S: Sink>(e: &mut Enc<S>, f: &FaultKind) {
-    match f {
-        FaultKind::SensorDropout { bank } => {
-            e.u8(0);
-            e.usize(*bank);
-        }
-        FaultKind::SensorStuckAt { bank } => {
-            e.u8(1);
-            e.usize(*bank);
-        }
-        FaultKind::SensorNoise { bank, sigma } => {
-            e.u8(2);
-            e.usize(*bank);
-            e.f64(*sigma);
-        }
-        FaultKind::SensorDrift {
-            bank,
-            volts_per_hour,
-        } => {
-            e.u8(3);
-            e.usize(*bank);
-            e.f64(*volts_per_hour);
-        }
-        FaultKind::PvOutage => e.u8(4),
-        FaultKind::InverterDerate { fraction } => {
-            e.u8(5);
-            e.f64(*fraction);
-        }
-        FaultKind::ChargerFailure { bank } => {
-            e.u8(6);
-            e.usize(*bank);
-        }
-        FaultKind::ChargerModeStuck { bank } => {
-            e.u8(7);
-            e.usize(*bank);
-        }
-        FaultKind::BatteryOpenCircuit { bank } => {
-            e.u8(8);
-            e.usize(*bank);
-        }
-        FaultKind::ThermalSensorLoss { bank } => {
-            e.u8(9);
-            e.usize(*bank);
-        }
-        FaultKind::HostFailure { node } => {
-            e.u8(10);
-            e.usize(*node);
-        }
-        FaultKind::MigrationsBlocked => e.u8(11),
+impl Layout for FaultKind {
+    /// A fault without a payload: its tag.
+    const WIDTH: usize = width::TAG;
+    fn layout<C: Codec>(c: &mut C, f: Src<Self>) -> DecResult<Self> {
+        use FaultKind as F;
+        let bank = |c: &mut C, bank| c.value(Some(bank), "fault bank");
+        Ok(match *c.variant(f, &FAULTS, "fault tag")? {
+            F::SensorDropout { bank: b } => F::SensorDropout { bank: bank(c, b)? },
+            F::SensorStuckAt { bank: b } => F::SensorStuckAt { bank: bank(c, b)? },
+            F::SensorNoise { bank: b, sigma } => F::SensorNoise {
+                bank: bank(c, b)?,
+                sigma: c.value(Some(sigma), "fault sigma")?,
+            },
+            F::SensorDrift {
+                bank: b,
+                volts_per_hour,
+            } => F::SensorDrift {
+                bank: bank(c, b)?,
+                volts_per_hour: c.value(Some(volts_per_hour), "fault drift rate")?,
+            },
+            F::PvOutage => F::PvOutage,
+            F::InverterDerate { fraction } => F::InverterDerate {
+                fraction: c.value(Some(fraction), "fault fraction")?,
+            },
+            F::ChargerFailure { bank: b } => F::ChargerFailure { bank: bank(c, b)? },
+            F::ChargerModeStuck { bank: b } => F::ChargerModeStuck { bank: bank(c, b)? },
+            F::BatteryOpenCircuit { bank: b } => F::BatteryOpenCircuit { bank: bank(c, b)? },
+            F::ThermalSensorLoss { bank: b } => F::ThermalSensorLoss { bank: bank(c, b)? },
+            F::HostFailure { node } => F::HostFailure {
+                node: c.value(Some(node), "fault node")?,
+            },
+            F::MigrationsBlocked => F::MigrationsBlocked,
+        })
     }
 }
 
-fn dec_fault(d: &mut Dec<'_>) -> DecResult<FaultKind> {
-    Ok(match d.u8("fault tag")? {
-        0 => FaultKind::SensorDropout {
-            bank: d.usize("fault bank")?,
-        },
-        1 => FaultKind::SensorStuckAt {
-            bank: d.usize("fault bank")?,
-        },
-        2 => FaultKind::SensorNoise {
-            bank: d.usize("fault bank")?,
-            sigma: d.f64("fault sigma")?,
-        },
-        3 => FaultKind::SensorDrift {
-            bank: d.usize("fault bank")?,
-            volts_per_hour: d.f64("fault drift rate")?,
-        },
-        4 => FaultKind::PvOutage,
-        5 => FaultKind::InverterDerate {
-            fraction: d.f64("fault fraction")?,
-        },
-        6 => FaultKind::ChargerFailure {
-            bank: d.usize("fault bank")?,
-        },
-        7 => FaultKind::ChargerModeStuck {
-            bank: d.usize("fault bank")?,
-        },
-        8 => FaultKind::BatteryOpenCircuit {
-            bank: d.usize("fault bank")?,
-        },
-        9 => FaultKind::ThermalSensorLoss {
-            bank: d.usize("fault bank")?,
-        },
-        10 => FaultKind::HostFailure {
-            node: d.usize("fault node")?,
-        },
-        11 => FaultKind::MigrationsBlocked,
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "fault tag",
-            })
-        }
-    })
-}
-
-fn enc_event<S: Sink>(e: &mut Enc<S>, ev: &Event) {
-    match ev {
-        Event::ServerShutdown { node } => {
-            e.u8(0);
-            e.usize(*node);
-        }
-        Event::ServerRestart { node } => {
-            e.u8(1);
-            e.usize(*node);
-        }
-        Event::DvfsChanged { node, level } => {
-            e.u8(2);
-            e.usize(*node);
-            e.u8(dvfs_tag(*level));
-        }
-        Event::MigrationStarted { vm, from, to } => {
-            e.u8(3);
-            e.u64(vm.0);
-            e.usize(*from);
-            e.usize(*to);
-        }
-        Event::Action { outcome } => {
-            e.u8(4);
-            enc_outcome(e, outcome);
-        }
-        Event::BatteryCutoff { node } => {
-            e.u8(5);
-            e.usize(*node);
-        }
-        Event::SocFloorChanged { node, floor } => {
-            e.u8(6);
-            e.usize(*node);
-            e.f64(floor.value());
-        }
-        Event::PlacementFailed { node } => {
-            e.u8(7);
-            e.usize(*node);
-        }
-        Event::FaultInjected { fault } => {
-            e.u8(8);
-            enc_fault(e, fault);
-        }
-        Event::FaultCleared { fault } => {
-            e.u8(9);
-            enc_fault(e, fault);
-        }
-        Event::DegradedMode { node, active } => {
-            e.u8(10);
-            e.usize(*node);
-            e.bool(*active);
-        }
+impl Layout for TimedEvent {
+    /// A timestamp, an event tag and a fault without a payload.
+    const WIDTH: usize = width::WORD + 2 * width::TAG;
+    fn layout<C: Codec>(c: &mut C, e: Src<Self>) -> DecResult<Self> {
+        use Event as E;
+        let at = c.value(e.map(|e| e.at), "event at")?;
+        let node = |c: &mut C, node| c.value(Some(node), "event node");
+        let event = match *c.variant(e.map(|e| &e.event), &EVENTS, "event tag")? {
+            E::ServerShutdown { node: n } => E::ServerShutdown { node: node(c, n)? },
+            E::ServerRestart { node: n } => E::ServerRestart { node: node(c, n)? },
+            E::DvfsChanged { node: n, level } => E::DvfsChanged {
+                node: node(c, n)?,
+                level: *c.variant(Some(&level), &DvfsLevel::ALL, "event level")?,
+            },
+            E::MigrationStarted { vm, from, to } => E::MigrationStarted {
+                vm: VmId(c.value(Some(vm.0), "event vm")?),
+                from: c.value(Some(from), "event from")?,
+                to: c.value(Some(to), "event to")?,
+            },
+            E::Action { outcome } => E::Action {
+                outcome: c.walk(Some(&outcome))?,
+            },
+            E::BatteryCutoff { node: n } => E::BatteryCutoff { node: node(c, n)? },
+            E::SocFloorChanged { node: n, floor } => E::SocFloorChanged {
+                node: node(c, n)?,
+                floor: c.value(Some(floor), "event floor")?,
+            },
+            E::PlacementFailed { node: n } => E::PlacementFailed { node: node(c, n)? },
+            E::FaultInjected { fault } => E::FaultInjected {
+                fault: c.walk(Some(&fault))?,
+            },
+            E::FaultCleared { fault } => E::FaultCleared {
+                fault: c.walk(Some(&fault))?,
+            },
+            E::DegradedMode { node: n, active } => E::DegradedMode {
+                node: node(c, n)?,
+                active: c.value(Some(active), "event active")?,
+            },
+        };
+        Ok(TimedEvent { at, event })
     }
 }
 
-fn dec_event(d: &mut Dec<'_>) -> DecResult<Event> {
-    Ok(match d.u8("event tag")? {
-        0 => Event::ServerShutdown {
-            node: d.usize("event node")?,
-        },
-        1 => Event::ServerRestart {
-            node: d.usize("event node")?,
-        },
-        2 => Event::DvfsChanged {
-            node: d.usize("event node")?,
-            level: dvfs_from(d.u8("event level")?)?,
-        },
-        3 => Event::MigrationStarted {
-            vm: VmId(d.u64("event vm")?),
-            from: d.usize("event from")?,
-            to: d.usize("event to")?,
-        },
-        4 => Event::Action {
-            outcome: dec_outcome(d)?,
-        },
-        5 => Event::BatteryCutoff {
-            node: d.usize("event node")?,
-        },
-        6 => Event::SocFloorChanged {
-            node: d.usize("event node")?,
-            floor: Soc::saturating(d.f64("event floor")?),
-        },
-        7 => Event::PlacementFailed {
-            node: d.usize("event node")?,
-        },
-        8 => Event::FaultInjected {
-            fault: dec_fault(d)?,
-        },
-        9 => Event::FaultCleared {
-            fault: dec_fault(d)?,
-        },
-        10 => Event::DegradedMode {
-            node: d.usize("event node")?,
-            active: d.bool("event active")?,
-        },
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "event tag",
-            })
-        }
-    })
+impl Layout for VmSnapshot {
+    /// Id, kind, state, progress, work, migrations.
+    const WIDTH: usize = 3 * width::WORD + 2 * width::TAG + u32::WIDTH;
+    fn layout<C: Codec>(c: &mut C, v: Src<Self>) -> DecResult<Self> {
+        Ok(VmSnapshot {
+            id: VmId(c.value(v.map(|v| v.id.0), "vm id")?),
+            kind: *c.variant(v.map(|v| &v.kind), &WorkloadKind::ALL, "vm kind")?,
+            state: *c.variant(v.map(|v| &v.state), &VM_STATES, "vm state")?,
+            progress: c.value(v.map(|v| v.progress), "vm progress")?,
+            work_done: c.value(v.map(|v| v.work_done), "vm work")?,
+            migrations: c.value(v.map(|v| v.migrations), "vm migrations")?,
+        })
+    }
 }
 
-fn enc_vm<S: Sink>(e: &mut Enc<S>, v: &VmSnapshot) {
-    e.u64(v.id.0);
-    e.u8(kind_tag(v.kind));
-    e.u8(vm_state_tag(v.state));
-    e.f64(v.progress);
-    e.f64(v.work_done);
-    e.u32(v.migrations);
-}
-
-fn dec_vm(d: &mut Dec<'_>) -> DecResult<VmSnapshot> {
-    Ok(VmSnapshot {
-        id: VmId(d.u64("vm id")?),
-        kind: kind_from(d.u8("vm kind")?)?,
-        state: vm_state_from(d.u8("vm state")?)?,
-        progress: d.f64("vm progress")?,
-        work_done: d.f64("vm work")?,
-        migrations: d.u32("vm migrations")?,
-    })
+impl Layout for Arrival {
+    /// A time of day plus a kind tag.
+    const WIDTH: usize = u32::WIDTH + width::TAG;
+    fn layout<C: Codec>(c: &mut C, a: Src<Self>) -> DecResult<Self> {
+        let at = c.value(a.map(|a| a.at.as_secs()), "arrival at")?;
+        let at = (at < 86_400).then(|| TimeOfDay::from_secs(at));
+        Ok(Arrival {
+            at: at.ok_or(corrupt("arrival at"))?,
+            kind: *c.variant(a.map(|a| &a.kind), &WorkloadKind::ALL, "arrival kind")?,
+        })
+    }
 }
 
 /// A sensor sample's row: timestamp, voltage, current, temperature, SoC.
@@ -1231,319 +1296,187 @@ fn server_row_from([at, power]: [u64; 2]) -> ServerPowerRecord {
     }
 }
 
-fn enc_sample<S: Sink>(e: &mut Enc<S>, s: &SensorSample) {
-    e.words(sample_words(s));
+impl Value for SensorSample {
+    const WIDTH: usize = 5 * width::WORD;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        Ok(sample_from(c.value(v.as_ref().map(sample_words), cx)?))
+    }
 }
 
-fn dec_sample(d: &mut Dec<'_>) -> DecResult<SensorSample> {
-    Ok(sample_from(words(d.take(width::SAMPLE, "sample")?)))
-}
-
-fn enc_accumulator<S: Sink>(e: &mut Enc<S>, u: &UsageAccumulator) {
-    e.f64(u.ah_discharged.as_f64());
-    e.f64(u.ah_charged.as_f64());
-    for r in &u.ah_discharged_by_range {
-        e.f64(r.as_f64());
-    }
-    e.u64(u.observed.as_secs());
-    e.u64(u.deep_discharge_time.as_secs());
-    for b in &u.soc_time_histogram {
-        e.u64(b.as_secs());
-    }
-    e.f64(u.peak_discharge.as_f64());
-    e.f64(u.discharge_amp_seconds);
-    e.u64(u.discharge_time.as_secs());
-    e.f64(u.energy_out.as_f64());
-    e.f64(u.energy_in.as_f64());
-    e.u64(u.full_charge_events);
-}
-
-fn dec_accumulator(d: &mut Dec<'_>) -> DecResult<UsageAccumulator> {
-    let mut u = UsageAccumulator {
-        ah_discharged: AmpHours::new(d.f64("usage ah_discharged")?),
-        ah_charged: AmpHours::new(d.f64("usage ah_charged")?),
-        ..UsageAccumulator::default()
-    };
-    for r in &mut u.ah_discharged_by_range {
-        *r = AmpHours::new(d.f64("usage range")?);
-    }
-    u.observed = SimDuration::from_secs(d.u64("usage observed")?);
-    u.deep_discharge_time = SimDuration::from_secs(d.u64("usage deep time")?);
-    for b in &mut u.soc_time_histogram {
-        *b = SimDuration::from_secs(d.u64("usage histogram")?);
-    }
-    u.peak_discharge = Amperes::new(d.f64("usage peak")?);
-    u.discharge_amp_seconds = d.f64("usage amp seconds")?;
-    u.discharge_time = SimDuration::from_secs(d.u64("usage discharge time")?);
-    u.energy_out = WattHours::new(d.f64("usage energy out")?);
-    u.energy_in = WattHours::new(d.f64("usage energy in")?);
-    u.full_charge_events = d.u64("usage full charges")?;
-    Ok(u)
-}
-
-fn enc_breakdown<S: Sink>(e: &mut Enc<S>, b: &AgingBreakdown) {
-    e.usize(b.len());
-    for (_, value) in b.iter() {
-        e.f64(value);
+impl Layout for UsageAccumulator {
+    /// 21 words.
+    const WIDTH: usize = 21 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, u: Src<Self>) -> DecResult<Self> {
+        Ok(UsageAccumulator {
+            ah_discharged: c.value(u.map(|u| u.ah_discharged), "usage ah_discharged")?,
+            ah_charged: c.value(u.map(|u| u.ah_charged), "usage ah_charged")?,
+            ah_discharged_by_range: c.value(u.map(|u| u.ah_discharged_by_range), "usage range")?,
+            observed: c.value(u.map(|u| u.observed), "usage observed")?,
+            deep_discharge_time: c.value(u.map(|u| u.deep_discharge_time), "usage deep time")?,
+            soc_time_histogram: c.value(u.map(|u| u.soc_time_histogram), "usage histogram")?,
+            peak_discharge: c.value(u.map(|u| u.peak_discharge), "usage peak")?,
+            discharge_amp_seconds: c
+                .value(u.map(|u| u.discharge_amp_seconds), "usage amp seconds")?,
+            discharge_time: c.value(u.map(|u| u.discharge_time), "usage discharge time")?,
+            energy_out: c.value(u.map(|u| u.energy_out), "usage energy out")?,
+            energy_in: c.value(u.map(|u| u.energy_in), "usage energy in")?,
+            full_charge_events: c.value(u.map(|u| u.full_charge_events), "usage full charges")?,
+        })
     }
 }
 
 /// Aging labels are `&'static str`s owned by the chemistry, so the
 /// format stores values only, in chemistry breakdown order, and decoding
 /// re-attaches the labels from the header's chemistry tag.
-fn dec_breakdown(d: &mut Dec<'_>, chemistry: Chemistry) -> DecResult<AgingBreakdown> {
-    let n = d.len(width::WORD, "breakdown len")?;
-    if n == 0 {
-        return Ok(AgingBreakdown::default());
+impl Layout for AgingBreakdown {
+    /// No mechanisms: the length.
+    const WIDTH: usize = width::WORD;
+    fn layout<C: Codec>(c: &mut C, b: Src<Self>) -> DecResult<Self> {
+        let n = c.len(b.map(AgingBreakdown::len), width::WORD, "breakdown len")?;
+        let labels = c.chemistry().aging_labels();
+        if n != 0 && n != labels.len() {
+            return Err(corrupt("breakdown mechanism count"));
+        }
+        let mut pairs = [("", 0.0); MAX_AGING_MECHANISMS];
+        for (i, (pair, &label)) in pairs.iter_mut().zip(&labels[..n]).enumerate() {
+            *pair = (label, c.value(b.map(|b| b.values()[i]), "breakdown value")?);
+        }
+        Ok(AgingBreakdown::from_pairs(&pairs[..n]))
     }
-    let labels = chemistry.aging_labels();
-    if n != labels.len() {
-        return Err(SnapshotError::Corrupt {
-            context: "breakdown mechanism count",
-        });
-    }
-    let mut pairs = Vec::with_capacity(n);
-    for &label in labels {
-        pairs.push((label, d.f64("breakdown value")?));
-    }
-    Ok(AgingBreakdown::from_pairs(&pairs))
 }
 
-/// A bank's battery state, with its telemetry samples, key `bank` of
-/// `samples`, in place of its latest sample. Returns the gap
-/// [`Enc::run`] left for the samples.
-fn enc_battery<S: Sink>(
-    e: &mut Enc<S>,
-    b: &BatteryUnitState,
-    samples: &History<SensorSample>,
-    bank: usize,
-) -> Option<usize> {
-    e.f64(b.soc.value());
-    e.f64(b.hours_since_full);
-    e.u64(b.cutoff_events);
-    e.f64(b.temperature.as_f64());
-    enc_breakdown(e, &b.aging);
-    e.usize(b.telemetry.max_samples);
-    let gap = e.run(samples, bank, sample_words);
-    enc_accumulator(e, &b.telemetry.lifetime);
-    enc_accumulator(e, &b.telemetry.window);
-    gap
-}
-
-/// A bank's battery state and its telemetry samples, oldest first; the
-/// newest sample is the unit's latest.
-fn dec_battery(
-    d: &mut Dec<'_>,
-    chemistry: Chemistry,
-) -> DecResult<(BatteryUnitState, Vec<SensorSample>)> {
-    let soc = Soc::saturating(d.f64("battery soc")?);
-    let hours_since_full = d.f64("battery hours since full")?;
-    let cutoff_events = d.u64("battery cutoffs")?;
-    let temperature = Celsius::new(d.f64("battery temperature")?);
-    let aging = dec_breakdown(d, chemistry)?;
-    let max_samples = d.usize("telemetry capacity")?;
-    // A history never holds more than its capacity; restoring one that
-    // did would never shrink back under it.
-    let samples = d.rows(max_samples, "telemetry samples len", sample_from)?;
-    let lifetime = dec_accumulator(d)?;
-    let window = dec_accumulator(d)?;
-    let state = BatteryUnitState {
-        soc,
-        hours_since_full,
-        cutoff_events,
-        temperature,
-        aging,
-        telemetry: TelemetryState {
-            max_samples,
-            latest: samples.last().copied(),
-            lifetime,
-            window,
+/// A bank's battery record. Its telemetry run, a history section that
+/// `run` walks and whose newest sample it returns, sits between the
+/// capacity and the accumulators.
+fn battery<C: Codec>(
+    c: &mut C,
+    b: Src<BatteryUnitState>,
+    run: impl FnOnce(&mut C, usize) -> DecResult<Option<SensorSample>>,
+) -> DecResult<BatteryUnitState> {
+    let t = b.map(|b| &b.telemetry);
+    Ok(BatteryUnitState {
+        soc: c.value(b.map(|b| b.soc), "battery soc")?,
+        hours_since_full: c.value(b.map(|b| b.hours_since_full), "battery hours since full")?,
+        cutoff_events: c.value(b.map(|b| b.cutoff_events), "battery cutoffs")?,
+        temperature: c.value(b.map(|b| b.temperature), "battery temperature")?,
+        aging: c.walk(b.map(|b| &b.aging))?,
+        telemetry: {
+            let max_samples = c.value(t.map(|t| t.max_samples), "telemetry capacity")?;
+            TelemetryState {
+                max_samples,
+                latest: run(c, max_samples)?,
+                lifetime: c.walk(t.map(|t| &t.lifetime))?,
+                window: c.walk(t.map(|t| &t.window))?,
+            }
         },
-    };
-    Ok((state, samples))
-}
-
-fn enc_host<S: Sink>(e: &mut Enc<S>, h: &HostState) {
-    e.u8(dvfs_tag(h.dvfs));
-    e.bool(h.online);
-    e.u64(h.boot_remaining.as_secs());
-    e.f64(h.work_done);
-    e.u64(h.completed_jobs);
-    e.usize(h.vms.len());
-    for v in &h.vms {
-        enc_vm(e, v);
-    }
-}
-
-fn dec_host(d: &mut Dec<'_>) -> DecResult<HostState> {
-    let dvfs = dvfs_from(d.u8("host dvfs")?)?;
-    let online = d.bool("host online")?;
-    let boot_remaining = SimDuration::from_secs(d.u64("host boot")?);
-    let work_done = d.f64("host work")?;
-    let completed_jobs = d.u64("host jobs")?;
-    let n = d.len(width::VM, "host vm count")?;
-    let mut vms = Vec::with_capacity(n);
-    for _ in 0..n {
-        vms.push(dec_vm(d)?);
-    }
-    Ok(HostState {
-        dvfs,
-        online,
-        boot_remaining,
-        work_done,
-        completed_jobs,
-        vms,
     })
 }
 
-fn enc_cluster<S: Sink>(e: &mut Enc<S>, c: &ClusterState) {
-    e.usize(c.hosts.len());
-    for h in &c.hosts {
-        enc_host(e, h);
+impl Layout for HostState {
+    /// No VMs: dvfs, online, boot, work, jobs, VM count.
+    const WIDTH: usize = 2 * width::TAG + 4 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, h: Src<Self>) -> DecResult<Self> {
+        Ok(HostState {
+            dvfs: *c.variant(h.map(|h| &h.dvfs), &DvfsLevel::ALL, "host dvfs")?,
+            online: c.value(h.map(|h| h.online), "host online")?,
+            boot_remaining: c.value(h.map(|h| h.boot_remaining), "host boot")?,
+            work_done: c.value(h.map(|h| h.work_done), "host work")?,
+            completed_jobs: c.value(h.map(|h| h.completed_jobs), "host jobs")?,
+            vms: c.list(h.map(|h| &h.vms), "host vm count")?,
+        })
     }
-    e.usize(c.in_flight.len());
-    for m in &c.in_flight {
-        enc_vm(e, &m.vm);
-        e.usize(m.to.0);
-        e.u64(m.completes_at.as_secs());
-    }
-    e.u64(c.migrations_started);
 }
 
-fn dec_cluster(d: &mut Dec<'_>) -> DecResult<ClusterState> {
-    let n = d.len(width::HOST, "cluster host count")?;
-    let mut hosts = Vec::with_capacity(n);
-    for _ in 0..n {
-        hosts.push(dec_host(d)?);
+impl Layout for InFlightState {
+    /// A VM, a target and a completion time.
+    const WIDTH: usize = VmSnapshot::WIDTH + 2 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, m: Src<Self>) -> DecResult<Self> {
+        Ok(InFlightState {
+            vm: c.walk(m.map(|m| &m.vm))?,
+            to: ServerId(c.value(m.map(|m| m.to.0), "migration target")?),
+            completes_at: c.value(m.map(|m| m.completes_at), "migration completes")?,
+        })
     }
-    let m = d.len(width::IN_FLIGHT, "cluster in-flight count")?;
-    let mut in_flight = Vec::with_capacity(m);
-    for _ in 0..m {
-        in_flight.push(InFlightState {
-            vm: dec_vm(d)?,
-            to: ServerId(d.usize("migration target")?),
-            completes_at: SimInstant::from_secs(d.u64("migration completes")?),
-        });
-    }
-    Ok(ClusterState {
-        hosts,
-        in_flight,
-        migrations_started: d.u64("cluster migrations")?,
-    })
 }
 
-fn enc_trace_row<S: Sink>(e: &mut Enc<S>, r: &TraceRow) {
-    e.u64(r.at.as_secs());
-    e.f64(r.solar.as_f64());
-    e.usize(r.soc.len());
-    for &s in &r.soc {
-        e.f64(s);
+impl Layout for ClusterState {
+    /// No hosts, no migrations: two lengths and a count.
+    const WIDTH: usize = 3 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, s: Src<Self>) -> DecResult<Self> {
+        Ok(ClusterState {
+            hosts: c.list(s.map(|s| &s.hosts), "cluster host count")?,
+            in_flight: c.list(s.map(|s| &s.in_flight), "cluster in-flight count")?,
+            migrations_started: c.value(s.map(|s| s.migrations_started), "cluster migrations")?,
+        })
     }
-    e.usize(r.server_power.len());
-    for &p in &r.server_power {
-        e.f64(p.as_f64());
-    }
-    e.usize(r.battery_current.len());
-    for &c in &r.battery_current {
-        e.f64(c);
-    }
-    e.f64(r.work_cumulative);
 }
 
-fn dec_trace_row(d: &mut Dec<'_>) -> DecResult<TraceRow> {
-    let at = SimInstant::from_secs(d.u64("row at")?);
-    let solar = Watts::new(d.f64("row solar")?);
-    let n = d.len(width::WORD, "row soc len")?;
-    let mut soc = Vec::with_capacity(n);
-    for _ in 0..n {
-        soc.push(d.f64("row soc")?);
+impl Layout for TraceRow {
+    /// Empty series: at, solar, three lengths, work.
+    const WIDTH: usize = 6 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, r: Src<Self>) -> DecResult<Self> {
+        Ok(TraceRow {
+            at: c.value(r.map(|r| r.at), "row at")?,
+            solar: c.value(r.map(|r| r.solar), "row solar")?,
+            soc: c.values(r.map(|r| &r.soc), "row soc len", "row soc")?,
+            server_power: c.values(r.map(|r| &r.server_power), "row power len", "row power")?,
+            battery_current: c.values(
+                r.map(|r| &r.battery_current),
+                "row current len",
+                "row current",
+            )?,
+            work_cumulative: c.value(r.map(|r| r.work_cumulative), "row work")?,
+        })
     }
-    let n = d.len(width::WORD, "row power len")?;
-    let mut server_power = Vec::with_capacity(n);
-    for _ in 0..n {
-        server_power.push(Watts::new(d.f64("row power")?));
-    }
-    let n = d.len(width::WORD, "row current len")?;
-    let mut battery_current = Vec::with_capacity(n);
-    for _ in 0..n {
-        battery_current.push(d.f64("row current")?);
-    }
-    Ok(TraceRow {
-        at,
-        solar,
-        soc,
-        server_power,
-        battery_current,
-        work_cumulative: d.f64("row work")?,
-    })
 }
 
-fn enc_injector<S: Sink>(e: &mut Enc<S>, i: &InjectorState) {
-    e.usize(i.active.len());
-    for &a in &i.active {
-        e.bool(a);
+impl Layout for InjectorState {
+    /// Empty lists: three lengths and an RNG position.
+    const WIDTH: usize = 7 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, i: Src<Self>) -> DecResult<Self> {
+        Ok(InjectorState {
+            active: c.values(
+                i.map(|i| &i.active),
+                "injector active len",
+                "injector active",
+            )?,
+            held: c.values(i.map(|i| &i.held), "injector held len", "injector held tag")?,
+            held_temp: c.values(
+                i.map(|i| &i.held_temp),
+                "injector held temp len",
+                "injector temp tag",
+            )?,
+            rng_state: c.value(i.map(|i| i.rng_state), "injector rng")?,
+        })
     }
-    e.usize(i.held.len());
-    for h in &i.held {
-        match h {
-            None => e.u8(0),
-            Some(s) => {
-                e.u8(1);
-                enc_sample(e, s);
-            }
+}
+
+impl Layout for PolicyState {
+    /// An empty name and no words: two lengths.
+    const WIDTH: usize = 2 * width::WORD;
+    fn layout<C: Codec>(c: &mut C, p: Src<Self>) -> DecResult<Self> {
+        let name = c.values(p.map(|p| &p.name), "policy name len", "policy name")?;
+        Ok(PolicyState {
+            name: String::from_utf8(name).map_err(|_| corrupt("policy name"))?,
+            data: c.values(p.map(|p| &p.data), "policy data len", "policy word")?,
+        })
+    }
+}
+
+/// A bank's last charger stage: its tag, or 255 before the charger
+/// reported one.
+impl Value for Option<ChargeStage> {
+    const WIDTH: usize = width::TAG;
+    fn value<C: Codec>(c: &mut C, v: Option<Self>, cx: &'static str) -> DecResult<Self> {
+        const NONE: u8 = 255;
+        match c.value(v.map(|v| v.map_or(NONE, |s| tag(&s, &STAGES))), cx)? {
+            NONE => Ok(None),
+            tag => STAGES
+                .get(usize::from(tag))
+                .map(|&s| Some(s))
+                .ok_or(corrupt("charge stage tag")),
         }
     }
-    e.usize(i.held_temp.len());
-    for t in &i.held_temp {
-        match t {
-            None => e.u8(0),
-            Some(c) => {
-                e.u8(1);
-                e.f64(c.as_f64());
-            }
-        }
-    }
-    e.rng(&i.rng_state);
-}
-
-fn dec_injector(d: &mut Dec<'_>) -> DecResult<InjectorState> {
-    let n = d.len(width::TAG, "injector active len")?;
-    let mut active = Vec::with_capacity(n);
-    for _ in 0..n {
-        active.push(d.bool("injector active")?);
-    }
-    let n = d.len(width::TAG, "injector held len")?;
-    let mut held = Vec::with_capacity(n);
-    for _ in 0..n {
-        held.push(match d.u8("injector held tag")? {
-            0 => None,
-            1 => Some(dec_sample(d)?),
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    context: "injector held tag",
-                })
-            }
-        });
-    }
-    let n = d.len(width::TAG, "injector held temp len")?;
-    let mut held_temp = Vec::with_capacity(n);
-    for _ in 0..n {
-        held_temp.push(match d.u8("injector temp tag")? {
-            0 => None,
-            1 => Some(Celsius::new(d.f64("injector temp")?)),
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    context: "injector temp tag",
-                })
-            }
-        });
-    }
-    Ok(InjectorState {
-        active,
-        held,
-        held_temp,
-        rng_state: d.rng("injector rng")?,
-    })
 }
 
 /// Keys a history's rows are encoded for at a time.
@@ -1556,333 +1489,118 @@ fn blocks(keys: usize) -> impl Iterator<Item = Range<usize>> {
         .map(move |start| start..keys.min(start + BLOCK))
 }
 
-fn encode_state<S: Sink>(e: &mut Enc<S>, s: &SimState) {
-    e.u64(s.step_index);
-    e.u64(s.now.as_secs());
-    e.u8(weather_tag(s.weather_today));
-    e.opt_u64(s.started_day);
-    e.bool(s.in_window);
-    e.usize(s.soc_floors.len());
-    for &f in &s.soc_floors {
-        e.f64(f);
-    }
-    e.usize(s.unserved_streak.len());
-    for &v in &s.unserved_streak {
-        e.u32(v);
-    }
-    e.usize(s.offline_since.len());
-    for o in &s.offline_since {
-        e.opt_u64(o.map(SimInstant::as_secs));
-    }
-    e.usize(s.downtime.len());
-    for &t in &s.downtime {
-        e.u64(t.as_secs());
-    }
-    e.f64(s.unserved_energy.as_f64());
-    e.f64(s.curtailed_energy.as_f64());
-    e.f64(s.grid_charge_energy.as_f64());
-    e.usize(s.arrivals_today.len());
-    for a in &s.arrivals_today {
-        e.u32(a.at.as_secs());
-        e.u8(kind_tag(a.kind));
-    }
-    e.usize(s.pending.len());
-    for v in &s.pending {
-        enc_vm(e, v);
-    }
-    e.rng(&s.clouds_rng);
-    e.f64(s.clouds_ar);
-    e.usize(s.last_currents.len());
-    for &c in &s.last_currents {
-        e.f64(c);
-    }
-    e.usize(s.last_voltages.len());
-    for &v in &s.last_voltages {
-        e.f64(v);
-    }
-    e.f64(s.last_solar.as_f64());
-    e.usize(s.last_outcomes.len());
-    for o in &s.last_outcomes {
-        enc_outcome(e, o);
-    }
-    e.usize(s.mode_switches.len());
-    for &m in &s.mode_switches {
-        e.u64(m);
-    }
-    e.usize(s.stage_last.len());
-    for st in &s.stage_last {
-        match st {
-            None => e.u8(255),
-            Some(stage) => e.u8(stage_tag(*stage)),
-        }
-    }
-    e.usize(s.degraded.len());
-    for &f in &s.degraded {
-        e.bool(f);
-    }
-    e.usize(s.fallback_rejected.len());
-    for a in &s.fallback_rejected {
-        enc_action(e, a);
-    }
-    e.u64(s.rr_cursor);
-    e.rng(&s.generator_rng);
-    e.u64(s.generator_next_id);
-    e.usize(s.sensor_rngs.len());
-    for r in &s.sensor_rngs {
-        e.rng(r);
-    }
-    enc_injector(e, &s.injector);
-    e.usize(s.events.len());
-    for ev in &s.events {
-        e.u64(ev.at.as_secs());
-        enc_event(e, &ev.event);
-    }
-    e.u64(s.recorder_keep_every);
-    e.u64(s.recorder_pushes);
-    e.usize(s.recorder_rows.len());
-    for r in &s.recorder_rows {
-        enc_trace_row(e, r);
-    }
-    enc_cluster(e, &s.cluster);
-    let nodes = s.battery_rows.keys();
-    assert_eq!(nodes, s.server_rows.keys(), "power-table channels per node");
-    e.usize(nodes);
-    for block in blocks(nodes) {
-        let mut battery = [None; BLOCK];
-        let mut server = [None; BLOCK];
-        for (i, node) in block.clone().enumerate() {
-            battery[i] = e.run(&s.battery_rows, node, sample_words);
-            server[i] = e.run(&s.server_rows, node, server_row_words);
-        }
-        e.fill(&s.battery_rows, block.clone(), &battery, sample_words);
-        e.fill(&s.server_rows, block, &server, server_row_words);
-    }
-    assert_eq!(s.telemetry.keys(), s.batteries.len(), "telemetry per bank");
-    e.usize(s.batteries.len());
-    for block in blocks(s.batteries.len()) {
-        let mut samples = [None; BLOCK];
-        for (i, bank) in block.clone().enumerate() {
-            samples[i] = enc_battery(e, &s.batteries[bank], &s.telemetry, bank);
-        }
-        e.fill(&s.telemetry, block, &samples, sample_words);
-    }
-    match &s.policy {
-        None => e.u8(0),
-        Some(p) => {
-            e.u8(1);
-            e.str(&p.name);
-            e.usize(p.data.len());
-            for &w in &p.data {
-                e.u64(w);
-            }
-        }
-    }
+/// The body: every field of the state, in format order. Only a decoder
+/// returns the state: its histories cannot be built without allocating,
+/// and an encoder allocates nothing.
+fn state<C: Codec>(c: &mut C, s: Src<SimState>) -> DecResult<Option<SimState>> {
+    let step_index = c.value(s.map(|s| s.step_index), "step index")?;
+    let now = c.value(s.map(|s| s.now), "now")?;
+    let weather_today = *c.variant(s.map(|s| &s.weather_today), &Weather::ALL, "weather")?;
+    let started_day = c.value(s.map(|s| s.started_day), "started day")?;
+    let in_window = c.value(s.map(|s| s.in_window), "in window")?;
+    let soc_floors = c.values(s.map(|s| &s.soc_floors), "soc floors len", "soc floor")?;
+    let unserved_streak = c.values(
+        s.map(|s| &s.unserved_streak),
+        "unserved streak len",
+        "unserved streak",
+    )?;
+    let offline_since = c.values(s.map(|s| &s.offline_since), "offline len", "offline since")?;
+    let downtime = c.values(s.map(|s| &s.downtime), "downtime len", "downtime")?;
+    let unserved_energy = c.value(s.map(|s| s.unserved_energy), "unserved energy")?;
+    let curtailed_energy = c.value(s.map(|s| s.curtailed_energy), "curtailed energy")?;
+    let grid_charge_energy = c.value(s.map(|s| s.grid_charge_energy), "grid energy")?;
+    let arrivals_today = c.list(s.map(|s| &s.arrivals_today), "arrivals len")?;
+    let pending = c.list(s.map(|s| &s.pending), "pending len")?;
+    let clouds_rng = c.value(s.map(|s| s.clouds_rng), "clouds rng")?;
+    let clouds_ar = c.value(s.map(|s| s.clouds_ar), "clouds ar")?;
+    let last_currents = c.values(s.map(|s| &s.last_currents), "currents len", "current")?;
+    let last_voltages = c.values(s.map(|s| &s.last_voltages), "voltages len", "voltage")?;
+    let last_solar = c.value(s.map(|s| s.last_solar), "last solar")?;
+    let last_outcomes = c.list(s.map(|s| &s.last_outcomes), "outcomes len")?;
+    let mode_switches = c.values(
+        s.map(|s| &s.mode_switches),
+        "mode switches len",
+        "mode switch",
+    )?;
+    let stage_last = c.values(s.map(|s| &s.stage_last), "stage last len", "stage tag")?;
+    let degraded = c.values(s.map(|s| &s.degraded), "degraded len", "degraded")?;
+    let fallback_rejected = c.list(s.map(|s| &s.fallback_rejected), "fallback len")?;
+    let rr_cursor = c.value(s.map(|s| s.rr_cursor), "rr cursor")?;
+    let generator_rng = c.value(s.map(|s| s.generator_rng), "generator rng")?;
+    let generator_next_id = c.value(s.map(|s| s.generator_next_id), "generator next id")?;
+    let sensor_rngs = c.values(s.map(|s| &s.sensor_rngs), "sensor rng len", "sensor rng")?;
+    let injector = c.walk(s.map(|s| &s.injector))?;
+    let events = c.list(s.map(|s| &s.events), "events len")?;
+    let recorder_keep_every = c.value(s.map(|s| s.recorder_keep_every), "recorder stride")?;
+    let recorder_pushes = c.value(s.map(|s| s.recorder_pushes), "recorder pushes")?;
+    let recorder_rows = c.list(s.map(|s| &s.recorder_rows), "recorder rows len")?;
+    let cluster = c.walk(s.map(|s| &s.cluster))?;
+    let histories = c.histories(s)?;
+    let policy = s.map(|s| s.policy.as_ref());
+    let policy = c.option(policy, "policy tag", PolicyState::layout)?;
+    Ok(histories.map(
+        |(battery_rows, server_rows, batteries, telemetry)| SimState {
+            step_index,
+            now,
+            weather_today,
+            started_day,
+            in_window,
+            soc_floors,
+            unserved_streak,
+            offline_since,
+            downtime,
+            unserved_energy,
+            curtailed_energy,
+            grid_charge_energy,
+            arrivals_today,
+            pending,
+            clouds_rng,
+            clouds_ar,
+            last_currents,
+            last_voltages,
+            last_solar,
+            last_outcomes,
+            mode_switches,
+            stage_last,
+            degraded,
+            fallback_rejected,
+            rr_cursor,
+            generator_rng,
+            generator_next_id,
+            sensor_rngs,
+            injector,
+            events,
+            recorder_keep_every,
+            recorder_pushes,
+            recorder_rows,
+            cluster,
+            battery_rows,
+            server_rows,
+            batteries,
+            telemetry,
+            policy,
+        },
+    ))
+}
+
+/// Writes `s`'s body into `out`, under `chemistry`.
+fn encode_state<S: Sink>(out: S, chemistry: Chemistry, s: &SimState) -> S {
+    let mut e = Enc { out, chemistry };
+    state(&mut e, Some(s)).expect("every battery's aging breakdown fits the snapshot's chemistry");
+    e.out
 }
 
 fn decode_state(bytes: &[u8], chemistry: Chemistry) -> Result<SimState, SnapshotError> {
-    let d = &mut Dec::new(bytes);
-    let step_index = d.u64("step index")?;
-    let now = SimInstant::from_secs(d.u64("now")?);
-    let weather_today = weather_from(d.u8("weather")?)?;
-    let started_day = d.opt_u64("started day")?;
-    let in_window = d.bool("in window")?;
-    let n = d.len(width::WORD, "soc floors len")?;
-    let mut soc_floors = Vec::with_capacity(n);
-    for _ in 0..n {
-        soc_floors.push(d.f64("soc floor")?);
-    }
-    let n = d.len(width::U32, "unserved streak len")?;
-    let mut unserved_streak = Vec::with_capacity(n);
-    for _ in 0..n {
-        unserved_streak.push(d.u32("unserved streak")?);
-    }
-    let n = d.len(width::TAG, "offline len")?;
-    let mut offline_since = Vec::with_capacity(n);
-    for _ in 0..n {
-        offline_since.push(d.opt_u64("offline since")?.map(SimInstant::from_secs));
-    }
-    let n = d.len(width::WORD, "downtime len")?;
-    let mut downtime = Vec::with_capacity(n);
-    for _ in 0..n {
-        downtime.push(SimDuration::from_secs(d.u64("downtime")?));
-    }
-    let unserved_energy = WattHours::new(d.f64("unserved energy")?);
-    let curtailed_energy = WattHours::new(d.f64("curtailed energy")?);
-    let grid_charge_energy = WattHours::new(d.f64("grid energy")?);
-    let n = d.len(width::ARRIVAL, "arrivals len")?;
-    let mut arrivals_today = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = d.u32("arrival at")?;
-        if at >= 86_400 {
-            return Err(SnapshotError::Corrupt {
-                context: "arrival at",
-            });
-        }
-        arrivals_today.push(Arrival {
-            at: TimeOfDay::from_secs(at),
-            kind: kind_from(d.u8("arrival kind")?)?,
-        });
-    }
-    let n = d.len(width::VM, "pending len")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(dec_vm(d)?);
-    }
-    let clouds_rng = d.rng("clouds rng")?;
-    let clouds_ar = d.f64("clouds ar")?;
-    let n = d.len(width::WORD, "currents len")?;
-    let mut last_currents = Vec::with_capacity(n);
-    for _ in 0..n {
-        last_currents.push(d.f64("current")?);
-    }
-    let n = d.len(width::WORD, "voltages len")?;
-    let mut last_voltages = Vec::with_capacity(n);
-    for _ in 0..n {
-        last_voltages.push(d.f64("voltage")?);
-    }
-    let last_solar = Watts::new(d.f64("last solar")?);
-    let n = d.len(width::OUTCOME, "outcomes len")?;
-    let mut last_outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        last_outcomes.push(dec_outcome(d)?);
-    }
-    let n = d.len(width::WORD, "mode switches len")?;
-    let mut mode_switches = Vec::with_capacity(n);
-    for _ in 0..n {
-        mode_switches.push(d.u64("mode switch")?);
-    }
-    let n = d.len(width::TAG, "stage last len")?;
-    let mut stage_last = Vec::with_capacity(n);
-    for _ in 0..n {
-        stage_last.push(match d.u8("stage tag")? {
-            255 => None,
-            tag => Some(stage_from(tag)?),
-        });
-    }
-    let n = d.len(width::TAG, "degraded len")?;
-    let mut degraded = Vec::with_capacity(n);
-    for _ in 0..n {
-        degraded.push(d.bool("degraded")?);
-    }
-    let n = d.len(width::ACTION, "fallback len")?;
-    let mut fallback_rejected = Vec::with_capacity(n);
-    for _ in 0..n {
-        fallback_rejected.push(dec_action(d)?);
-    }
-    let rr_cursor = d.u64("rr cursor")?;
-    let generator_rng = d.rng("generator rng")?;
-    let generator_next_id = d.u64("generator next id")?;
-    let n = d.len(width::RNG, "sensor rng len")?;
-    let mut sensor_rngs = Vec::with_capacity(n);
-    for _ in 0..n {
-        sensor_rngs.push(d.rng("sensor rng")?);
-    }
-    let injector = dec_injector(d)?;
-    let n = d.len(width::EVENT, "events len")?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = SimInstant::from_secs(d.u64("event at")?);
-        events.push(TimedEvent {
-            at,
-            event: dec_event(d)?,
-        });
-    }
-    let recorder_keep_every = d.u64("recorder stride")?;
-    let recorder_pushes = d.u64("recorder pushes")?;
-    let n = d.len(width::TRACE_ROW, "recorder rows len")?;
-    let mut recorder_rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        recorder_rows.push(dec_trace_row(d)?);
-    }
-    let cluster = dec_cluster(d)?;
-    let n = d.len(width::POWER_TABLE_NODE, "power table len")?;
-    let mut battery_rows = Vec::with_capacity(n);
-    let mut server_rows = Vec::with_capacity(n);
-    // A run beyond the retention is refused: a restore adopts the rows
-    // as they are, and a table never holds more.
-    let max = PowerTable::MAX_ROWS;
-    for _ in 0..n {
-        battery_rows.push(d.rows(max, "power table battery len", sample_from)?);
-        server_rows.push(d.rows(max, "power table server len", server_row_from)?);
-    }
-    let n = d.len(width::BATTERY, "batteries len")?;
-    let mut batteries = Vec::with_capacity(n);
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (battery, rows) = dec_battery(d, chemistry)?;
-        batteries.push(battery);
-        samples.push(rows);
-    }
-    // Every bank's run fits its own capacity, so the largest keeps all.
-    let capacity = batteries.iter().map(|b| b.telemetry.max_samples).max();
-    let policy = match d.u8("policy tag")? {
-        0 => None,
-        1 => {
-            let len = d.len(width::TAG, "policy name len")?;
-            let name = String::from_utf8(d.take(len, "policy name")?.to_vec()).map_err(|_| {
-                SnapshotError::Corrupt {
-                    context: "policy name",
-                }
-            })?;
-            let n = d.len(width::WORD, "policy data len")?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(d.u64("policy word")?);
-            }
-            Some(PolicyState { name, data })
-        }
-        _ => {
-            return Err(SnapshotError::Corrupt {
-                context: "policy tag",
-            })
-        }
+    let d = &mut Dec {
+        buf: bytes,
+        pos: 0,
+        chemistry,
     };
+    let state = state(d, None)?.expect("a decoder returns the state");
     if d.pos != bytes.len() {
-        return Err(SnapshotError::Corrupt {
-            context: "trailing bytes",
-        });
+        return Err(corrupt("trailing bytes"));
     }
-    Ok(SimState {
-        step_index,
-        now,
-        weather_today,
-        started_day,
-        in_window,
-        soc_floors,
-        unserved_streak,
-        offline_since,
-        downtime,
-        unserved_energy,
-        curtailed_energy,
-        grid_charge_energy,
-        arrivals_today,
-        pending,
-        clouds_rng,
-        clouds_ar,
-        last_currents,
-        last_voltages,
-        last_solar,
-        last_outcomes,
-        mode_switches,
-        stage_last,
-        degraded,
-        fallback_rejected,
-        rr_cursor,
-        generator_rng,
-        generator_next_id,
-        sensor_rngs,
-        injector,
-        events,
-        recorder_keep_every,
-        recorder_pushes,
-        recorder_rows,
-        cluster,
-        battery_rows: History::from_rows(battery_rows, max),
-        server_rows: History::from_rows(server_rows, max),
-        batteries,
-        telemetry: History::from_rows(samples, capacity.unwrap_or(0)),
-        policy,
-    })
+    Ok(state)
 }
 
 impl SimSnapshot {
@@ -1893,22 +1611,17 @@ impl SimSnapshot {
     /// allocator. The history runs are left as gaps and filled a block of
     /// keys at a time.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut count = Enc::<ByteCount>::default();
-        encode_state(&mut count, &self.state);
-        let body_len = count.out.0;
-        let mut e = Enc {
-            out: Buffer {
-                bytes: vec![0; HEADER_LEN + body_len + TRAILER_LEN],
-                len: 0,
-            },
+        let body_len = encode_state(ByteCount(0), self.chemistry, &self.state).0;
+        let mut out = Buffer {
+            bytes: vec![0; HEADER_LEN + body_len + TRAILER_LEN],
+            len: 0,
         };
-        e.out.put(&SNAPSHOT_MAGIC);
-        e.u32(self.version);
-        e.u8(chemistry_tag(self.chemistry));
-        e.u64(self.config_hash);
-        e.usize(body_len);
-        encode_state(&mut e, &self.state);
-        let Buffer { mut bytes, len } = e.out;
+        out.put(&SNAPSHOT_MAGIC);
+        out.put(&self.version.to_le_bytes());
+        out.put(&[tag(&self.chemistry, &Chemistry::ALL)]);
+        out.put(&self.config_hash.to_le_bytes());
+        out.put(&(body_len as u64).to_le_bytes());
+        let Buffer { mut bytes, len } = encode_state(out, self.chemistry, &self.state);
         assert_eq!(len, HEADER_LEN + body_len, "sizing pass disagrees");
         let check = crc64(&bytes[HEADER_LEN..len]);
         bytes[len..].copy_from_slice(&check.to_le_bytes());
@@ -1924,27 +1637,29 @@ impl SimSnapshot {
     /// Returns the matching [`SnapshotError`] on malformed input; never
     /// panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let d = &mut Dec::new(bytes);
+        let d = &mut Dec {
+            buf: bytes,
+            pos: 0,
+            chemistry: Chemistry::ALL[0],
+        };
         let magic = d.take(8, "magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = d.u32("version")?;
+        let version = d.value(None, "version")?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 expected: SNAPSHOT_VERSION,
             });
         }
-        let chemistry = chemistry_from(d.u8("chemistry")?)?;
-        let config_hash = d.u64("config hash")?;
-        let body_len = d.usize("body length")?;
+        let chemistry = *d.variant(None, &Chemistry::ALL, "chemistry")?;
+        let config_hash = d.value(None, "config hash")?;
+        let body_len = d.value(None, "body length")?;
         let body = d.take(body_len, "body")?;
-        let check = d.u64("checksum")?;
+        let check = d.value(None, "checksum")?;
         if crc64(body) != check {
-            return Err(SnapshotError::Corrupt {
-                context: "checksum",
-            });
+            return Err(corrupt("checksum"));
         }
         let state = decode_state(body, chemistry)?;
         Ok(Self {
@@ -1963,11 +1678,7 @@ impl SimSnapshot {
     /// FNV-1a over the body bytes [`to_bytes`](Self::to_bytes) writes,
     /// streamed from the encoder without materializing them.
     pub fn state_hash(&self) -> u64 {
-        let mut e = Enc {
-            out: Fnv1a(FNV_OFFSET),
-        };
-        encode_state(&mut e, &self.state);
-        e.out.0
+        encode_state(Fnv1a(FNV_OFFSET), self.chemistry, &self.state).0
     }
 
     /// Writes the snapshot to a file.
@@ -2016,16 +1727,40 @@ impl SimSnapshot {
 mod tests {
     use super::*;
 
-    fn encoded(f: impl FnOnce(&mut Enc<Vec<u8>>)) -> Vec<u8> {
-        let mut e = Enc::default();
-        f(&mut e);
+    use baat_testkit::prelude::*;
+
+    /// A growable sink for small encodings; it streams.
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+    }
+
+    fn enc<S: Sink>(out: S) -> Enc<S> {
+        Enc {
+            out,
+            chemistry: Chemistry::LeadAcid,
+        }
+    }
+
+    /// The bytes `f` writes.
+    fn encoded<T>(f: impl FnOnce(&mut Enc<Vec<u8>>) -> DecResult<T>) -> Vec<u8> {
+        let mut e = enc(Vec::new());
+        f(&mut e).expect("encodes");
         e.out
     }
 
-    fn encoded_len(f: impl FnOnce(&mut Enc<ByteCount>)) -> usize {
-        let mut e = Enc::default();
-        f(&mut e);
-        e.out.0
+    fn dec(buf: &[u8]) -> Dec<'_> {
+        Dec {
+            buf,
+            pos: 0,
+            chemistry: Chemistry::LeadAcid,
+        }
+    }
+
+    /// The length of `v`'s layout.
+    fn encoded_len<T: Layout>(v: &T) -> usize {
+        walk(ByteCount(0), Chemistry::LeadAcid, v).0
     }
 
     #[test]
@@ -2126,73 +1861,60 @@ mod tests {
         }
     }
 
-    /// Every `width` constant is the encoder's exact minimum for its
-    /// element: larger would reject valid files, smaller would let a
-    /// corrupt length reserve more than the input can fill.
+    /// Every width is the encoder's exact minimum for its value: larger
+    /// would reject valid files, smaller would let a corrupt length
+    /// reserve more than the input can fill.
     #[test]
     fn min_widths_match_the_encoder() {
-        assert_eq!(encoded_len(|e| enc_sample(e, &sample())), width::SAMPLE);
-        assert_eq!(encoded_len(|e| enc_vm(e, &vm())), width::VM);
+        fn value_len<T: Value>(v: T) -> usize {
+            encoded_len(&Val(v))
+        }
+        assert_eq!(value_len(0u8), u8::WIDTH);
+        assert_eq!(value_len(0u32), u32::WIDTH);
+        assert_eq!(value_len(true), bool::WIDTH);
+        assert_eq!(value_len(0.5f64), f64::WIDTH);
+        assert_eq!(value_len(None::<SimInstant>), <Option<SimInstant>>::WIDTH);
+        assert_eq!(value_len(None::<ChargeStage>), <Option<ChargeStage>>::WIDTH);
+        assert_eq!(value_len([0u64; 4]), <[u64; 4]>::WIDTH);
+        assert_eq!(value_len(sample()), SensorSample::WIDTH);
+        assert_eq!(encoded_len(&vm()), VmSnapshot::WIDTH);
         assert_eq!(
-            encoded_len(|e| enc_accumulator(e, &UsageAccumulator::default())),
-            width::ACCUMULATOR
+            encoded_len(&UsageAccumulator::default()),
+            UsageAccumulator::WIDTH
         );
-        let actions = [
-            Action::SetDvfs {
-                node: 0,
-                level: DvfsLevel::ALL[0],
-            },
-            Action::Migrate {
-                vm: VmId(1),
-                target: 2,
-            },
-            Action::SetSocFloor {
-                node: 0,
-                floor: Soc::saturating(0.4),
-            },
-        ];
-        let shortest = actions
-            .iter()
-            .map(|a| encoded_len(|e| enc_action(e, a)))
-            .min();
-        assert_eq!(shortest, Some(width::ACTION));
+        assert_eq!(
+            encoded_len(&AgingBreakdown::default()),
+            AgingBreakdown::WIDTH
+        );
+        let arrival = Arrival {
+            at: TimeOfDay::from_secs(0),
+            kind: WorkloadKind::ALL[0],
+        };
+        assert_eq!(encoded_len(&arrival), Arrival::WIDTH);
+        let shortest = ACTIONS.iter().map(encoded_len).min();
+        assert_eq!(shortest, Some(Action::WIDTH));
         let outcome = ActionOutcome {
-            action: actions[0],
+            action: ACTIONS[0],
             result: ActionResult::Applied,
         };
-        assert_eq!(encoded_len(|e| enc_outcome(e, &outcome)), width::OUTCOME);
-        let events = [
-            Event::ServerShutdown { node: 1 },
-            Event::DvfsChanged {
-                node: 1,
-                level: DvfsLevel::ALL[0],
-            },
-            Event::Action { outcome },
-            Event::FaultInjected {
-                fault: FaultKind::PvOutage,
-            },
-            Event::FaultCleared {
-                fault: FaultKind::MigrationsBlocked,
-            },
-            Event::DegradedMode {
-                node: 0,
-                active: true,
-            },
-        ];
-        let shortest = events
+        assert_eq!(encoded_len(&outcome), ActionOutcome::WIDTH);
+        let shortest = FAULTS.iter().map(encoded_len).min();
+        assert_eq!(shortest, Some(FaultKind::WIDTH));
+        let at = SimInstant::from_secs(0);
+        let shortest = EVENTS
             .iter()
-            .map(|ev| width::WORD + encoded_len(|e| enc_event(e, ev)))
+            .map(|&event| encoded_len(&TimedEvent { at, event }))
             .min();
-        assert_eq!(shortest, Some(width::EVENT));
+        assert_eq!(shortest, Some(TimedEvent::WIDTH));
         let row = TraceRow {
-            at: SimInstant::from_secs(0),
+            at,
             solar: Watts::new(0.0),
             soc: Vec::new(),
             server_power: Vec::new(),
             battery_current: Vec::new(),
             work_cumulative: 0.0,
         };
-        assert_eq!(encoded_len(|e| enc_trace_row(e, &row)), width::TRACE_ROW);
+        assert_eq!(encoded_len(&row), TraceRow::WIDTH);
         let host = HostState {
             dvfs: DvfsLevel::ALL[0],
             online: true,
@@ -2201,22 +1923,31 @@ mod tests {
             completed_jobs: 0,
             vms: Vec::new(),
         };
-        assert_eq!(encoded_len(|e| enc_host(e, &host)), width::HOST);
-        let cluster = |in_flight| ClusterState {
-            hosts: Vec::new(),
-            in_flight,
-            migrations_started: 0,
-        };
-        let one = vec![InFlightState {
+        assert_eq!(encoded_len(&host), HostState::WIDTH);
+        let migration = InFlightState {
             vm: vm(),
             to: ServerId(1),
             completes_at: SimInstant::from_secs(60),
-        }];
-        assert_eq!(
-            encoded_len(|e| enc_cluster(e, &cluster(one)))
-                - encoded_len(|e| enc_cluster(e, &cluster(Vec::new()))),
-            width::IN_FLIGHT
-        );
+        };
+        assert_eq!(encoded_len(&migration), InFlightState::WIDTH);
+        let cluster = ClusterState {
+            hosts: Vec::new(),
+            in_flight: Vec::new(),
+            migrations_started: 0,
+        };
+        assert_eq!(encoded_len(&cluster), ClusterState::WIDTH);
+        let injector = InjectorState {
+            active: Vec::new(),
+            held: Vec::new(),
+            held_temp: Vec::new(),
+            rng_state: [0; 4],
+        };
+        assert_eq!(encoded_len(&injector), InjectorState::WIDTH);
+        let policy = PolicyState {
+            name: String::new(),
+            data: Vec::new(),
+        };
+        assert_eq!(encoded_len(&policy), PolicyState::WIDTH);
         let battery = BatteryUnitState {
             soc: Soc::saturating(1.0),
             hours_since_full: 0.0,
@@ -2230,11 +1961,12 @@ mod tests {
                 window: UsageAccumulator::default(),
             },
         };
-        let samples = History::from_rows(vec![Vec::new()], 0);
-        let len = encoded_len(|e| {
-            enc_battery(e, &battery, &samples, 0);
-        });
-        assert_eq!(len, width::BATTERY);
+        assert_eq!(encoded_len(&Record(battery)), width::BATTERY);
+        let empty = History::<SensorSample>::from_rows(vec![Vec::new()], 0);
+        let mut e = enc(ByteCount(0));
+        e.run(&empty, 0, sample_words);
+        e.run(&empty, 0, sample_words);
+        assert_eq!(e.out.0, width::POWER_TABLE_NODE);
     }
 
     #[test]
@@ -2273,44 +2005,51 @@ mod tests {
 
     #[test]
     fn decoder_rejects_absurd_length_prefixes() {
-        let bytes = encoded(|e| e.u64(u64::MAX));
-        let mut d = Dec::new(&bytes);
+        let bytes = encoded(|e| e.value(Some(u64::MAX), "test"));
+        let mut d = dec(&bytes);
         assert!(matches!(
-            d.len(1, "test"),
+            d.len(None, 1, "test"),
             Err(SnapshotError::Corrupt { .. })
         ));
         // 80 bytes follow the prefix: room for ten words, not eleven,
         // even though eleven is far below the byte count.
         for (n, fits) in [(10, true), (11, false), (80, false)] {
-            let bytes = encoded(|e| {
-                e.usize(n);
-                for _ in 0..10 {
-                    e.u64(0);
-                }
-            });
-            let got = Dec::new(&bytes).len(width::WORD, "test");
+            let mut bytes = encoded(|e| e.values(Some(&[0u64; 10]), "", ""));
+            bytes[..8].copy_from_slice(&(n as u64).to_le_bytes());
+            let got = dec(&bytes).len(None, width::WORD, "test");
             assert_eq!(got.is_ok(), fits, "{n} words");
         }
     }
 
     #[test]
     fn enum_tags_round_trip() {
-        for w in Weather::ALL {
-            assert_eq!(weather_from(weather_tag(w)).unwrap(), w);
+        fn round_trip<T: PartialEq + std::fmt::Debug>(all: &[T]) {
+            for v in all {
+                let bytes = encoded(|e| e.variant(Some(v), all, "tag"));
+                assert_eq!(bytes, [tag(v, all)]);
+                assert_eq!(dec(&bytes).variant(None, all, "tag"), Ok(v));
+            }
+            let past = [all.len() as u8];
+            assert_eq!(dec(&past).variant(None, all, "tag"), Err(corrupt("tag")));
         }
-        for c in Chemistry::ALL {
-            assert_eq!(chemistry_from(chemistry_tag(c)).unwrap(), c);
+        round_trip(&Weather::ALL);
+        round_trip(&Chemistry::ALL);
+        round_trip(&WorkloadKind::ALL);
+        round_trip(&DvfsLevel::ALL);
+        round_trip(&VM_STATES);
+        round_trip(&STAGES);
+        round_trip(&REJECTS);
+        round_trip(&ACTIONS);
+        round_trip(&RESULTS);
+        round_trip(&FAULTS);
+        round_trip(&EVENTS);
+        // A stage is its tag, or 255 before the first; other tags are
+        // corrupt.
+        for (tag, stage) in [(0, Ok(Some(STAGES[0]))), (255, Ok(None))] {
+            assert_eq!(dec(&[tag]).value(None, "stage"), stage);
         }
-        for k in WorkloadKind::ALL {
-            assert_eq!(kind_from(kind_tag(k)).unwrap(), k);
-        }
-        for l in DvfsLevel::ALL {
-            assert_eq!(dvfs_from(dvfs_tag(l)).unwrap(), l);
-        }
-        assert!(weather_from(200).is_err());
-        assert!(vm_state_from(9).is_err());
-        assert!(stage_from(9).is_err());
-        assert!(reject_from(9).is_err());
+        let bad = dec(&[3]).value::<Option<ChargeStage>>(None, "stage");
+        assert_eq!(bad, Err(corrupt("charge stage tag")));
     }
 
     #[test]
@@ -2336,18 +2075,336 @@ mod tests {
             FaultKind::MigrationsBlocked,
         ];
         for kind in kinds {
-            let bytes = encoded(|e| enc_fault(e, &kind));
-            let mut d = Dec::new(&bytes);
-            assert_eq!(dec_fault(&mut d).unwrap(), kind);
+            let bytes = encoded(|e| FaultKind::layout(e, Some(&kind)));
+            let mut d = dec(&bytes);
+            assert_eq!(FaultKind::layout(&mut d, None).unwrap(), kind);
         }
     }
 
     #[test]
     fn f64_round_trip_is_bit_exact() {
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
-            let bytes = encoded(|e| e.f64(v));
-            let mut d = Dec::new(&bytes);
-            assert_eq!(d.f64("v").unwrap().to_bits(), v.to_bits());
+            let bytes = encoded(|e| e.value(Some(v), "v"));
+            let mut d = dec(&bytes);
+            assert_eq!(d.value::<f64>(None, "v").unwrap().to_bits(), v.to_bits());
+        }
+    }
+
+    /// A [`Value`] as a layout of its own.
+    #[derive(Debug)]
+    struct Val<T>(T);
+
+    impl<T: Value> Layout for Val<T> {
+        const WIDTH: usize = T::WIDTH;
+        fn layout<C: Codec>(c: &mut C, v: Src<Self>) -> DecResult<Self> {
+            Ok(Val(c.value(v.map(|v| v.0), "value")?))
+        }
+    }
+
+    /// A battery record with an empty telemetry run, so that the record's
+    /// own layout can be walked alone.
+    #[derive(Debug)]
+    struct Record(BatteryUnitState);
+
+    impl Layout for Record {
+        const WIDTH: usize = width::BATTERY;
+        fn layout<C: Codec>(c: &mut C, r: Src<Self>) -> DecResult<Self> {
+            let record = battery(c, r.map(|r| &r.0), |c, _| {
+                c.len(Some(0), width::WORD, "telemetry samples len")?;
+                Ok(None)
+            })?;
+            Ok(Record(record))
+        }
+    }
+
+    /// `v` walked by `T`'s layout body into `out`.
+    fn walk<S: Sink, T: Layout>(out: S, chemistry: Chemistry, v: &T) -> S {
+        let mut e = Enc { out, chemistry };
+        T::layout(&mut e, Some(v)).expect("encodes");
+        e.out
+    }
+
+    /// The four consumers of `v`'s one layout body agree: the counted
+    /// length is the written length, the streamed hash is the hash of
+    /// the written bytes, and the bytes decode to a value that encodes
+    /// to the same bytes, every byte read.
+    fn consumers_agree<T: Layout>(v: &T, chemistry: Chemistry) -> TestCaseResult {
+        let len = walk(ByteCount(0), chemistry, v).0;
+        let out = Buffer {
+            bytes: vec![0; len],
+            len: 0,
+        };
+        let Buffer {
+            bytes,
+            len: written,
+        } = walk(out, chemistry, v);
+        prop_assert_eq!(written, len);
+        prop_assert_eq!(walk(Fnv1a(FNV_OFFSET), chemistry, v).0, fnv1a(&bytes));
+        let mut d = Dec {
+            buf: &bytes,
+            pos: 0,
+            chemistry,
+        };
+        let decoded = T::layout(&mut d, None);
+        prop_assert!(
+            decoded.is_ok(),
+            "decodes: {decoded:?}",
+            decoded = decoded.err()
+        );
+        prop_assert_eq!(d.pos, len);
+        let again = walk(Vec::new(), chemistry, &decoded.expect("decoded"));
+        prop_assert_eq!(again, bytes);
+        Ok(())
+    }
+
+    /// Random values of every layout type, every enum variant reachable,
+    /// floats over every bit pattern.
+    struct Gen(baat_rng::StdRng);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0.random_range(0..n)
+        }
+        fn word(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+        fn float(&mut self) -> f64 {
+            f64::from_bits(self.word())
+        }
+        fn pick<T: Copy>(&mut self, all: &[T]) -> T {
+            all[self.below(all.len())]
+        }
+        fn many<T>(&mut self, max: usize, mut each: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            let n = self.below(max + 1);
+            (0..n).map(|_| each(self)).collect()
+        }
+        fn action(&mut self) -> Action {
+            match self.pick(&ACTIONS) {
+                Action::SetDvfs { .. } => Action::SetDvfs {
+                    node: self.below(1 << 20),
+                    level: self.pick(&DvfsLevel::ALL),
+                },
+                Action::Migrate { .. } => Action::Migrate {
+                    vm: VmId(self.word()),
+                    target: self.below(1 << 20),
+                },
+                Action::SetSocFloor { .. } => Action::SetSocFloor {
+                    node: self.below(1 << 20),
+                    floor: Soc::saturating(self.float()),
+                },
+            }
+        }
+        fn outcome(&mut self) -> ActionOutcome {
+            ActionOutcome {
+                action: self.action(),
+                result: match self.pick(&RESULTS) {
+                    ActionResult::Applied => ActionResult::Applied,
+                    ActionResult::Rejected(_) => ActionResult::Rejected(self.pick(&REJECTS)),
+                },
+            }
+        }
+        fn fault(&mut self) -> FaultKind {
+            let bank = self.below(64);
+            match self.pick(&FAULTS) {
+                FaultKind::SensorDropout { .. } => FaultKind::SensorDropout { bank },
+                FaultKind::SensorStuckAt { .. } => FaultKind::SensorStuckAt { bank },
+                FaultKind::SensorNoise { .. } => FaultKind::SensorNoise {
+                    bank,
+                    sigma: self.float(),
+                },
+                FaultKind::SensorDrift { .. } => FaultKind::SensorDrift {
+                    bank,
+                    volts_per_hour: self.float(),
+                },
+                FaultKind::InverterDerate { .. } => FaultKind::InverterDerate {
+                    fraction: self.float(),
+                },
+                FaultKind::ChargerFailure { .. } => FaultKind::ChargerFailure { bank },
+                FaultKind::ChargerModeStuck { .. } => FaultKind::ChargerModeStuck { bank },
+                FaultKind::BatteryOpenCircuit { .. } => FaultKind::BatteryOpenCircuit { bank },
+                FaultKind::ThermalSensorLoss { .. } => FaultKind::ThermalSensorLoss { bank },
+                FaultKind::HostFailure { .. } => FaultKind::HostFailure { node: bank },
+                f @ (FaultKind::PvOutage | FaultKind::MigrationsBlocked) => f,
+            }
+        }
+        fn event(&mut self) -> TimedEvent {
+            let node = self.below(1 << 20);
+            let event = match self.pick(&EVENTS) {
+                Event::ServerShutdown { .. } => Event::ServerShutdown { node },
+                Event::ServerRestart { .. } => Event::ServerRestart { node },
+                Event::DvfsChanged { .. } => Event::DvfsChanged {
+                    node,
+                    level: self.pick(&DvfsLevel::ALL),
+                },
+                Event::MigrationStarted { .. } => Event::MigrationStarted {
+                    vm: VmId(self.word()),
+                    from: node,
+                    to: self.below(1 << 20),
+                },
+                Event::Action { .. } => Event::Action {
+                    outcome: self.outcome(),
+                },
+                Event::BatteryCutoff { .. } => Event::BatteryCutoff { node },
+                Event::SocFloorChanged { .. } => Event::SocFloorChanged {
+                    node,
+                    floor: Soc::saturating(self.float()),
+                },
+                Event::PlacementFailed { .. } => Event::PlacementFailed { node },
+                Event::FaultInjected { .. } => Event::FaultInjected {
+                    fault: self.fault(),
+                },
+                Event::FaultCleared { .. } => Event::FaultCleared {
+                    fault: self.fault(),
+                },
+                Event::DegradedMode { .. } => Event::DegradedMode {
+                    node,
+                    active: self.below(2) == 1,
+                },
+            };
+            TimedEvent {
+                at: SimInstant::from_secs(self.word()),
+                event,
+            }
+        }
+        fn vm(&mut self) -> VmSnapshot {
+            VmSnapshot {
+                id: VmId(self.word()),
+                kind: self.pick(&WorkloadKind::ALL),
+                state: self.pick(&VM_STATES),
+                progress: self.float(),
+                work_done: self.float(),
+                migrations: self.word() as u32,
+            }
+        }
+        fn sample(&mut self) -> SensorSample {
+            sample_from(std::array::from_fn(|_| self.word()))
+        }
+        fn accumulator(&mut self) -> UsageAccumulator {
+            UsageAccumulator {
+                ah_discharged: AmpHours::new(self.float()),
+                ah_charged: AmpHours::new(self.float()),
+                ah_discharged_by_range: std::array::from_fn(|_| AmpHours::new(self.float())),
+                observed: SimDuration::from_secs(self.word()),
+                deep_discharge_time: SimDuration::from_secs(self.word()),
+                soc_time_histogram: std::array::from_fn(|_| SimDuration::from_secs(self.word())),
+                peak_discharge: Amperes::new(self.float()),
+                discharge_amp_seconds: self.float(),
+                discharge_time: SimDuration::from_secs(self.word()),
+                energy_out: WattHours::new(self.float()),
+                energy_in: WattHours::new(self.float()),
+                full_charge_events: self.word(),
+            }
+        }
+        fn breakdown(&mut self, chemistry: Chemistry) -> AgingBreakdown {
+            if self.below(4) == 0 {
+                return AgingBreakdown::default();
+            }
+            let pairs: Vec<_> = chemistry
+                .aging_labels()
+                .iter()
+                .map(|&label| (label, self.float()))
+                .collect();
+            AgingBreakdown::from_pairs(&pairs)
+        }
+        fn battery(&mut self, chemistry: Chemistry) -> Record {
+            Record(BatteryUnitState {
+                soc: Soc::saturating(self.float()),
+                hours_since_full: self.float(),
+                cutoff_events: self.word(),
+                temperature: Celsius::new(self.float()),
+                aging: self.breakdown(chemistry),
+                telemetry: TelemetryState {
+                    max_samples: self.below(1 << 20),
+                    latest: None,
+                    lifetime: self.accumulator(),
+                    window: self.accumulator(),
+                },
+            })
+        }
+        fn host(&mut self) -> HostState {
+            HostState {
+                dvfs: self.pick(&DvfsLevel::ALL),
+                online: self.below(2) == 1,
+                boot_remaining: SimDuration::from_secs(self.word()),
+                work_done: self.float(),
+                completed_jobs: self.word(),
+                vms: self.many(3, Self::vm),
+            }
+        }
+        fn migration(&mut self) -> InFlightState {
+            InFlightState {
+                vm: self.vm(),
+                to: ServerId(self.below(1 << 20)),
+                completes_at: SimInstant::from_secs(self.word()),
+            }
+        }
+        fn cluster(&mut self) -> ClusterState {
+            ClusterState {
+                hosts: self.many(3, Self::host),
+                in_flight: self.many(3, Self::migration),
+                migrations_started: self.word(),
+            }
+        }
+        fn trace_row(&mut self) -> TraceRow {
+            TraceRow {
+                at: SimInstant::from_secs(self.word()),
+                solar: Watts::new(self.float()),
+                soc: self.many(4, Self::float),
+                server_power: self.many(4, |g| Watts::new(g.float())),
+                battery_current: self.many(4, Self::float),
+                work_cumulative: self.float(),
+            }
+        }
+        fn injector(&mut self) -> InjectorState {
+            InjectorState {
+                active: self.many(4, |g| g.below(2) == 1),
+                held: self.many(4, |g| (g.below(2) == 1).then(|| g.sample())),
+                held_temp: self.many(4, |g| (g.below(2) == 1).then(|| Celsius::new(g.float()))),
+                rng_state: std::array::from_fn(|_| self.word()),
+            }
+        }
+        fn policy(&mut self) -> PolicyState {
+            PolicyState {
+                name: ["BAAT", "BAAT-h", "e-Buff", ""][self.below(4)].to_owned(),
+                data: self.many(6, Self::word),
+            }
+        }
+        fn arrival(&mut self) -> Arrival {
+            Arrival {
+                at: TimeOfDay::from_secs(self.below(86_400) as u32),
+                kind: self.pick(&WorkloadKind::ALL),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every layout type's one body feeds the byte counter, the
+        /// writer, the hasher and the reader alike.
+        #[test]
+        fn one_body_four_consumers_agree(seed in 0u64..u64::MAX) {
+            let mut g = Gen(baat_rng::StdRng::seed_from_u64(seed));
+            for chemistry in Chemistry::ALL {
+                consumers_agree(&g.action(), chemistry)?;
+                consumers_agree(&g.outcome(), chemistry)?;
+                consumers_agree(&g.fault(), chemistry)?;
+                consumers_agree(&g.event(), chemistry)?;
+                consumers_agree(&g.vm(), chemistry)?;
+                consumers_agree(&g.arrival(), chemistry)?;
+                consumers_agree(&Val(g.sample()), chemistry)?;
+                let stage = g.below(STAGES.len() + 1);
+                consumers_agree(&Val(STAGES.get(stage).copied()), chemistry)?;
+                consumers_agree(&Val((g.below(2) == 1).then(|| g.sample())), chemistry)?;
+                consumers_agree(&g.accumulator(), chemistry)?;
+                let breakdown = g.breakdown(chemistry);
+                consumers_agree(&breakdown, chemistry)?;
+                consumers_agree(&g.battery(chemistry), chemistry)?;
+                consumers_agree(&g.cluster(), chemistry)?;
+                consumers_agree(&g.trace_row(), chemistry)?;
+                consumers_agree(&g.injector(), chemistry)?;
+                consumers_agree(&g.policy(), chemistry)?;
+            }
         }
     }
 }
